@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, OutOfRangeError
-from .gf import FieldContext
+from .gf import FieldContext, require_element
 from .poly import (
     coords,
     compose,
@@ -253,6 +253,7 @@ def shift_operator(ctx: FieldContext, r: int) -> ShiftOperator:
     Column e-1 is built from the binomial expansion of (x+r)^e, so this
     route is independent of apply_shift's Horner substitution.
     """
+    require_element(ctx, r)
     d = ctx.q - 2
     cols = []
     binom = [1]  # row e of Pascal's triangle mod p, refreshed per e
@@ -273,6 +274,7 @@ def shift_operator(ctx: FieldContext, r: int) -> ShiftOperator:
 
 def apply_shift(ctx: FieldContext, r: int, f) -> list[int]:
     """f(x+r) - f(r) by direct substitution, no matrix involved."""
+    require_element(ctx, r)
     require_vpoly(ctx, f)
     shifted = compose(ctx, f, [r, 1])
     out = list(shifted)

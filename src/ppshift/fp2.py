@@ -30,7 +30,7 @@ from .errors import (
     NotRootOfUnityError,
     OutOfRangeError,
 )
-from .gf import FieldContext, roots_of_unity
+from .gf import FieldContext, require_element, roots_of_unity
 from .pp import FamilyShape, enumerate_pprs
 from .poly import (
     gmb_poly,
@@ -51,6 +51,7 @@ def _require_fp2(ctx: FieldContext) -> None:
 def _require_mb(ctx: FieldContext, m: int, b: int) -> None:
     if not 2 <= m <= ctx.p - 1:
         raise BadExponentError(f"m = {m} outside [2, {ctx.p - 1}]")
+    require_element(ctx, b)
     if b == 0 or ctx.pow(b, ctx.p + 1) != 1:
         raise NotRootOfUnityError(f"b = {b} is not a (p+1)-th root of unity")
 
@@ -92,6 +93,8 @@ def check_conditions(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -
     """
     _require_fp2(ctx)
     _require_mb(ctx, m, b)
+    require_element(ctx, alpha)
+    require_element(ctx, beta)
     p = ctx.p
     cond1 = ctx.pow(alpha, p + 1) != ctx.pow(beta, p + 1)
     lhs_base = ctx.add(beta, ctx.mul(b, alpha))
@@ -107,6 +110,8 @@ def derive_params(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -> F
     """Populate (gamma, epsilon, delta, d) for one (m, b, alpha, beta)."""
     _require_fp2(ctx)
     _require_mb(ctx, m, b)
+    require_element(ctx, alpha)
+    require_element(ctx, beta)
     p = ctx.p
     norm_gap = ctx.sub(ctx.pow(beta, p + 1), ctx.pow(alpha, p + 1))
     if norm_gap == 0:
@@ -156,14 +161,25 @@ def build_pair(inst: FamilyInstance) -> tuple[list[int], list[int]]:
 
 
 def constructible_pairs(ctx: FieldContext, m: int, b: int) -> list[tuple[int, int]]:
-    """All (alpha, beta) passing both conditions, alpha outer."""
+    """All (alpha, beta) passing both conditions, alpha outer, beta ascending.
+
+    Closed form instead of a scan of F_q^2: the second condition says
+    s = beta + b alpha lies in S = {s != 0 : s^(p-1) = (-1)^m b^(mp-1)},
+    which has 0 or p-1 elements. So each alpha has the candidates
+    beta = s - b alpha, s in S, and only the first condition is left to
+    test: q(p-1) candidates instead of q^2.
+    """
     _require_fp2(ctx)
     _require_mb(ctx, m, b)
+    p = ctx.p
+    rhs = ctx.mul(_sign(ctx, m), ctx.pow(b, m * p - 1))
+    solutions = [s for s in range(1, ctx.q) if ctx.pow(s, p - 1) == rhs]
     out = []
     for alpha in range(ctx.q):
-        for beta in range(ctx.q):
-            if (alpha or beta) and check_conditions(ctx, m, b, alpha, beta).constructible:
-                out.append((alpha, beta))
+        alpha_norm = ctx.pow(alpha, p + 1)
+        shift = ctx.mul(b, alpha)
+        betas = sorted(ctx.sub(s, shift) for s in solutions)
+        out.extend((alpha, beta) for beta in betas if ctx.pow(beta, p + 1) != alpha_norm)
     return out
 
 

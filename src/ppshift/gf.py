@@ -28,6 +28,7 @@ from .errors import (
     NonPrimeError,
     NotADivisorError,
     NotIrreducibleError,
+    OutOfRangeError,
 )
 
 DEFAULT_FIELD_CAP = 1 << 16
@@ -314,6 +315,16 @@ def build_field(
     else:
         mod = _smallest_modulus(p, n)
     return FieldContext(p, n, mod)
+
+
+def require_element(ctx: FieldContext, x) -> None:
+    """Refuse anything but an element index 0 <= x < q.
+
+    The arithmetic indexes tables by element, so an index out of range
+    would fail with an IndexError or, when negative, silently alias.
+    """
+    if not isinstance(x, int) or not 0 <= x < ctx.q:
+        raise OutOfRangeError(f"{x!r} is not an element index of F_{ctx.q}")
 
 
 @dataclass(frozen=True)

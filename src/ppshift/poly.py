@@ -121,8 +121,40 @@ def eval_at(ctx: FieldContext, f, x: int) -> int:
 
 
 def eval_table(ctx: FieldContext, f) -> list[int]:
-    """Evaluation at every element, indexed by element."""
-    return [eval_at(ctx, f, x) for x in range(ctx.q)]
+    """Evaluation at every element, indexed by element.
+
+    Sparse: one pass over F_q^* per nonzero term. With x = a^i for the
+    primitive element a, the term c x^j is exp[(log c + j i) mod (q-1)],
+    so a pass is a run of table lookups in log order; the passes are
+    summed with the flat add table (ctx.add above FLAT_TABLE_LIMIT) and
+    the value at 0 is the constant term. Cost is O(q) per nonzero term
+    against O(q) per coefficient for the Horner route of eval_at.
+    """
+    q = ctx.q
+    q1 = q - 1
+    exp = ctx.exp_table
+    at = ctx.add_table
+    acc = None  # values at a^0, ..., a^(q-2)
+    for j, c in enumerate(f):
+        if not c:
+            continue
+        if j:
+            lc = ctx.log_table[c]
+            term = [exp[k % q1] for k in range(lc, lc + j * q1, j)]
+        else:
+            term = [c] * q1
+        if acc is None:
+            acc = term
+        elif at is not None:
+            acc = [at[a * q + t] for a, t in zip(acc, term)]
+        else:
+            acc = list(map(ctx.add, acc, term))
+    if acc is None:
+        return [0] * q
+    out = [f[0]] * q
+    for i, v in enumerate(acc):
+        out[exp[i]] = v
+    return out
 
 
 def compose(ctx: FieldContext, f, g) -> list[int]:
@@ -347,9 +379,10 @@ def parse_poly(ctx: FieldContext, text: str) -> list[int]:
             e = int(mt.group(2)) if mt.group(2) else 1
         if c >= ctx.q:
             raise OutOfRangeError(f"coefficient {c} is not an element index of F_{ctx.q}")
+        if e:
+            e = 1 + (e - 1) % (ctx.q - 1)  # fold mod x^q - x before allocating
         raw[e] = ctx.add(raw.get(e, 0), c)
-    size = max(raw) + 1
-    out = [0] * size
+    out = [0] * (max(raw) + 1)
     for e, c in raw.items():
         out[e] = c
-    return reduce_poly(ctx, out)
+    return normalize(out)

@@ -2,9 +2,12 @@
 
 The primary oracle is the direct bijectivity test on the full
 evaluation table; the degree-based power test is kept as an
-independent cross-check, not an optimization. Compositional inverses
-come from inverting the evaluation permutation and interpolating
-through all q points.
+independent cross-check, not an optimization. inverse_table is the one
+place an evaluation table is inverted. Compositional inverses come
+from interpolating the inverted table through all q points, O(q^2);
+a claimed inverse h is checked pointwise instead, O(q) per nonzero
+term: a reduced polynomial equals the interpolant of a table iff it
+agrees with the table at every point.
 
 Enumeration walks a candidate space in a fixed lexicographic order and
 the worker count only controls how the index range is partitioned;
@@ -119,19 +122,32 @@ def interpolate_table(ctx: FieldContext, values) -> list[int]:
     return normalize(out)
 
 
-def compositional_inverse(ctx: FieldContext, f) -> list[int]:
-    """The unique reduced h with h(f(x)) = f(h(x)) = x."""
-    table = eval_table(ctx, f)
-    inverse = [0] * ctx.q
-    seen = [False] * ctx.q
+def inverse_table(ctx: FieldContext, table) -> list[int]:
+    """The table of the inverse permutation: inverse[table[x]] = x."""
+    inverse = [-1] * ctx.q
     for x, y in enumerate(table):
-        if seen[y]:
+        if inverse[y] >= 0:
             raise NotAPermutationError(
                 f"not a permutation: collides at {inverse[y]} and {x}"
             )
-        seen[y] = True
         inverse[y] = x
-    return interpolate_table(ctx, inverse)
+    return inverse
+
+
+def compositional_inverse(ctx: FieldContext, f) -> list[int]:
+    """The unique reduced h with h(f(x)) = f(h(x)) = x."""
+    return interpolate_table(ctx, inverse_table(ctx, eval_table(ctx, f)))
+
+
+def is_compositional_inverse(ctx: FieldContext, f, h) -> bool:
+    """Whether h == compositional_inverse(ctx, f), without interpolating.
+
+    Exact: h must be reduced (degree <= q-1) and agree with the inverse
+    table at every point. Raises NotAPermutationError when f is not a
+    permutation.
+    """
+    inverse = inverse_table(ctx, eval_table(ctx, f))
+    return len(h) <= ctx.q and eval_table(ctx, h) == inverse
 
 
 # -- enumeration domains --
@@ -273,14 +289,17 @@ def _scan_shape(ctx: FieldContext, shape: FamilyShape, start: int, stop: int, li
     found: list[tuple[int, ...]] | None = []
     stamp = [0] * q
     tick = 0
+    shape_alpha = None  # g(x) + alpha x^p at every x, for the current alpha
     for index in range(start, stop):
         alpha, beta = divmod(index, q)
+        if shape_alpha is None or beta == 0:
+            shape_alpha = [add(gx, mul(alpha, fx)) for gx, fx in zip(g_table, frob)]
         searched += 1
         tick += 1
         stamp[0] = tick
         ok = True
         for x in range(1, q):
-            y = add(g_table[x], add(mul(alpha, frob[x]), mul(beta, x)))
+            y = add(shape_alpha[x], mul(beta, x))
             if stamp[y] == tick:
                 ok = False
                 break

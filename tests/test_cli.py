@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from ppshift.cli import dispatch, element_str
 
@@ -142,6 +143,19 @@ def test_exit_codes(capsys):
     assert code == 64
     code, _, _ = run(capsys, "eigenspace", "--k", "1", "--r", "1")  # missing --p
     assert code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ("eigenspace", "--p", "5", "--r", "7", "--k", "1"),
+    ("eigenspace", "--p", "5", "--r", "-1", "--k", "1"),
+    ("fp2", "verify", "--p", "3", "--m", "2", "--b", "99"),
+    ("fp2", "verify", "--p", "3", "--m", "2", "--b", "2", "--alpha", "99", "--beta", "1"),
+    ("fp2", "verify", "--p", "3", "--m", "2", "--b", "2", "--alpha", "1", "--beta", "-1"),
+])
+def test_out_of_range_elements_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "is not an element index of F_" in err
 
 
 def test_unsupported_format_is_usage_error(capsys):

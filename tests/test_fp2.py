@@ -88,6 +88,34 @@ def test_conditioned_count_f25(field):
     assert len(constructible_pairs(f25, 2, b)) == 80  # p(p-1)^2
 
 
+def scanned_pairs(ctx, m, b):
+    """The q^2 scan of check_conditions that the closed form replaces."""
+    return [
+        (alpha, beta)
+        for alpha in range(ctx.q)
+        for beta in range(ctx.q)
+        if (alpha or beta) and check_conditions(ctx, m, b, alpha, beta).constructible
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_constructible_pairs_closed_form_matches_scan(field, p):
+    ctx = field(p, 2)
+    for m in range(2, p):
+        for b in family_b_values(ctx):
+            assert constructible_pairs(ctx, m, b) == scanned_pairs(ctx, m, b), (m, b)
+
+
+def test_constructible_pairs_closed_form_matches_scan_f121(field):
+    ctx = field(11, 2)
+    bs = family_b_values(ctx)
+    for m in (2, 6):
+        for b in (bs[0], bs[-1]):
+            pairs = constructible_pairs(ctx, m, b)
+            assert len(pairs) == 11 * 10**2
+            assert pairs == scanned_pairs(ctx, m, b), (m, b)
+
+
 def test_build_pair_frozen_f9(field):
     f9 = field(3, 2)
     inst = derive_params(f9, 2, 1, 3, 7)

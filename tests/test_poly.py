@@ -21,6 +21,7 @@ from ppshift.poly import (
     linearized_to_matrix,
     matrix_to_linearized,
     monomial,
+    normalize,
     parse_poly,
     poly_mul,
     poly_pow,
@@ -60,6 +61,33 @@ def test_eval_table_examples(field):
     assert eval_table(f5, monomial(1)) == [0, 1, 2, 3, 4]
     assert eval_table(f5, monomial(3)) == [0, 1, 3, 2, 4]
     assert set(eval_table(f5, monomial(2))) == {0, 1, 4}
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (7, 2), (5, 4), (3, 6)])
+def test_sparse_eval_table_matches_horner(field, p, n):
+    # F_4, F_9, F_49 use the flat tables; F_625 and F_729 the exp/log path
+    ctx = field(p, n)
+    q = ctx.q
+    rng = random.Random(p * 100 + n)
+    dense = [rng.randrange(q) for _ in range(q - 1)] + [1 + rng.randrange(q - 1)]
+    polys = [
+        [],
+        [rng.randrange(1, q)],  # a nonzero constant
+        monomial(q - 1, rng.randrange(1, q)),
+        dense,  # degree q-1 with a constant term
+    ]
+    for _ in range(3):  # sparse, with and without a constant term
+        f = [0] * q
+        for e in rng.sample(range(q), 4):
+            f[e] = rng.randrange(q)
+        polys.append(normalize(f))
+    polys.append([0] * q + [1])  # unreduced x^q
+    # Horner costs O(q) per point at these degrees: sample the large fields
+    points = range(q) if q < 100 else [0, 1, *rng.sample(range(2, q), 40)]
+    for f in polys:
+        table = eval_table(ctx, f)
+        assert len(table) == q
+        assert [table[x] for x in points] == [eval_at(ctx, f, x) for x in points], f[:8]
 
 
 def test_compose_examples(field):
@@ -161,6 +189,15 @@ def test_format_parse_roundtrip(field):
         parse_poly(f9, "9*x^2")
     with pytest.raises(OutOfRangeError):
         parse_poly(f9, "x**2")
+
+
+def test_parse_poly_folds_huge_exponents(field):
+    f5 = field(5, 1)
+    e = 10**18
+    # folded before any allocation; the list is never 10^18 long
+    assert parse_poly(f5, f"1*x^{e}") == monomial(1 + (e - 1) % 4) == [0, 0, 0, 0, 1]
+    assert parse_poly(f5, f"2*x^{e} + 3*x^4") == []  # both fold to x^4 and 2 + 3 = 0
+    assert parse_poly(f5, f"3*x^{e + 1} + 1") == [1, 3]
 
 
 def test_coords_roundtrip(field):

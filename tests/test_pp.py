@@ -11,6 +11,7 @@ from ppshift.errors import (
     OutOfRangeError,
     TooLargeFieldError,
 )
+from ppshift.fp2 import build_pair, constructible_pairs, derive_params, family_b_values
 from ppshift.poly import (
     compose,
     eval_table,
@@ -26,6 +27,8 @@ from ppshift.pp import (
     enumerate_pprs,
     hermite_test,
     interpolate_table,
+    inverse_table,
+    is_compositional_inverse,
     is_permutation,
 )
 
@@ -90,6 +93,40 @@ def test_inverse_examples(field):
     assert compositional_inverse(f5, monomial(1)) == monomial(1)
     with pytest.raises(NotAPermutationError):
         compositional_inverse(f5, monomial(2))
+
+
+def test_inverse_table(field):
+    f5 = field(5, 1)
+    assert inverse_table(f5, [0, 1, 3, 2, 4]) == [0, 1, 3, 2, 4]
+    assert inverse_table(f5, [4, 0, 1, 2, 3]) == [1, 2, 3, 4, 0]
+    with pytest.raises(NotAPermutationError, match="collides at 2 and 3"):
+        inverse_table(f5, eval_table(f5, monomial(2)))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_pointwise_inverse_check_rejects_near_misses(field, p):
+    ctx = field(p, 2)
+    q = ctx.q
+    rng = random.Random(p)
+    for m in range(2, p):
+        for b in family_b_values(ctx):
+            pairs = constructible_pairs(ctx, m, b)
+            for alpha, beta in rng.sample(pairs, 3):
+                f, h = build_pair(derive_params(ctx, m, b, alpha, beta))
+                assert is_compositional_inverse(ctx, f, h)
+                # one coefficient changed
+                e = rng.randrange(len(h))
+                wrong = list(h)
+                wrong[e] = ctx.add(wrong[e], 1 + rng.randrange(q - 1))
+                assert not is_compositional_inverse(ctx, f, normalize(wrong))
+                # the same map, padded past degree q-1 with x^q - x
+                padded = list(h) + [0] * (q + 1 - len(h))
+                padded[1] = ctx.sub(padded[1], 1)
+                padded[q] = 1
+                assert eval_table(ctx, padded) == eval_table(ctx, h)
+                assert not is_compositional_inverse(ctx, f, padded)
+    with pytest.raises(NotAPermutationError):
+        is_compositional_inverse(ctx, monomial(2), monomial(1))
 
 
 @pytest.mark.parametrize("p,n", [(5, 1), (3, 2), (2, 3), (5, 2)])
