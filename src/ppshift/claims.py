@@ -41,8 +41,6 @@ class RunConfig:
     n: int | None = None
     modulus_override: tuple[int, ...] | None = None
     budget: int = pp.DEFAULT_BUDGET
-    workers: int = 1
-    format: str = "json"
     seed: int = 0
     timings: bool = False
 
@@ -138,9 +136,7 @@ class _FieldRun:
     def v1_enumeration(self) -> pp.EnumReport:
         if self._v1_report is None:
             space = eigen.intersection_space(self.ctx, 1)
-            self._v1_report = pp.enumerate_pprs(
-                self.ctx, space, budget=self.cfg.budget, workers=self.cfg.workers
-            )
+            self._v1_report = pp.enumerate_pprs(self.ctx, space, budget=self.cfg.budget)
         return self._v1_report
 
     def add(self, claim_id: str, status: str, expected, observed,
@@ -540,6 +536,7 @@ def _v1_inverse_closure(run: _FieldRun):
     report = run.v1_enumeration()
     if report.ppr_list is None:
         return "skipped", None, None, "PPR list above the reporting threshold"
+    fp = build_field(ctx.p)
     bad = []
     for coeffs in report.ppr_list:
         inverse = pp.compositional_inverse(ctx, list(coeffs))
@@ -549,7 +546,7 @@ def _v1_inverse_closure(run: _FieldRun):
             continue
         # dual route: invert the F_p matrix avatar and compare
         src = linearized_coeffs(ctx, list(coeffs))
-        via_matrix = matrix_to_linearized(ctx, _fp_matrix_inverse(ctx.p, linearized_to_matrix(ctx, src)))
+        via_matrix = matrix_to_linearized(ctx, _fp_matrix_inverse(fp, linearized_to_matrix(ctx, src)))
         if via_matrix != d:
             bad.append(("route mismatch", coeffs))
     status = "verified" if not bad else "refuted"
@@ -558,20 +555,13 @@ def _v1_inverse_closure(run: _FieldRun):
     )
 
 
-def _fp_matrix_inverse(p: int, rows):
+def _fp_matrix_inverse(fp: FieldContext, rows):
+    """Inverse over the prime field fp: the right half of rref([M | I])."""
     n = len(rows)
-    aug = [[rows[i][j] % p for j in range(n)] + [1 if k == i else 0 for k in range(n)]
+    aug = [[rows[i][j] % fp.p for j in range(n)] + [1 if k == i else 0 for k in range(n)]
            for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] % p)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    red, _ = eigen.rref(fp, aug)
+    return tuple(row[n:] for row in red)
 
 
 def _alt_generators(run: _FieldRun):
@@ -695,13 +685,13 @@ def _v2_count(run: _FieldRun):
     p = ctx.p
     expected = p * (p + 1) * (p - 1) ** 2
     via_census = sum(
-        fp2.census(ctx, 2, b, "full", workers=run.cfg.workers).full
+        fp2.census(ctx, 2, b, "full").full
         for b in fp2.family_b_values(ctx)
     )
     observed = {"shape_census": via_census}
     if ctx.q <= 9:
         v2 = eigen.intersection_space(ctx, 2)
-        report = pp.enumerate_pprs(ctx, v2, budget=run.cfg.budget, workers=run.cfg.workers)
+        report = pp.enumerate_pprs(ctx, v2, budget=run.cfg.budget)
         linearized = sum(
             1 for c in report.ppr_list if linearized_coeffs(ctx, list(c)) is not None
         )
@@ -838,7 +828,7 @@ def _full_count_coprime(run: _FieldRun):
     ok = True
     for m in ms:
         for b in fp2.family_b_values(ctx):
-            got = fp2.census(ctx, m, b, "full", workers=run.cfg.workers).full
+            got = fp2.census(ctx, m, b, "full").full
             observed[f"m={m},b={b}"] = got
             ok = ok and got == expected
     status = "verified" if ok else "refuted"
@@ -855,7 +845,7 @@ def _full_count_half(run: _FieldRun):
         return "skipped", None, None, "m = (p+1)/2 outside [2, p-1]"
     counts = sorted(
         {
-            fp2.census(ctx, m, b, "full", workers=run.cfg.workers).full
+            fp2.census(ctx, m, b, "full").full
             for b in fp2.family_b_values(ctx)
         }
     )
@@ -883,9 +873,7 @@ def _extra_closure(run: _FieldRun):
     total = 0
     for m in ms:
         for b in fp2.family_b_values(ctx):
-            report = pp.enumerate_pprs(
-                ctx, pp.FamilyShape(m=m, b=b), budget=run.cfg.budget, workers=run.cfg.workers
-            )
+            report = pp.enumerate_pprs(ctx, pp.FamilyShape(m=m, b=b), budget=run.cfg.budget)
             for coeffs in report.ppr_list:
                 params = fp2.shape_parameters(ctx, list(coeffs))
                 alpha, beta = params[2], params[3]

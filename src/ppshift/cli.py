@@ -216,7 +216,7 @@ def _cmd_enumerate(args) -> int:
     else:
         space = eigen.intersection_space(ctx, args.k)
         space_desc = {"space": "vk", "k": args.k}
-    report = pp.enumerate_pprs(ctx, space, budget=args.budget, workers=args.workers)
+    report = pp.enumerate_pprs(ctx, space, budget=args.budget)
     doc = {
         "schema": 1,
         "field": _field_block(ctx),
@@ -319,7 +319,7 @@ def _cmd_fp2_census(args) -> int:
     entries = []
     for m in ms:
         for b in bs:
-            report = fp2.census(ctx, m, b, args.mode, workers=args.workers)
+            report = fp2.census(ctx, m, b, args.mode)
             entries.append(
                 {"m": m, "b": b, "conditioned": report.conditioned,
                  "full": report.full, "excess": report.excess}
@@ -428,8 +428,6 @@ def _cmd_reproduce(args) -> int:
         n=args.n if args.p is not None else None,
         modulus_override=_parse_modulus(args.modulus),
         budget=args.budget,
-        workers=args.workers,
-        format=args.format,
         seed=args.seed,
         timings=args.timings,
     )
@@ -445,13 +443,14 @@ def _add_common(parser, poly_arg=False) -> None:
                         help="override modulus, comma-separated coefficients, degree 0 first")
     parser.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
     parser.add_argument("--out", default=None, help="write the report to FILE")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--workers", type=int, default=1, help="enumeration partitions")
-    parser.add_argument("--budget", type=int, default=pp.DEFAULT_BUDGET,
-                        help="candidate cap for enumerations")
     if poly_arg:
         parser.add_argument("poly", nargs="?", default=None,
                             help="polynomial like '1*x^6 + 2*x^2' (stdin when omitted)")
+
+
+def _add_budget(parser) -> None:
+    parser.add_argument("--budget", type=int, default=pp.DEFAULT_BUDGET,
+                        help="candidate cap for enumerations")
 
 
 def build_parser() -> _Parser:
@@ -489,6 +488,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("enumerate", help="count the PPRs inside V_k or one kernel")
     _add_common(sp)
+    _add_budget(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--r", type=int, default=None,
                     help="enumerate ker((A_r - I)^k) instead of V_k")
@@ -523,6 +523,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("reproduce", help="claim-by-claim verification report")
     _add_common(sp)
+    _add_budget(sp)
+    sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sp.add_argument("--timings", action="store_true", help="include wall-clock runtimes")
     sp.set_defaults(handler=_cmd_reproduce)
 

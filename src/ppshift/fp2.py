@@ -24,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    BadExponentError,
     DegenerateParametersError,
     NotConstructibleError,
-    NotRootOfUnityError,
     OutOfRangeError,
 )
 from .gf import FieldContext, require_element, roots_of_unity
@@ -40,20 +38,13 @@ from .poly import (
     poly_add,
     poly_pow,
     poly_scale,
+    require_mb,
 )
 
 
 def _require_fp2(ctx: FieldContext) -> None:
     if ctx.n != 2:
         raise OutOfRangeError("family is defined over quadratic extensions only")
-
-
-def _require_mb(ctx: FieldContext, m: int, b: int) -> None:
-    if not 2 <= m <= ctx.p - 1:
-        raise BadExponentError(f"m = {m} outside [2, {ctx.p - 1}]")
-    require_element(ctx, b)
-    if b == 0 or ctx.pow(b, ctx.p + 1) != 1:
-        raise NotRootOfUnityError(f"b = {b} is not a (p+1)-th root of unity")
 
 
 def family_b_values(ctx: FieldContext) -> list[int]:
@@ -92,7 +83,7 @@ def check_conditions(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -
     and can never equal the nonzero right side, so cond2 is false.
     """
     _require_fp2(ctx)
-    _require_mb(ctx, m, b)
+    require_mb(ctx, m, b)
     require_element(ctx, alpha)
     require_element(ctx, beta)
     p = ctx.p
@@ -109,7 +100,7 @@ def check_conditions(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -
 def derive_params(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -> FamilyInstance:
     """Populate (gamma, epsilon, delta, d) for one (m, b, alpha, beta)."""
     _require_fp2(ctx)
-    _require_mb(ctx, m, b)
+    require_mb(ctx, m, b)
     require_element(ctx, alpha)
     require_element(ctx, beta)
     p = ctx.p
@@ -170,7 +161,7 @@ def constructible_pairs(ctx: FieldContext, m: int, b: int) -> list[tuple[int, in
     test: q(p-1) candidates instead of q^2.
     """
     _require_fp2(ctx)
-    _require_mb(ctx, m, b)
+    require_mb(ctx, m, b)
     p = ctx.p
     rhs = ctx.mul(_sign(ctx, m), ctx.pow(b, m * p - 1))
     solutions = [s for s in range(1, ctx.q) if ctx.pow(s, p - 1) == rhs]
@@ -192,8 +183,7 @@ class CensusReport:
     excess: int | None
 
 
-def census(ctx: FieldContext, m: int, b: int, mode: str = "conditioned",
-           workers: int = 1) -> CensusReport:
+def census(ctx: FieldContext, m: int, b: int, mode: str = "conditioned") -> CensusReport:
     """Count family permutations for one (m, b).
 
     conditioned counts the (alpha, beta) passing both conditions;
@@ -205,7 +195,7 @@ def census(ctx: FieldContext, m: int, b: int, mode: str = "conditioned",
     conditioned = len(constructible_pairs(ctx, m, b))
     if mode == "conditioned":
         return CensusReport(m=m, b=b, conditioned=conditioned, full=None, excess=None)
-    report = enumerate_pprs(ctx, FamilyShape(m=m, b=b), workers=workers)
+    report = enumerate_pprs(ctx, FamilyShape(m=m, b=b))
     return CensusReport(
         m=m, b=b, conditioned=conditioned,
         full=report.ppr_count, excess=report.ppr_count - conditioned,

@@ -21,7 +21,7 @@ from .errors import (
     NotRootOfUnityError,
     OutOfRangeError,
 )
-from .gf import FieldContext
+from .gf import FieldContext, require_element
 
 
 def normalize(coeffs) -> list[int]:
@@ -214,13 +214,19 @@ def _binomial_power(ctx: FieldContext, b: int, m: int) -> list[int]:
     return poly_pow(ctx, base, m)
 
 
-def gmb_poly(ctx: FieldContext, m: int, b: int) -> list[int]:
-    """(x^p - b x)^m for 2 <= m <= p-1 and b an ell_q-th root of unity."""
+def require_mb(ctx: FieldContext, m: int, b: int) -> None:
+    """2 <= m <= p-1 and b an ell_q-th root of unity, ell_q = (q-1)/(p-1)."""
     if not 2 <= m <= ctx.p - 1:
         raise BadExponentError(f"m = {m} outside [2, {ctx.p - 1}]")
+    require_element(ctx, b)
     ell = (ctx.q - 1) // (ctx.p - 1)
     if b == 0 or ctx.pow(b, ell) != 1:
         raise NotRootOfUnityError(f"b = {b} is not an order-{ell} root of unity")
+
+
+def gmb_poly(ctx: FieldContext, m: int, b: int) -> list[int]:
+    """(x^p - b x)^m for 2 <= m <= p-1 and b an ell_q-th root of unity."""
+    require_mb(ctx, m, b)
     return _binomial_power(ctx, b, m)
 
 
@@ -232,11 +238,7 @@ def hmd_d(ctx: FieldContext, m: int, b: int) -> int:
 
 def hmd_poly(ctx: FieldContext, m: int, b: int) -> list[int]:
     """(x^p - d x)^m with d derived from (m, b)."""
-    if not 2 <= m <= ctx.p - 1:
-        raise BadExponentError(f"m = {m} outside [2, {ctx.p - 1}]")
-    ell = (ctx.q - 1) // (ctx.p - 1)
-    if b == 0 or ctx.pow(b, ell) != 1:
-        raise NotRootOfUnityError(f"b = {b} is not an order-{ell} root of unity")
+    require_mb(ctx, m, b)
     return _binomial_power(ctx, hmd_d(ctx, m, b), m)
 
 
@@ -295,6 +297,8 @@ def matrix_to_linearized(ctx: FieldContext, rows) -> list[int]:
     Solves the Moore system sum_j d_j (t^i)^(p^j) = image of t^i; the
     system is nonsingular because (1, t, ..., t^(n-1)) is a basis.
     """
+    from .eigen import rref  # eigen imports this module
+
     n = ctx.n
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatchError("matrix must be n x n")
@@ -309,48 +313,16 @@ def matrix_to_linearized(ctx: FieldContext, rows) -> list[int]:
         target = ctx.from_digits([rows[k][i] % ctx.p for k in range(n)])
         row.append(target)
         aug.append(row)
-    # Gaussian elimination over F_q on the n x (n+1) system
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ctx.inv(aug[col][col])
-        if inv != 1:
-            aug[col] = [ctx.mul(inv, v) for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [ctx.sub(a, ctx.mul(factor, b)) for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def fp_matrix_det(p: int, rows) -> int:
-    """Determinant mod p of a small integer matrix."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = (det * m[col][col]) % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, n):
-            if m[r][col] % p:
-                factor = (m[r][col] * inv) % p
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[col])]
-    return det % p
+    red, _ = rref(ctx, aug)
+    return [row[n] for row in red]
 
 
 # -- textual format: element-index coefficients, `c*x^e` terms --
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?x(?:\^(\d+))?$|^(\d+)$")
+# int() of a longer digit string may hit Python's int_max_str_digits
+# limit, whose smallest admissible setting is 640
+MAX_DIGITS = 640
 
 
 def format_poly(ctx: FieldContext, f) -> str:
@@ -372,6 +344,8 @@ def parse_poly(ctx: FieldContext, text: str) -> list[int]:
         mt = _TERM_RE.match(term)
         if not mt:
             raise OutOfRangeError(f"cannot parse term {chunk.strip()!r}")
+        if any(len(g) > MAX_DIGITS for g in mt.groups() if g):
+            raise OutOfRangeError(f"term {chunk.strip()[:20]!r}... has over {MAX_DIGITS} digits")
         if mt.group(3) is not None:
             c, e = int(mt.group(3)), 0
         else:

@@ -8,11 +8,6 @@ from interpolating the inverted table through all q points, O(q^2);
 a claimed inverse h is checked pointwise instead, O(q) per nonzero
 term: a reduced polynomial equals the interpolant of a table iff it
 agrees with the table at every point.
-
-Enumeration walks a candidate space in a fixed lexicographic order and
-the worker count only controls how the index range is partitioned;
-partitions merge associatively, so reports are identical for any
-worker count.
 """
 
 from __future__ import annotations
@@ -161,46 +156,16 @@ class FamilyShape:
     b: int
 
 
-def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, total)) if total else 1
-    step, extra = divmod(total, workers)
-    ranges = []
-    start = 0
-    for w in range(workers):
-        stop = start + step + (1 if w < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
 @dataclass(frozen=True)
 class EnumReport:
     searched: int
     ppr_count: int
     ppr_list: tuple[tuple[int, ...], ...] | None
-    budget_exhausted: bool = False
 
 
-def _merge_reports(parts, list_limit: int) -> EnumReport:
-    searched = sum(p[0] for p in parts)
-    count = sum(p[1] for p in parts)
-    items: list[tuple[int, ...]] = []
-    truncated = False
-    for p in parts:
-        if p[2] is None:
-            truncated = True
-        else:
-            items.extend(p[2])
-    if truncated or count > list_limit:
-        ppr_list = None
-    else:
-        ppr_list = tuple(sorted(items))
-    return EnumReport(searched=searched, ppr_count=count, ppr_list=ppr_list)
-
-
-def _scan_subspace(ctx: FieldContext, basis, start: int, stop: int, list_limit: int):
-    """Test candidates with flat indices [start, stop) in lexicographic
-    coordinate order (first coordinate most significant)."""
+def _scan_subspace(ctx: FieldContext, basis, list_limit: int):
+    """Test every candidate in lexicographic coordinate order (first
+    coordinate most significant)."""
     q = ctx.q
     dim = len(basis)
     width = q - 2
@@ -214,25 +179,16 @@ def _scan_subspace(ctx: FieldContext, basis, start: int, stop: int, list_limit: 
     q1 = q - 1
 
     digits = [0] * dim
-    idx = start
-    for pos in range(dim - 1, -1, -1):
-        digits[pos] = idx % q
-        idx //= q
-    partial: list = [None] * dim  # partial[i] = sum of scaled rows 0..i
     zero = (0,) * width
-    acc = zero
-    for i in range(dim):
-        acc = tuple(add(a, b) for a, b in zip(acc, scaled[i][digits[i]]))
-        partial[i] = acc
+    partial = [zero] * dim  # partial[i] = sum of scaled rows 0..i
 
     searched = 0
     count = 0
     found: list[tuple[int, ...]] | None = []
     stamp = [0] * q
     tick = 0
-    pos = dim  # levels >= pos have valid partial sums
-    for index in range(start, stop):
-        if index != start:
+    for index in range(q**dim):
+        if index:
             pos = dim - 1
             while digits[pos] == q1:
                 digits[pos] = 0
@@ -274,7 +230,7 @@ def _scan_subspace(ctx: FieldContext, basis, start: int, stop: int, list_limit: 
     return searched, count, found
 
 
-def _scan_shape(ctx: FieldContext, shape: FamilyShape, start: int, stop: int, list_limit: int):
+def _scan_shape(ctx: FieldContext, shape: FamilyShape, list_limit: int):
     """Candidates indexed alpha * q + beta, alpha outer."""
     from .poly import gmb_poly  # local import keeps module load light
 
@@ -289,10 +245,9 @@ def _scan_shape(ctx: FieldContext, shape: FamilyShape, start: int, stop: int, li
     found: list[tuple[int, ...]] | None = []
     stamp = [0] * q
     tick = 0
-    shape_alpha = None  # g(x) + alpha x^p at every x, for the current alpha
-    for index in range(start, stop):
+    for index in range(q * q):
         alpha, beta = divmod(index, q)
-        if shape_alpha is None or beta == 0:
+        if beta == 0:  # g(x) + alpha x^p at every x, once per alpha
             shape_alpha = [add(gx, mul(alpha, fx)) for gx, fx in zip(g_table, frob)]
         searched += 1
         tick += 1
@@ -320,7 +275,6 @@ def enumerate_pprs(
     ctx: FieldContext,
     domain,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
     list_limit: int = LIST_LIMIT,
 ) -> EnumReport:
     """Count (and below list_limit, list) the monic zero-fixing
@@ -334,16 +288,17 @@ def enumerate_pprs(
         if domain.ambient != ctx.q - 2:
             raise OutOfRangeError("subspace does not live over the monomial coordinates")
         total = ctx.q**domain.dim
-        scan = lambda lo, hi: _scan_subspace(ctx, domain.basis, lo, hi, list_limit)
+        scan = lambda: _scan_subspace(ctx, domain.basis, list_limit)
     elif isinstance(domain, FamilyShape):
         total = ctx.q**2
-        scan = lambda lo, hi: _scan_shape(ctx, domain, lo, hi, list_limit)
+        scan = lambda: _scan_shape(ctx, domain, list_limit)
     else:
         raise OutOfRangeError(f"unsupported enumeration domain {type(domain).__name__}")
     if total > budget:
         raise BudgetExceededError(f"{total} candidates exceed budget {budget}")
-    parts = [scan(lo, hi) for lo, hi in _chunk_ranges(total, workers)]
-    return _merge_reports(parts, list_limit)
+    searched, count, found = scan()
+    ppr_list = None if found is None else tuple(sorted(found))
+    return EnumReport(searched=searched, ppr_count=count, ppr_list=ppr_list)
 
 
 # -- degree census over prime fields --

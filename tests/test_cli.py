@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ppshift.cli import dispatch, element_str
+from ppshift.cli import build_parser, dispatch, element_str
 
 
 def run(capsys, *argv):
@@ -143,6 +143,24 @@ def test_exit_codes(capsys):
     assert code == 64
     code, _, _ = run(capsys, "eigenspace", "--k", "1", "--r", "1")  # missing --p
     assert code == 64
+    code, out, err = run(capsys, "is-pp", "--p", "5", "1*x^" + "9" * 5000)
+    assert code == 64 and out == "" and "digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fp2", "census", "--p", "3", "--n", "2", "--mode", "full", "--budget", "1"),
+    ("enumerate", "--p", "3", "--n", "2", "--k", "1", "--seed", "1"),
+    ("field-info", "--p", "5", "--budget", "1"),
+])
+def test_flags_outside_their_subcommands_exit_64(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_reproduce_takes_budget_and_seed():
+    args = build_parser().parse_args(["reproduce", "--budget", "5", "--seed", "3"])
+    assert (args.budget, args.seed) == (5, 3)
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ppshift.eigen import mat_rank
 from ppshift.errors import BadExponentError, NotRootOfUnityError, OutOfRangeError
 from ppshift.gf import roots_of_unity
 from ppshift.poly import (
@@ -25,7 +26,6 @@ from ppshift.poly import (
     parse_poly,
     poly_mul,
     poly_pow,
-    fp_matrix_det,
     reduce_poly,
 )
 
@@ -131,6 +131,13 @@ def test_gmb_examples(field):
         gmb_poly(f9, 2, 4)  # the primitive element is not a 4th root
 
 
+@pytest.mark.parametrize("build", [gmb_poly, hmd_poly])
+@pytest.mark.parametrize("b", [99, -1])
+def test_gmb_hmd_reject_non_elements(field, build, b):
+    with pytest.raises(OutOfRangeError, match="is not an element index of F_9"):
+        build(field(3, 2), 2, b)
+
+
 def test_gmb_f25_degree_and_power_identity(field):
     f25 = field(5, 2)
     for b in roots_of_unity(f25, 6):
@@ -151,7 +158,7 @@ def test_linearized_bridge_roundtrip_and_determinant(field, p, n):
         assert matrix_to_linearized(ctx, mat) == d
         values = {linearized_eval(ctx, d, x) for x in range(ctx.q)}
         is_bijective = len(values) == ctx.q
-        assert is_bijective == (fp_matrix_det(ctx.p, mat) != 0)
+        assert is_bijective == (mat_rank(field(p), mat) == n)
         bijective += is_bijective
         singular += not is_bijective
     if (p, n) == (3, 2):
@@ -198,6 +205,9 @@ def test_parse_poly_folds_huge_exponents(field):
     assert parse_poly(f5, f"1*x^{e}") == monomial(1 + (e - 1) % 4) == [0, 0, 0, 0, 1]
     assert parse_poly(f5, f"2*x^{e} + 3*x^4") == []  # both fold to x^4 and 2 + 3 = 0
     assert parse_poly(f5, f"3*x^{e + 1} + 1") == [1, 3]
+    for text in ("1*x^" + "9" * 5000, "9" * 5000 + "*x", "9" * 5000):
+        with pytest.raises(OutOfRangeError, match="digits"):
+            parse_poly(f5, text)
 
 
 def test_coords_roundtrip(field):

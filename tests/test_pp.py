@@ -167,16 +167,14 @@ def test_enumerate_v1_counts(field):
     f27 = field(3, 3)
     report = enumerate_pprs(f27, intersection_space(f27, 1))
     assert report.ppr_count == 432  # (27-3)(27-9)
-    assert not report.budget_exhausted
 
 
-def test_enumerate_parallel_determinism(field):
+def test_enumerate_v2_f9(field):
     f9 = field(3, 2)
-    space = intersection_space(f9, 2)
-    base = enumerate_pprs(f9, space, workers=1)
-    for w in (2, 3, 7):
-        assert enumerate_pprs(f9, space, workers=w) == base
-    assert base.ppr_count == 54  # 6 linearized + 48 of degree 2p
+    report = enumerate_pprs(f9, intersection_space(f9, 2))
+    assert report.searched == 9**5  # dim V_2 = 2^2 + 1
+    assert report.ppr_count == 54  # 6 linearized + 48 of degree 2p
+    assert list(report.ppr_list) == sorted(report.ppr_list) and len(report.ppr_list) == 54
 
 
 def test_enumerate_budget(field):
