@@ -7,7 +7,8 @@ document carries "schema": 1 and output is byte-identical across runs
 for a fixed configuration.
 
 Exit codes: 0 verdict computed (refutations are data, not failures),
-2 precondition violation, 3 enumeration budget exceeded, 64 usage.
+1 stdout closed before the output was written, 2 precondition
+violation, 3 enumeration budget exceeded, 64 usage.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import eigen, fp2, pp
@@ -265,16 +267,9 @@ def _cmd_degree_dist(args) -> int:
     return EXIT_OK
 
 
-def _fp2_ctx(args) -> FieldContext:
-    # the family lives over quadratic extensions; --n defaults to 2 here
-    if args.n == 1:
-        args.n = 2
-    return _build_ctx(args)
-
-
 def _cmd_fp2_verify(args) -> int:
     _check_format(args)
-    ctx = _fp2_ctx(args)
+    ctx = _build_ctx(args)
     doc = {"schema": 1, "field": _field_block(ctx), "m": args.m, "b": args.b}
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
@@ -313,7 +308,7 @@ def _cmd_fp2_verify(args) -> int:
 
 def _cmd_fp2_census(args) -> int:
     _check_format(args, ("json", "csv"))
-    ctx = _fp2_ctx(args)
+    ctx = _build_ctx(args)
     ms = [args.m] if args.m is not None else list(range(2, ctx.p))
     bs = [args.b] if args.b is not None else fp2.family_b_values(ctx)
     entries = []
@@ -341,7 +336,7 @@ def _cmd_fp2_census(args) -> int:
 
 def _cmd_fp2_lemmas(args) -> int:
     _check_format(args, ("json", "csv"))
-    ctx = _fp2_ctx(args)
+    ctx = _build_ctx(args)
     suite = fp2.lemma_suite(ctx)
     rows = [
         {
@@ -436,9 +431,9 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, poly_arg=False) -> None:
+def _add_common(parser, poly_arg=False, n_default=1) -> None:
     parser.add_argument("--p", type=int, default=None, help="field characteristic (prime)")
-    parser.add_argument("--n", type=int, default=1, help="extension degree")
+    parser.add_argument("--n", type=int, default=n_default, help="extension degree")
     parser.add_argument("--modulus", default=None,
                         help="override modulus, comma-separated coefficients, degree 0 first")
     parser.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
@@ -502,8 +497,9 @@ def build_parser() -> _Parser:
     fp2_parser = sub.add_parser("fp2", help="the quadratic-extension family")
     fp2_sub = fp2_parser.add_subparsers(dest="fp2_command")
 
+    # the family lives over quadratic extensions
     sp = fp2_sub.add_parser("verify", help="check the parametric inverse for (m, b)")
-    _add_common(sp)
+    _add_common(sp, n_default=2)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--b", type=int, required=True, help="root-of-unity element index")
     sp.add_argument("--alpha", type=int, default=None)
@@ -511,14 +507,14 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_fp2_verify)
 
     sp = fp2_sub.add_parser("census", help="count family permutations")
-    _add_common(sp)
+    _add_common(sp, n_default=2)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--mode", choices=("conditioned", "full"), default="conditioned")
     sp.set_defaults(handler=_cmd_fp2_census)
 
     sp = fp2_sub.add_parser("lemmas", help="run the identity suite")
-    _add_common(sp)
+    _add_common(sp, n_default=2)
     sp.set_defaults(handler=_cmd_fp2_lemmas)
 
     sp = sub.add_parser("reproduce", help="claim-by-claim verification report")
@@ -551,7 +547,15 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); silence the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,13 @@ F_q: Gaussian elimination with the first-nonzero pivot rule and full
 back-substitution, so every basis is in canonical reduced row-echelon
 form and subspace equality is plain row comparison.
 
+The kernel chain (A_r - I)^k is formed without matrix products. The
+operators are additive in the shift (Lemma 9: A_r A_s = A_(r+s)), so
+A_r^j = A_(jr), and since A_r commutes with I the binomial theorem gives
+(A_r - I)^k = sum_{j=0..k} (-1)^(k-j) C(k, j) A_(jr): k operator builds
+summed into one matrix. mat_mul stays for the claims that check Lemma 9
+itself, so that they do not lean on this route.
+
 Operators and subspaces are immutable once built; kernel computations
 for distinct (r, k) pairs are independent.
 """
@@ -85,10 +92,15 @@ def _eliminate(ctx: FieldContext, rows: list[list[int]], reduced: bool) -> list[
     """In-place elimination; returns pivot columns.
 
     Pivot rule: first nonzero entry scanning top to bottom, columns left
-    to right. With reduced=True the result is canonical RREF.
+    to right. With reduced=True the result is canonical RREF. Each
+    target row is updated in place over the pivot row's nonzero columns
+    only.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    q = ctx.q
+    mt = ctx.mul_table
+    st = ctx.sub_table
     mul = ctx.mul
     sub = ctx.sub
     inv = ctx.inv
@@ -109,11 +121,21 @@ def _eliminate(ctx: FieldContext, rows: list[list[int]], reduced: bool) -> list[
             factor = inv(head)
             rows[pr] = [mul(factor, v) for v in rows[pr]]
         prow = rows[pr]
+        # columns left of col are zero in every row from pr down
+        nz = [(c, prow[c]) for c in range(col, ncols) if prow[c]]
         targets = range(nrows) if reduced else range(pr + 1, nrows)
         for r in targets:
-            if r != pr and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [sub(a, mul(f, b)) if b else a for a, b in zip(rows[r], prow)]
+            row = rows[r]
+            f = row[col]
+            if r == pr or not f:
+                continue
+            if mt is not None:
+                fq = f * q
+                for c, b in nz:
+                    row[c] = st[row[c] * q + mt[fq + b]]
+            else:
+                for c, b in nz:
+                    row[c] = sub(row[c], mul(f, b))
         pivots.append(col)
         pr += 1
         if pr == nrows:
@@ -268,7 +290,7 @@ def shift_operator(ctx: FieldContext, r: int) -> ShiftOperator:
             if c:
                 col[k - 1] = mul(c, rpow[e - k])
         cols.append(col)
-    matrix = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+    matrix = tuple(zip(*cols))  # transpose: cols[j][i] becomes row i
     return ShiftOperator(ctx=ctx, r=r, matrix=matrix)
 
 
@@ -298,25 +320,54 @@ def operator_order(op: ShiftOperator) -> int:
     return k
 
 
-def _difference_matrix(ctx: FieldContext, r: int) -> Matrix:
-    op = shift_operator(ctx, r)
-    sub = ctx.sub
-    return tuple(
-        tuple(sub(v, 1) if i == j else v for j, v in enumerate(row))
-        for i, row in enumerate(op.matrix)
-    )
+def _add_scaled(ctx: FieldContext, acc: list[list[int]], c: int, m: Matrix) -> None:
+    """acc += c * m in place, for upper-triangular m."""
+    q = ctx.q
+    mt = ctx.mul_table
+    at = ctx.add_table
+    add = ctx.add
+    mul = ctx.mul
+    base = c * q
+    for i, (arow, mrow) in enumerate(zip(acc, m)):
+        if mt is not None:
+            arow[i:] = [at[a * q + mt[base + v]] if v else a for a, v in zip(arow[i:], mrow[i:])]
+        else:
+            arow[i:] = [add(a, mul(c, v)) if v else a for a, v in zip(arow[i:], mrow[i:])]
 
 
-def _difference_power(ctx: FieldContext, r: int, k: int) -> Matrix:
+def _difference_power(ctx: FieldContext, r: int, k: int) -> list[list[int]]:
+    """(A_r - I)^k = sum_j (-1)^(k-j) C(k, j) A_(jr), since A_r^j = A_(jr)."""
     if not 1 <= k <= ctx.p:
         raise OutOfRangeError(f"k = {k} outside [1, p]")
+    require_element(ctx, r)
     if r == 0:
         raise OutOfRangeError("kernel chain needs a nonzero shift")
-    b = _difference_matrix(ctx, r)
-    m = b
-    for _ in range(k - 1):
-        m = mat_mul(ctx, m, b)
-    return m
+    p = ctx.p
+    d = ctx.q - 2
+    # allocated after the first operator build, whose own peak it would add to
+    acc = None
+    diag = 0  # coefficient of A_0 = I, collected from j = 0 and j = p
+    binom = 1  # C(k, j)
+    for j in range(k + 1):
+        c = (binom if (k - j) % 2 == 0 else -binom) % p
+        binom = binom * (k - j) // (j + 1)
+        if not c:
+            continue
+        s = ctx.mul(j % p, r)
+        if s == 0:
+            diag = ctx.add(diag, c)
+            continue
+        m = shift_operator(ctx, s).matrix
+        if acc is None:
+            acc = [[0] * d for _ in range(d)]
+        _add_scaled(ctx, acc, c, m)
+        del m  # not alive during the next build
+    if acc is None:  # k = p, where (A_r - I)^p = A_(pr) - I = 0
+        acc = [[0] * d for _ in range(d)]
+    if diag:
+        for i, row in enumerate(acc):
+            row[i] = ctx.add(row[i], diag)
+    return acc
 
 
 def kernel_power(ctx: FieldContext, r: int, k: int) -> Subspace:

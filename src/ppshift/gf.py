@@ -12,7 +12,8 @@ degree n (coefficients compared from degree 0 upward, with an override
 hook for cross-checking), and the primitive element is the smallest
 index of multiplicative order q - 1. Multiplication and division run
 on discrete exp/log tables; small fields additionally get flat q*q
-add/sub/mul tables that hot loops index directly.
+add/sub/mul tables that hot loops index directly, and larger fields
+add through a table of q - 1 Zech logarithms.
 
 Contexts are immutable after construction and safe to share between
 threads; every operation is a pure read.
@@ -165,10 +166,13 @@ class FieldContext:
             self.add_table = add_t
             self.sub_table = sub_t
             self.mul_table = mul_t
+            self.zech_table = None
         else:
             self.add_table = None
             self.sub_table = None
             self.mul_table = None
+            # Zech logarithms: 1 + g^i = g^zech[i], -1 where the sum is 0
+            self.zech_table = [log[self._add_digits(1, v)] for v in exp]
 
     # -- raw digit arithmetic (used before tables exist) --
 
@@ -235,13 +239,21 @@ class FieldContext:
         t = self.add_table
         if t is not None:
             return t[x * self.q + y]
-        return self._add_digits(x, y)
+        if not x:
+            return y
+        if not y:
+            return x
+        # g^a + g^b = g^a (1 + g^(b-a))
+        log = self.log_table
+        a = log[x]
+        z = self.zech_table[(log[y] - a) % (self.q - 1)]
+        return 0 if z < 0 else self.exp_table[(a + z) % (self.q - 1)]
 
     def sub(self, x: int, y: int) -> int:
         t = self.sub_table
         if t is not None:
             return t[x * self.q + y]
-        return self._add_digits(x, self.neg_table[y])
+        return self.add(x, self.neg_table[y])
 
     def neg(self, x: int) -> int:
         return self.neg_table[x]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ppshift
 from ppshift.cli import build_parser, dispatch, element_str
 
 
@@ -145,6 +150,25 @@ def test_exit_codes(capsys):
     assert code == 64
     code, out, err = run(capsys, "is-pp", "--p", "5", "1*x^" + "9" * 5000)
     assert code == 64 and out == "" and "digits" in err
+    # an explicit --n 1 is refused, not rewritten to the default n = 2
+    code, out, err = run(capsys, "fp2", "census", "--p", "3", "--n", "1")
+    assert code == 2 and out == "" and "quadratic" in err
+    assert run_json(capsys, "fp2", "census", "--p", "3")["field"]["q"] == 9
+
+
+def test_closed_stdout_exits_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(ppshift.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppshift.cli", "fp2", "census", "--p", "3", "--n", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

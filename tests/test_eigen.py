@@ -4,6 +4,7 @@ import pytest
 
 from ppshift.eigen import (
     Subspace,
+    _difference_power,
     apply_shift,
     default_generators,
     intersection_space,
@@ -11,9 +12,11 @@ from ppshift.eigen import (
     kernel_power,
     mat_identity,
     mat_mul,
+    mat_rank,
     mat_vec,
     operator_order,
     predicted_basis,
+    rref,
     shift_operator,
     span_of_polys,
 )
@@ -103,12 +106,32 @@ def test_kernel_dims_and_chain(field, p, n):
             prev = space
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_difference_power_matches_product_chain(field, p, n):
+    # oracle: k - 1 dense products of A_r - I, independent of A_r^j = A_(jr)
+    ctx = field(p, n)
+    for r in range(1, ctx.q):
+        a = shift_operator(ctx, r).matrix
+        b = tuple(
+            tuple(ctx.sub(v, 1) if i == j else v for j, v in enumerate(row))
+            for i, row in enumerate(a)
+        )
+        chain = b
+        for k in range(1, ctx.p + 1):
+            if k > 1:
+                chain = mat_mul(ctx, chain, b)
+            assert [tuple(row) for row in _difference_power(ctx, r, k)] == list(chain), (r, k)
+
+
 def test_kernel_power_preconditions(field):
     f9 = field(3, 2)
     with pytest.raises(OutOfRangeError):
         kernel_power(f9, 0, 1)
     with pytest.raises(OutOfRangeError):
         kernel_power(f9, 1, 4)
+    # an out-of-range shift must not alias through the flat tables
+    with pytest.raises(OutOfRangeError):
+        kernel_power(field(5, 1), 7, 1)
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (3, 2), (5, 2)])
@@ -231,3 +254,57 @@ def test_subspace_from_vectors_canonical(field):
         [f9.add(x, y) for x, y in zip(rows[0], rows[1])], rows[1]
     ], 7)
     assert a == b and a.basis == b.basis
+
+
+def _random_rows(rng, q, nrows, ncols):
+    # sparse-ish rows with duplicated and zero rows, so rank < nrows occurs
+    rows = [[rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows > 2:
+        rows[-1] = list(rows[0])
+        rows[1] = [0] * ncols
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13])
+def test_rref_matches_sympy_over_prime_fields(field, p):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ctx = field(p, 1)
+    dom = sympy.GF(p)
+    rng = random.Random(2024 + p)
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = _random_rows(rng, p, nrows, ncols)
+        red, pivots = rref(ctx, rows)
+        dm = DomainMatrix([[dom(v) for v in row] for row in rows], (nrows, ncols), dom)
+        want, want_pivots = dm.rref()
+        want_rows = [[int(v) % p for v in row] for row in want.to_list()]
+        assert pivots == tuple(want_pivots)
+        assert [list(row) for row in red] == want_rows[: len(pivots)]
+        assert mat_rank(ctx, rows) == len(pivots)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3), (5, 4)])
+def test_rref_over_extension_fields(field, p, n):
+    ctx = field(p, n)
+    rng = random.Random(99)
+    for _ in range(15):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = _random_rows(rng, ctx.q, nrows, ncols)
+        red, pivots = rref(ctx, rows)
+        # reduced row-echelon form: unit pivots, increasing, alone in their column
+        assert list(pivots) == sorted(set(pivots)) and len(red) == len(pivots)
+        for i, (row, pc) in enumerate(zip(red, pivots)):
+            assert row[pc] == 1 and not any(row[:pc])
+            assert all(red[j][pc] == 0 for j in range(len(red)) if j != i)
+        assert mat_rank(ctx, rows) == len(pivots)
+        # same row space: each side lies in the span of the other. The
+        # transform T with T * rows = red is the right block of rref([rows | I]).
+        space = Subspace(ctx=ctx, basis=red, ambient=ncols)
+        assert all(space.contains_vector(row) for row in rows)
+        aug, _ = rref(ctx, [row + [int(i == j) for j in range(nrows)]
+                            for i, row in enumerate(rows)])
+        transform = [row[ncols:] for row in aug[: len(pivots)]]
+        assert mat_mul(ctx, transform, rows) == red

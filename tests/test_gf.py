@@ -197,3 +197,29 @@ def test_line_counts_examples(field):
     assert len(line_decomposition(field(5, 1))) == 1
     f8_lines = line_decomposition(field(2, 3))
     assert len(f8_lines) == 7 and all(len(l.members) == 1 for l in f8_lines)
+
+
+def _check_against_digit_addition(ctx, pairs):
+    for x, y in pairs:
+        assert ctx.add(x, y) == ctx._add_digits(x, y), (x, y)
+        assert ctx.sub(x, y) == ctx._add_digits(x, ctx.neg(y)), (x, y)
+
+
+def test_zech_addition_exhaustive_f625(field):
+    ctx = field(5, 4)
+    assert ctx.add_table is None and len(ctx.zech_table) == ctx.q - 1
+    _check_against_digit_addition(ctx, ((x, y) for x in range(ctx.q) for y in range(ctx.q)))
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (2, 10)])
+def test_zech_addition_sampled(field, p, n):
+    ctx = field(p, n)
+    assert ctx.add_table is None
+    rng = random.Random(4321)
+    pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(50_000)]
+    pairs += [(0, 0), (0, 1), (1, 0), (1, ctx.neg(1)), (ctx.q - 1, ctx.q - 1)]
+    _check_against_digit_addition(ctx, pairs)
+
+
+def test_flat_fields_have_no_zech_table(field):
+    assert field(7, 3).zech_table is None
