@@ -227,6 +227,8 @@ def _divisor_degrees(run: _FieldRun):
 def _hermite_agreement(run: _FieldRun):
     ctx = run.ctx
     q = ctx.q
+    if q > pp.HERMITE_MAX_Q:
+        return "skipped", None, None, f"degree criterion is capped at q <= {pp.HERMITE_MAX_Q}"
     disagree = []
     if q in (5, 7):
         from itertools import product

@@ -231,13 +231,34 @@ def _sign(ctx: FieldContext, m: int) -> int:
     return 1 if m % 2 == 0 else ctx.neg(1)
 
 
+def _add_row(ctx: FieldContext, c: int) -> list[int]:
+    """[c + y for y in F_q]: a slice of the flat add table when it exists."""
+    at = ctx.add_table
+    if at is not None:
+        return at[c * ctx.q : (c + 1) * ctx.q]
+    return [ctx.add(c, y) for y in range(ctx.q)]
+
+
 def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     """Check the six identities behind the inverse formula over their
-    full hypothesis ranges; counterexamples are reported verbatim."""
+    full hypothesis ranges; counterexamples are reported verbatim.
+
+    The per-instance loops read x^p, x^(p+1) and x^(p-1) from tables
+    built once per call, divide through the log/exp tables (zero kept
+    as a special case), and take what depends only on (m, b) or on
+    alpha out of the beta loop. Additions by a fixed element are rows
+    of the flat add table when the field has one.
+    """
     _require_fp2(ctx)
     p, q = ctx.p, ctx.q
+    q1 = q - 1
     bs = family_b_values(ctx)
     ms = range(2, p)
+    exp, log, neg = ctx.exp_table, ctx.log_table, ctx.neg_table
+    frob = ctx.frob_table  # x^p
+    norm = [ctx.pow(x, p + 1) for x in range(q)]  # x^(p+1)
+    pm1 = [ctx.pow(x, p - 1) for x in range(q)]  # x^(p-1)
+    add, sub, mul = ctx.add, ctx.sub, ctx.mul
     checks = []
 
     bad, n_checked = [], 0
@@ -256,20 +277,24 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     # parameter identities for every (alpha, beta) with distinct norms
     bad, n_checked, n_skipped = [], 0, 0
     for alpha in range(q):
+        alpha_norm, alpha_p = norm[alpha], frob[alpha]
+        log_minus_alpha = log[neg[alpha]]
         for beta in range(q):
-            norm_gap = ctx.sub(ctx.pow(beta, p + 1), ctx.pow(alpha, p + 1))
+            norm_gap = sub(norm[beta], alpha_norm)
             if norm_gap == 0:
                 n_skipped += 1
                 continue
             n_checked += 1
-            gamma = ctx.div(ctx.neg(alpha), norm_gap)
-            epsilon = ctx.div(ctx.pow(beta, p), norm_gap)
+            beta_p = frob[beta]
+            log_gap = log[norm_gap]
+            gamma = exp[(log_minus_alpha - log_gap) % q1] if alpha else 0
+            epsilon = exp[(log[beta_p] - log_gap) % q1] if beta else 0
             ok = (
-                ctx.frobenius(norm_gap) == norm_gap
-                and ctx.add(ctx.mul(gamma, ctx.pow(beta, p)), ctx.mul(alpha, epsilon)) == 0
-                and ctx.add(ctx.mul(gamma, ctx.pow(alpha, p)), ctx.mul(beta, epsilon)) == 1
-                and ctx.add(ctx.mul(alpha, ctx.pow(epsilon, p)), ctx.mul(beta, gamma)) == 0
-                and ctx.add(ctx.mul(alpha, ctx.pow(gamma, p)), ctx.mul(beta, epsilon)) == 1
+                frob[norm_gap] == norm_gap
+                and add(mul(gamma, beta_p), mul(alpha, epsilon)) == 0
+                and add(mul(gamma, alpha_p), mul(beta, epsilon)) == 1
+                and add(mul(alpha, frob[epsilon]), mul(beta, gamma)) == 0
+                and add(mul(alpha, frob[gamma]), mul(beta, epsilon)) == 1
             )
             if not ok:
                 bad.append((alpha, beta))
@@ -285,23 +310,27 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
         )
     )
 
-    # the two forms of the second condition agree when both are defined
+    # the two forms of the second condition agree when both are defined;
+    # both right sides are nonzero, so the ratio form compares logs
     bad, n_checked, n_skipped = [], 0, 0
     for m in ms:
         for b in bs:
             sign = _sign(ctx, m)
-            rhs_direct = ctx.mul(sign, ctx.pow(b, m * p - 1))
-            rhs_ratio = ctx.mul(sign, ctx.pow(b, m * p))
+            rhs_direct = mul(sign, ctx.pow(b, m * p - 1))
+            log_rhs_ratio = log[mul(sign, ctx.pow(b, m * p))]
+            b_beta_p = [mul(b, y) for y in frob]  # b beta^p
             for alpha in range(q):
-                for beta in range(q):
-                    base = ctx.add(beta, ctx.mul(b, alpha))
-                    if base == 0 or ctx.pow(alpha, p + 1) == ctx.pow(beta, p + 1):
+                alpha_norm = norm[alpha]
+                base_row = _add_row(ctx, mul(b, alpha))  # beta + b alpha
+                num_row = _add_row(ctx, frob[alpha])  # y + alpha^p
+                for beta, base, beta_norm, num_index in zip(range(q), base_row, norm, b_beta_p):
+                    if base == 0 or alpha_norm == beta_norm:
                         n_skipped += 1
                         continue
                     n_checked += 1
-                    direct = ctx.pow(base, p - 1) == rhs_direct
-                    ratio_num = ctx.add(ctx.mul(b, ctx.pow(beta, p)), ctx.pow(alpha, p))
-                    ratio = ctx.div(ratio_num, base) == rhs_ratio
+                    direct = pm1[base] == rhs_direct
+                    ratio_num = num_row[num_index]
+                    ratio = ratio_num != 0 and (log[ratio_num] - log[base]) % q1 == log_rhs_ratio
                     if direct != ratio:
                         bad.append((m, b, alpha, beta))
     checks.append(
@@ -322,19 +351,19 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     bad23, bad24, n_checked = [], [], 0
     for m in ms:
         for b in bs:
+            b_m2 = ctx.pow(b, m * m)
             for alpha, beta in constructible_pairs(ctx, m, b):
                 inst = derive_params(ctx, m, b, alpha, beta)
                 n_checked += 1
-                closed = ctx.neg(ctx.div(
-                    ctx.pow(ctx.add(beta, ctx.mul(b, alpha)), m - 1),
-                    ctx.pow(ctx.sub(ctx.pow(beta, p + 1), ctx.pow(alpha, p + 1)), m),
-                ))
+                # derive_params refused a zero norm gap
+                base = add(beta, mul(b, alpha))
+                log_gap = log[sub(norm[beta], norm[alpha])]
+                closed = neg[exp[((m - 1) * log[base] - m * log_gap) % q1]] if base else 0
                 if inst.delta != closed:
                     bad23.append((m, b, alpha, beta))
                 # b^(m^2) delta^p = b delta: the ((-1)^m b^(mp-1))^(m-1)
                 # twist of delta kills the sign because m(m-1) is even
-                lhs = ctx.mul(ctx.pow(b, m * m), ctx.pow(inst.delta, p))
-                if lhs != ctx.mul(b, inst.delta):
+                if mul(b_m2, frob[inst.delta]) != mul(b, inst.delta):
                     bad24.append((m, b, alpha, beta))
     checks.append(
         LemmaCheck(

@@ -14,6 +14,7 @@ representation downstream.
 from __future__ import annotations
 
 import re
+from math import comb
 
 from .errors import (
     BadExponentError,
@@ -207,11 +208,13 @@ def from_coords(ctx: FieldContext, vec) -> list[int]:
 
 
 def _binomial_power(ctx: FieldContext, b: int, m: int) -> list[int]:
-    # (x^p - b*x)^m, reduced
-    base = [0] * (ctx.p + 1)
-    base[1] = ctx.neg(b)
-    base[ctx.p] = 1
-    return poly_pow(ctx, base, m)
+    """(x^p - b x)^m = sum_k C(m, k) (-b)^(m-k) x^(m + k(p-1)), reduced."""
+    p = ctx.p
+    out = [0] * (m * p + 1)
+    minus_b = ctx.neg(b)
+    for k in range(m + 1):
+        out[m + k * (p - 1)] = ctx.mul(comb(m, k) % p, ctx.pow(minus_b, m - k))
+    return reduce_poly(ctx, out)
 
 
 def require_mb(ctx: FieldContext, m: int, b: int) -> None:

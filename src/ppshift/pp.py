@@ -231,7 +231,14 @@ def _scan_subspace(ctx: FieldContext, basis, list_limit: int):
 
 
 def _scan_shape(ctx: FieldContext, shape: FamilyShape, list_limit: int):
-    """Candidates indexed alpha * q + beta, alpha outer."""
+    """Candidates in the order alpha * q + beta, alpha outer; each
+    candidate stops at its first collision.
+
+    g(x) + alpha x^p is tabulated once per alpha. With the flat tables
+    it is kept as add-table row offsets and beta x is the mul-table row
+    of beta, so a point costs one add-table lookup and the stamp test;
+    above FLAT_TABLE_LIMIT each point calls ctx.add and ctx.mul.
+    """
     from .poly import gmb_poly  # local import keeps module load light
 
     q = ctx.q
@@ -240,34 +247,48 @@ def _scan_shape(ctx: FieldContext, shape: FamilyShape, list_limit: int):
     frob = ctx.frob_table
     add = ctx.add
     mul = ctx.mul
+    at = ctx.add_table
+    mt = ctx.mul_table
+    if mt is not None:  # beta x for x = 1 .. q-1
+        beta_rows = [mt[beta * q + 1 : beta * q + q] for beta in range(q)]
     searched = 0
     count = 0
     found: list[tuple[int, ...]] | None = []
     stamp = [0] * q
     tick = 0
-    for index in range(q * q):
-        alpha, beta = divmod(index, q)
-        if beta == 0:  # g(x) + alpha x^p at every x, once per alpha
-            shape_alpha = [add(gx, mul(alpha, fx)) for gx, fx in zip(g_table, frob)]
-        searched += 1
-        tick += 1
-        stamp[0] = tick
-        ok = True
-        for x in range(1, q):
-            y = add(shape_alpha[x], mul(beta, x))
-            if stamp[y] == tick:
-                ok = False
-                break
-            stamp[y] = tick
-        if ok:
-            count += 1
-            if found is not None:
-                coeffs = list(g)
-                coeffs[ctx.p] = add(coeffs[ctx.p], alpha)
-                coeffs[1] = add(coeffs[1], beta)
-                found.append(tuple(coeffs))
-                if len(found) > list_limit:
-                    found = None
+    for alpha in range(q):
+        # g(x) + alpha x^p at every x
+        shape_alpha = [add(gx, mul(alpha, fx)) for gx, fx in zip(g_table, frob)]
+        if mt is not None:
+            offsets = [v * q for v in shape_alpha[1:]]
+        for beta in range(q):
+            searched += 1
+            tick += 1
+            stamp[0] = tick
+            ok = True
+            if mt is not None:
+                for off, bx in zip(offsets, beta_rows[beta]):
+                    y = at[off + bx]
+                    if stamp[y] == tick:
+                        ok = False
+                        break
+                    stamp[y] = tick
+            else:
+                for x in range(1, q):
+                    y = add(shape_alpha[x], mul(beta, x))
+                    if stamp[y] == tick:
+                        ok = False
+                        break
+                    stamp[y] = tick
+            if ok:
+                count += 1
+                if found is not None:
+                    coeffs = list(g)
+                    coeffs[ctx.p] = add(coeffs[ctx.p], alpha)
+                    coeffs[1] = add(coeffs[1], beta)
+                    found.append(tuple(coeffs))
+                    if len(found) > list_limit:
+                        found = None
     return searched, count, found
 
 

@@ -16,3 +16,19 @@ def field():
         return _CACHE[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def zech_field():
+    """Field factory without the flat q*q tables, so that small fields
+    take the Zech-log route of fields above FLAT_TABLE_LIMIT."""
+    from ppshift import gf
+
+    def get(p, n=1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf, "FLAT_TABLE_LIMIT", 0)
+            ctx = build_field(p, n)
+        assert ctx.add_table is None
+        return ctx
+
+    return get

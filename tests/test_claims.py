@@ -6,10 +6,13 @@ from ppshift.claims import (
     DEFAULT_ROSTER,
     RunConfig,
     SECTION_ORDER,
+    _FieldRun,
+    _hermite_agreement,
     reproduce,
     reproduce_field,
 )
 from ppshift.cli import emit_report
+from ppshift.pp import HERMITE_MAX_Q
 
 STATUSES = {"verified", "refuted", "measured", "skipped"}
 
@@ -115,3 +118,13 @@ def test_claim_catalog_is_encoding_independent():
         }
         assert alt == base
         assert "refuted" not in set(alt.values())
+
+
+def test_hermite_agreement_skipped_past_its_cap():
+    # the degree criterion refuses q > HERMITE_MAX_Q; the claim must
+    # report that as a skip instead of letting the refusal end the run
+    ctx = build_field(3, 4)
+    assert ctx.q > HERMITE_MAX_Q
+    status, expected, observed, note = _hermite_agreement(_FieldRun(ctx, RunConfig()))
+    assert (status, expected, observed) == ("skipped", None, None)
+    assert str(HERMITE_MAX_Q) in note

@@ -177,6 +177,36 @@ def test_lemma_suite_passes(field):
         assert by_name["lemma21"].checked + by_name["lemma21"].skipped == p**4
 
 
+# (name, checked, skipped, passed) of every identity check, recorded
+# from the method-call implementation the table-driven suite replaced
+LEMMA_SUITE_PINS = {
+    3: [
+        ("lemma20", 4, 0, True), ("lemma21", 48, 33, True), ("lemma22", 192, 132, True),
+        ("lemma23", 48, 0, True), ("lemma24", 48, 0, True), ("lemma25", 4, 0, True),
+    ],
+    5: [
+        ("lemma20", 18, 0, True), ("lemma21", 480, 145, True), ("lemma22", 8640, 2610, True),
+        ("lemma23", 1440, 0, True), ("lemma24", 1440, 0, True), ("lemma25", 18, 0, True),
+    ],
+    7: [
+        ("lemma20", 40, 0, True), ("lemma21", 2016, 385, True), ("lemma22", 80640, 15400, True),
+        ("lemma23", 10080, 0, True), ("lemma24", 10080, 0, True), ("lemma25", 40, 0, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("p", sorted(LEMMA_SUITE_PINS))
+def test_lemma_suite_pinned_counts(field, p):
+    report = lemma_suite(field(p, 2))
+    got = [(c.name, c.checked, c.skipped, c.passed) for c in report.checks]
+    assert got == LEMMA_SUITE_PINS[p]
+
+
+def test_lemma_suite_without_flat_tables(field, zech_field):
+    for p in (3, 5):
+        assert lemma_suite(zech_field(p, 2)) == lemma_suite(field(p, 2))
+
+
 def test_inverse_instance_stays_constructible(field):
     f9 = field(3, 2)
     for b in family_b_values(f9):

@@ -6,6 +6,7 @@ from ppshift.eigen import mat_rank
 from ppshift.errors import BadExponentError, NotRootOfUnityError, OutOfRangeError
 from ppshift.gf import roots_of_unity
 from ppshift.poly import (
+    _binomial_power,
     compose,
     coords,
     degree,
@@ -136,6 +137,19 @@ def test_gmb_examples(field):
 def test_gmb_hmd_reject_non_elements(field, build, b):
     with pytest.raises(OutOfRangeError, match="is not an element index of F_9"):
         build(field(3, 2), 2, b)
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 2), (5, 3)])
+def test_binomial_power_closed_form_matches_poly_pow(field, p, n):
+    # gmb_poly and hmd_poly build (x^p - b x)^m from the binomial
+    # theorem; repeated squaring of the binomial is the oracle
+    ctx = field(p, n)
+    for b in range(ctx.q):
+        binomial = [0] * (p + 1)
+        binomial[1] = ctx.neg(b)
+        binomial[p] = 1
+        for m in range(2, p):
+            assert _binomial_power(ctx, b, m) == poly_pow(ctx, binomial, m), (m, b)
 
 
 def test_gmb_f25_degree_and_power_identity(field):

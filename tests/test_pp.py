@@ -11,7 +11,13 @@ from ppshift.errors import (
     OutOfRangeError,
     TooLargeFieldError,
 )
-from ppshift.fp2 import build_pair, constructible_pairs, derive_params, family_b_values
+from ppshift.fp2 import (
+    build_pair,
+    constructible_pairs,
+    derive_params,
+    family_b_values,
+    family_poly,
+)
 from ppshift.poly import (
     compose,
     eval_table,
@@ -203,6 +209,45 @@ def test_enumerate_family_shape(field):
     report = enumerate_pprs(f25, FamilyShape(m=3, b=1))
     assert report.searched == 625
     assert report.ppr_count == 180  # 5 * 4 * 9
+
+
+def _scanned_family(ctx, m, b):
+    """The sorted family members that is_permutation accepts, over all
+    (alpha, beta): the oracle for the shape scan."""
+    pprs = []
+    for alpha in range(ctx.q):
+        for beta in range(ctx.q):
+            f = family_poly(ctx, m, b, alpha, beta)
+            if is_permutation(ctx, f).is_pp:
+                pprs.append(tuple(f))
+    return sorted(pprs)
+
+
+def _family_cases(ctx, ms, ends_only=False):
+    bs = family_b_values(ctx)
+    if ends_only:
+        bs = [bs[0], bs[-1]]
+    return [(m, b) for m in ms for b in bs]
+
+
+@pytest.mark.parametrize("p,ms,ends_only", [(3, (2,), False), (5, (2, 3, 4), False), (7, (2, 5), True)])
+def test_family_shape_scan_matches_is_permutation(field, p, ms, ends_only):
+    ctx = field(p, 2)
+    for m, b in _family_cases(ctx, ms, ends_only):
+        report = enumerate_pprs(ctx, FamilyShape(m=m, b=b))
+        expected = _scanned_family(ctx, m, b)
+        assert report.searched == ctx.q**2
+        assert report.ppr_count == len(expected), (m, b)
+        assert list(report.ppr_list) == expected, (m, b)
+
+
+def test_family_shape_scan_without_flat_tables(field, zech_field):
+    flat, zech = field(5, 2), zech_field(5, 2)
+    for m, b in _family_cases(flat, (2, 3)):
+        assert enumerate_pprs(zech, FamilyShape(m, b)) == enumerate_pprs(flat, FamilyShape(m, b))
+    for m, b in _family_cases(flat, (3,), ends_only=True):
+        report = enumerate_pprs(zech, FamilyShape(m, b))
+        assert list(report.ppr_list) == _scanned_family(flat, m, b)
 
 
 def test_degree_distribution_f5_f3(field):
