@@ -14,9 +14,12 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
 from . import eigen, fp2, pp
 from .errors import NotAPermutationError
@@ -107,37 +110,58 @@ SECTION_ORDER = ("preliminaries", "shift-map", "shift-family", "fp2", "appendix"
 
 
 class _FieldRun:
-    """Shared per-field state: context, caches and the claim list."""
+    """Shared per-field state: context, claim list and one memo that
+    keeps what several claims read (A_r, kernels, V_k, enumerations,
+    shape counts, the degree census, the Theorem 15 sweep) from the
+    first claim that builds it to the end of the run."""
 
     def __init__(self, ctx: FieldContext, cfg: RunConfig):
         self.ctx = ctx
         self.cfg = cfg
         self.name = f"F_{ctx.q}"
         self.reports: list[ClaimReport] = []
-        self._kernels: dict[tuple[int, int], eigen.Subspace] = {}
-        self._dims: dict[tuple[int, int], int] = {}
-        self._v1_report = None
+        self._memo: dict = {}
 
     def rng(self, claim_id: str) -> random.Random:
         return random.Random(f"{self.cfg.seed}:{claim_id}:{self.ctx.p}:{self.ctx.n}")
 
+    def memo(self, key, build):
+        """The value under key, made by build() on first use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def operator(self, r: int) -> eigen.Matrix:
+        """The matrix of A_r."""
+        return self.memo(("A", r), lambda: eigen.shift_operator(self.ctx, r).matrix)
+
     def kernel(self, r: int, k: int) -> eigen.Subspace:
-        key = (r, k)
-        if key not in self._kernels:
-            self._kernels[key] = eigen.kernel_power(self.ctx, r, k)
-        return self._kernels[key]
+        return self.memo(("ker", r, k), lambda: eigen.nullspace(
+            self.ctx, eigen._difference_power(self.ctx, r, k, self.operator)))
 
     def kernel_dim(self, r: int, k: int) -> int:
-        key = (r, k)
-        if key not in self._dims:
-            self._dims[key] = eigen.kernel_dim(self.ctx, r, k)
-        return self._dims[key]
+        return self.memo(("dim", r, k), lambda: self.ctx.q - 2 - eigen.mat_rank(
+            self.ctx, eigen._difference_power(self.ctx, r, k, self.operator)))
 
-    def v1_enumeration(self) -> pp.EnumReport:
-        if self._v1_report is None:
-            space = eigen.intersection_space(self.ctx, 1)
-            self._v1_report = pp.enumerate_pprs(self.ctx, space, budget=self.cfg.budget)
-        return self._v1_report
+    def vk(self, k: int, generators=None) -> eigen.Subspace:
+        """V_k over the generators (default 1, a, ..., a^(n-1))."""
+        gens = tuple(generators or eigen.default_generators(self.ctx))
+        return self.memo(("V", k, gens), lambda: functools.reduce(
+            eigen.Subspace.intersect, [self.kernel(r, k) for r in gens]))
+
+    def enumeration(self, space: eigen.Subspace) -> pp.EnumReport:
+        return self.memo(("enum", space),
+                         lambda: pp.enumerate_pprs(self.ctx, space, budget=self.cfg.budget))
+
+    def shape_count(self, m: int, b: int) -> int:
+        """PPRs of the shape (x^p - bx)^m + alpha x^p + beta x. Only the
+        count is kept: held for the run, the PPR lists raise the peak
+        memory of the default roster by about a tenth."""
+        return self.memo(("shape", m, b), lambda: pp.enumerate_pprs(
+            self.ctx, pp.FamilyShape(m, b), budget=self.cfg.budget).ppr_count)
+
+    def census(self) -> pp.DegreeCensus:
+        return self.memo("census", lambda: pp.degree_distribution(self.ctx, self.cfg.budget))
 
     def add(self, claim_id: str, status: str, expected, observed,
             runtime: float, note: str = "") -> None:
@@ -206,8 +230,6 @@ def _divisor_degrees(run: _FieldRun):
     checked = 0
     for d in divisors:
         if ctx.n == 1:
-            from itertools import product
-
             candidates = [[0, *mid, 1] for mid in product(range(q), repeat=d - 1)]
         else:
             candidates = []
@@ -231,8 +253,6 @@ def _hermite_agreement(run: _FieldRun):
         return "skipped", None, None, f"degree criterion is capped at q <= {pp.HERMITE_MAX_Q}"
     disagree = []
     if q in (5, 7):
-        from itertools import product
-
         checked = 0
         for vec in product(range(q), repeat=q - 2):
             f = normalize([0, *vec])
@@ -257,13 +277,11 @@ def _orbit_identity(run: _FieldRun):
     q = ctx.q
     if ctx.n != 1 or q > 7:
         return "skipped", None, None, "exhaustive count runs on F_5 and F_7 only"
-    from itertools import product
-
     pp_count = 0
     for vec in product(range(q), repeat=q - 1):
         if pp.is_permutation(ctx, list(vec)).is_pp:
             pp_count += 1
-    ppr_total = pp.degree_distribution(ctx).total
+    ppr_total = run.census().total
     expected = q * (q - 1) * ppr_total
     status = "verified" if pp_count == expected else "refuted"
     return status, expected, pp_count, f"all {q}^{q - 1} polynomials of degree <= q-2"
@@ -272,17 +290,32 @@ def _orbit_identity(run: _FieldRun):
 # -- the shift map --
 
 
+def _identity_powers(run: _FieldRun, r: int) -> tuple[bool, ...]:
+    """Whether A_r^j = I for j = 1..p, from one mat_mul product chain,
+    so that Lemma 1 does not lean on Lemma 9's A_r^j = A_(jr)."""
+
+    def build():
+        ctx = run.ctx
+        a = run.operator(r)
+        ident = eigen.mat_identity(ctx.q - 2)
+        acc, flags = a, [a == ident]
+        for _ in range(ctx.p - 1):
+            acc = eigen.mat_mul(ctx, acc, a)
+            flags.append(acc == ident)
+        return tuple(flags)
+
+    return run.memo(("powers", r), build)
+
+
+def _shift_order(run: _FieldRun, r: int) -> int | None:
+    """The least j <= p with A_r^j = I, or None when there is none."""
+    flags = _identity_powers(run, r)
+    return flags.index(True) + 1 if True in flags else None
+
+
 def _operator_power(run: _FieldRun):
     ctx = run.ctx
-    ident = eigen.mat_identity(ctx.q - 2)
-    bad = []
-    for r in range(1, ctx.q):
-        op = eigen.shift_operator(ctx, r)
-        acc = op.matrix
-        for _ in range(ctx.p - 1):
-            acc = eigen.mat_mul(ctx, acc, op.matrix)
-        if acc != ident:
-            bad.append(r)
+    bad = [r for r in range(1, ctx.q) if not _identity_powers(run, r)[-1]]
     status = "verified" if not bad else "refuted"
     return status, "identity at power p", bad or "identity at power p", (
         f"all {ctx.q - 1} nonzero shifts"
@@ -291,8 +324,8 @@ def _operator_power(run: _FieldRun):
 
 def _operator_order(run: _FieldRun):
     ctx = run.ctx
-    orders = {r: eigen.operator_order(eigen.shift_operator(ctx, r)) for r in range(1, ctx.q)}
-    distinct = sorted(set(orders.values()))
+    orders = {r: _shift_order(run, r) for r in range(1, ctx.q)}
+    distinct = sorted(set(orders.values()), key=lambda o: o or 0)  # None first
     if distinct == [ctx.p]:
         return "verified", ctx.p, distinct, "all nonzero shifts"
     witness = next(r for r, o in orders.items() if o != ctx.p)
@@ -313,11 +346,11 @@ def _eigenvalue_only_one(run: _FieldRun):
     bad = []
     checked = 0
     for r in (1, ctx.primitive):
-        op = eigen.shift_operator(ctx, r)
+        matrix = run.operator(r)
         for lam in lambdas:
             shifted = tuple(
                 tuple(ctx.sub(v, lam) if i == j else v for j, v in enumerate(row))
-                for i, row in enumerate(op.matrix)
+                for i, row in enumerate(matrix)
             )
             full = eigen.mat_rank(ctx, shifted) == d
             checked += 1
@@ -413,7 +446,7 @@ def _first_appearance(run: _FieldRun):
     ctx = run.ctx
     if ctx.n != 1 or ctx.q < 5:
         return "skipped", None, None, "prime fields with q >= 5"
-    census = pp.degree_distribution(ctx)
+    census = run.census()
     status = "verified" if not census.stage_violations else "refuted"
     return status, "stage = degree", list(census.stage_violations[:2]) or "stage = degree", (
         f"{census.total} PPRs checked against the kernel chain"
@@ -424,7 +457,7 @@ def _degree_distribution_claim(run: _FieldRun):
     ctx = run.ctx
     if ctx.n != 1 or ctx.q < 5:
         return "skipped", None, None, "prime fields with q >= 5"
-    census = pp.degree_distribution(ctx)
+    census = run.census()
     factorial = 1
     for i in range(2, ctx.q + 1):
         factorial *= i
@@ -445,9 +478,9 @@ def _matrix_action(run: _FieldRun):
         {0, 1, ctx.primitive, *(run.rng("eq1.matrix_action").randrange(ctx.q) for _ in range(6))}
     )
     for r in rs:
-        op = eigen.shift_operator(ctx, r)
+        matrix = run.operator(r)
         for e in range(1, ctx.q - 1):
-            via_matrix = [row[e - 1] for row in op.matrix]
+            via_matrix = [row[e - 1] for row in matrix]
             direct = coords(ctx, eigen.apply_shift(ctx, r, monomial(e)))
             if via_matrix != direct:
                 bad.append((r, e))
@@ -458,7 +491,6 @@ def _matrix_action(run: _FieldRun):
 
 def _additivity(run: _FieldRun):
     ctx = run.ctx
-    ops = {r: eigen.shift_operator(ctx, r).matrix for r in range(ctx.q)}
     bad = []
     if ctx.q <= 27:
         pairs = [(r, s) for r in range(ctx.q) for s in range(ctx.q)]
@@ -467,7 +499,7 @@ def _additivity(run: _FieldRun):
         pairs = _sample_pairs(run.rng("lemma9.additivity"), ctx.q, 100)
         note = "100 sampled pairs (seeded)"
     for r, s in pairs:
-        if eigen.mat_mul(ctx, ops[r], ops[s]) != ops[ctx.add(r, s)]:
+        if eigen.mat_mul(ctx, run.operator(r), run.operator(s)) != run.operator(ctx.add(r, s)):
             bad.append((r, s))
     status = "verified" if not bad else "refuted"
     return status, "A_r A_s = A_(r+s)", bad[:3] or "A_r A_s = A_(r+s)", note
@@ -518,7 +550,7 @@ def _kernel_invariance(run: _FieldRun):
 
 def _v1_dim(run: _FieldRun):
     ctx = run.ctx
-    got = eigen.intersection_space(ctx, 1).dim
+    got = run.vk(1).dim
     status = "verified" if got == ctx.n else "refuted"
     return status, ctx.n, got, ""
 
@@ -528,14 +560,14 @@ def _v1_count(run: _FieldRun):
     expected = 1
     for i in range(1, ctx.n):
         expected *= ctx.q - ctx.p**i
-    report = run.v1_enumeration()
+    report = run.enumeration(run.vk(1))
     status = "verified" if report.ppr_count == expected else "refuted"
     return status, expected, report.ppr_count, f"{report.searched} candidates enumerated"
 
 
 def _v1_inverse_closure(run: _FieldRun):
     ctx = run.ctx
-    report = run.v1_enumeration()
+    report = run.enumeration(run.vk(1))
     if report.ppr_list is None:
         return "skipped", None, None, "PPR list above the reporting threshold"
     fp = build_field(ctx.p)
@@ -572,15 +604,15 @@ def _alt_generators(run: _FieldRun):
         return "skipped", None, None, "one generator suffices over prime fields"
     alt = _independent_set(ctx)
     kmax = min(ctx.p, 5 if ctx.n == 2 else 2)
-    v1_equal = eigen.intersection_space(ctx, 1, alt) == eigen.intersection_space(ctx, 1)
+    v1_equal = run.vk(1, alt) == run.vk(1)
     dims = []
     observed = {"generators": alt, "v1_equal": v1_equal, "dims": dims}
     for k in range(2, kmax + 1):
         dims.append(
             (
                 k,
-                eigen.intersection_space(ctx, k).dim,
-                eigen.intersection_space(ctx, k, alt).dim,
+                run.vk(k).dim,
+                run.vk(k, alt).dim,
             )
         )
     if ctx.n == 2 and ctx.p >= 5:
@@ -590,9 +622,7 @@ def _alt_generators(run: _FieldRun):
             rows = [r for r in space.basis if sum(1 for v in r if v) == 1]
             return sorted(next(i for i, v in enumerate(r) if v) + 1 for r in rows)
 
-        observed["v3_monomial_support_equal"] = support(
-            eigen.intersection_space(ctx, 3)
-        ) == support(eigen.intersection_space(ctx, 3, alt))
+        observed["v3_monomial_support_equal"] = support(run.vk(3)) == support(run.vk(3, alt))
     ok = v1_equal and all(a == b for _, a, b in dims)
     status = "verified" if ok else "refuted"
     return status, "same V_1 and equal dims", observed, "alternative independent generator set"
@@ -619,7 +649,7 @@ def _vk_conjecture(run: _FieldRun):
     kmax = min(ctx.p - 1, 2)
     expected = {k: k**ctx.n + ctx.n - 1 for k in range(1, kmax + 1)}
     expected[ctx.p] = ctx.q - 2
-    observed = {k: eigen.intersection_space(ctx, k).dim for k in expected}
+    observed = {k: run.vk(k).dim for k in expected}
     status = "verified" if observed == expected else "refuted"
     return status, expected, observed, "conjecture instance, not a proved statement"
 
@@ -630,7 +660,7 @@ def _lemma19_dims(run: _FieldRun):
         return "skipped", None, None, "quadratic extensions only"
     expected = {k: k * k + 1 for k in range(1, ctx.p)}
     expected[ctx.p] = ctx.q - 2
-    observed = {k: eigen.intersection_space(ctx, k).dim for k in expected}
+    observed = {k: run.vk(k).dim for k in expected}
     status = "verified" if observed == expected else "refuted"
     return status, expected, observed, f"k = 1..{ctx.p}"
 
@@ -655,7 +685,7 @@ def _v1_shapes(run: _FieldRun):
     ctx = run.ctx
     if ctx.n != 2 or ctx.p == 2:
         return "skipped", None, None, "odd-characteristic quadratic extensions"
-    report = run.v1_enumeration()
+    report = run.enumeration(run.vk(1))
     roots = set(roots_of_unity(ctx, ctx.p + 1))
     expected = {(0, 1)}
     for r in range(ctx.q):
@@ -675,7 +705,7 @@ def _v2_span(run: _FieldRun):
         return "skipped", None, None, "odd-characteristic quadratic extensions"
     p = ctx.p
     mono = eigen.span_of_polys(ctx, [monomial(e) for e in (1, 2, p, p + 1, 2 * p)])
-    got = eigen.intersection_space(ctx, 2)
+    got = run.vk(2)
     status = "verified" if got == mono else "refuted"
     return status, "monomial span", {"dim": got.dim, "equal": got == mono}, ""
 
@@ -686,14 +716,10 @@ def _v2_count(run: _FieldRun):
         return "skipped", None, None, "odd-characteristic quadratic extensions"
     p = ctx.p
     expected = p * (p + 1) * (p - 1) ** 2
-    via_census = sum(
-        fp2.census(ctx, 2, b, "full").full
-        for b in fp2.family_b_values(ctx)
-    )
+    via_census = sum(run.shape_count(2, b) for b in fp2.family_b_values(ctx))
     observed = {"shape_census": via_census}
     if ctx.q <= 9:
-        v2 = eigen.intersection_space(ctx, 2)
-        report = pp.enumerate_pprs(ctx, v2, budget=run.cfg.budget)
+        report = run.enumeration(run.vk(2))
         linearized = sum(
             1 for c in report.ppr_list if linearized_coeffs(ctx, list(c)) is not None
         )
@@ -710,7 +736,7 @@ def _v3_offspan(run: _FieldRun):
     ctx = run.ctx
     if ctx.n != 2 or ctx.p < 5:
         return "skipped", None, None, "needs p >= 5 over a quadratic extension"
-    v3 = eigen.intersection_space(ctx, 3)
+    v3 = run.vk(3)
     monomial_rows = []
     extra_rows = []
     for row in v3.basis:
@@ -745,16 +771,16 @@ def _fp2_applicable(ctx: FieldContext) -> bool:
     return ctx.n == 2 and ctx.p >= 3
 
 
-def _thm15_inverse(run: _FieldRun):
-    ctx = run.ctx
-    if not _fp2_applicable(ctx):
-        return "skipped", None, None, "quadratic extensions with p >= 3"
-    bad = []
+def _thm15_sweep(ctx: FieldContext):
+    """(instances, inverse failures, closure failures) from one pass
+    over every constructible instance; both Theorem 15 claims read it."""
+    inverse_bad, closure_bad = [], []
     instances = 0
     for m in range(2, ctx.p):
         for b in fp2.family_b_values(ctx):
             for alpha, beta in fp2.constructible_pairs(ctx, m, b):
                 instances += 1
+                tag = (m, b, alpha, beta)
                 inst = fp2.derive_params(ctx, m, b, alpha, beta)
                 f, h = fp2.build_pair(inst)
                 try:
@@ -762,9 +788,23 @@ def _thm15_inverse(run: _FieldRun):
                 except NotAPermutationError:
                     exact = None
                 if exact is None or not (f[-1] == 1 and f[0] == 0):
-                    bad.append(("not a PPR", m, b, alpha, beta))
+                    inverse_bad.append(("not a PPR", *tag))
                 elif not exact:
-                    bad.append(("inverse mismatch", m, b, alpha, beta))
+                    inverse_bad.append(("inverse mismatch", *tag))
+                if inst.delta == 0:
+                    closure_bad.append(("zero delta", *tag))
+                    continue
+                alpha2 = ctx.div(inst.gamma, inst.delta)
+                beta2 = ctx.div(inst.epsilon, inst.delta)
+                if not fp2.check_conditions(ctx, m, inst.d, alpha2, beta2).constructible:
+                    closure_bad.append(("inverse instance fails conditions", *tag))
+    return instances, inverse_bad, closure_bad
+
+
+def _thm15_inverse(run: _FieldRun):
+    if not _fp2_applicable(run.ctx):
+        return "skipped", None, None, "quadratic extensions with p >= 3"
+    instances, bad, _ = run.memo("thm15", lambda: _thm15_sweep(run.ctx))
     status = "verified" if not bad else "refuted"
     return status, "parametric inverse exact", bad[:3] or "parametric inverse exact", (
         f"{instances} constructible instances swept"
@@ -772,24 +812,9 @@ def _thm15_inverse(run: _FieldRun):
 
 
 def _thm15_closure(run: _FieldRun):
-    ctx = run.ctx
-    if not _fp2_applicable(ctx):
+    if not _fp2_applicable(run.ctx):
         return "skipped", None, None, "quadratic extensions with p >= 3"
-    bad = []
-    instances = 0
-    for m in range(2, ctx.p):
-        for b in fp2.family_b_values(ctx):
-            for alpha, beta in fp2.constructible_pairs(ctx, m, b):
-                instances += 1
-                inst = fp2.derive_params(ctx, m, b, alpha, beta)
-                if inst.delta == 0:
-                    bad.append(("zero delta", m, b, alpha, beta))
-                    continue
-                alpha2 = ctx.div(inst.gamma, inst.delta)
-                beta2 = ctx.div(inst.epsilon, inst.delta)
-                verdict = fp2.check_conditions(ctx, m, inst.d, alpha2, beta2)
-                if not verdict.constructible:
-                    bad.append(("inverse instance fails conditions", m, b, alpha, beta))
+    instances, _, bad = run.memo("thm15", lambda: _thm15_sweep(run.ctx))
     status = "verified" if not bad else "refuted"
     return status, "inverse stays in the family", bad[:3] or "inverse stays in the family", (
         f"{instances} instances; inverse parameters (m, d, gamma/delta, epsilon/delta)"
@@ -819,8 +844,6 @@ def _full_count_coprime(run: _FieldRun):
     ctx = run.ctx
     if not _fp2_applicable(ctx):
         return "skipped", None, None, "quadratic extensions with p >= 3"
-    import math
-
     p = ctx.p
     ms = [m for m in range(2, p) if math.gcd(m, p - 1) == 1]
     if not ms:
@@ -830,7 +853,7 @@ def _full_count_coprime(run: _FieldRun):
     ok = True
     for m in ms:
         for b in fp2.family_b_values(ctx):
-            got = fp2.census(ctx, m, b, "full").full
+            got = run.shape_count(m, b)
             observed[f"m={m},b={b}"] = got
             ok = ok and got == expected
     status = "verified" if ok else "refuted"
@@ -845,30 +868,29 @@ def _full_count_half(run: _FieldRun):
     m = (p + 1) // 2
     if not 2 <= m <= p - 1:
         return "skipped", None, None, "m = (p+1)/2 outside [2, p-1]"
-    counts = sorted(
-        {
-            fp2.census(ctx, m, b, "full").full
-            for b in fp2.family_b_values(ctx)
-        }
-    )
+    counts = sorted({run.shape_count(m, b) for b in fp2.family_b_values(ctx)})
     floor = p * (p - 1) * (2 * p - 1)
     if p > 5:
         status = "verified" if all(c > floor for c in counts) else "refuted"
         return status, f"> {floor}", counts, f"m = {m}; strict excess claimed for p > 5"
-    import math
-
     note = f"m = {m}; no closed form asserted"
     if math.gcd(m, p - 1) == 1:
         note += f"; m is also coprime to p - 1 and the count matches {floor}"
     return "measured", None, counts, note
 
 
+def _inverse_keeps_shape(ctx: FieldContext, m: int, coeffs) -> bool:
+    """Whether the monic inverse of the shape PPR coeffs with exponent m
+    has the shape with exponent m^-1 mod p-1 (m itself for p <= 7)."""
+    inverse = pp.compositional_inverse(ctx, list(coeffs))
+    back = fp2.shape_parameters(ctx, poly_scale(ctx, ctx.inv(inverse[-1]), inverse))
+    return back is not None and back[0] == pow(m, -1, ctx.p - 1)
+
+
 def _extra_closure(run: _FieldRun):
     ctx = run.ctx
     if not _fp2_applicable(ctx) or ctx.p < 5:
         return "skipped", None, None, "checked for p in {5, 7}"
-    import math
-
     p = ctx.p
     ms = [m for m in range(2, p) if math.gcd(m, p - 1) == 1]
     bad = []
@@ -882,11 +904,7 @@ def _extra_closure(run: _FieldRun):
                 if fp2.check_conditions(ctx, m, b, alpha, beta).constructible:
                     continue
                 total += 1
-                inverse = pp.compositional_inverse(ctx, list(coeffs))
-                lead = inverse[-1]
-                ppr = poly_scale(ctx, ctx.inv(lead), inverse)
-                back = fp2.shape_parameters(ctx, ppr)
-                if back is None or back[0] != m:
+                if not _inverse_keeps_shape(ctx, m, coeffs):
                     bad.append((m, b, alpha, beta))
     status = "verified" if not bad else "refuted"
     return status, "inverse PPRs keep the shape and m", bad[:3] or (

@@ -247,7 +247,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_degree_dist(args) -> int:
     _check_format(args, ("json", "csv"))
     ctx = _build_ctx(args)
-    census = pp.degree_distribution(ctx, cap=args.cap)
+    census = pp.degree_distribution(ctx, budget=args.budget)
     doc = {
         "schema": 1,
         "field": _field_block(ctx),
@@ -491,7 +491,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("degree-dist", help="degree census of prime-field PPRs")
     _add_common(sp)
-    sp.add_argument("--cap", type=int, default=11, help="largest admissible p")
+    _add_budget(sp)
     sp.set_defaults(handler=_cmd_degree_dist)
 
     fp2_parser = sub.add_parser("fp2", help="the quadratic-extension family")

@@ -12,8 +12,9 @@ The kernel chain (A_r - I)^k is formed without matrix products. The
 operators are additive in the shift (Lemma 9: A_r A_s = A_(r+s)), so
 A_r^j = A_(jr), and since A_r commutes with I the binomial theorem gives
 (A_r - I)^k = sum_{j=0..k} (-1)^(k-j) C(k, j) A_(jr): k operator builds
-summed into one matrix. mat_mul stays for the claims that check Lemma 9
-itself, so that they do not lean on this route.
+summed into one matrix. mat_mul is left to the claims that check
+Lemma 1 (the product chain A_r, A_r^2, ..., A_r^p) and Lemma 9 itself,
+so that they do not lean on this route.
 
 Operators and subspaces are immutable once built; kernel computations
 for distinct (r, k) pairs are independent.
@@ -73,19 +74,6 @@ def mat_mul(ctx: FieldContext, a, b) -> Matrix:
                     acc = [add(c, mul(aik, v)) if v else c for c, v in zip(acc, bk)]
             out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_vec(ctx: FieldContext, a, vec) -> list[int]:
-    mul = ctx.mul
-    add = ctx.add
-    out = []
-    for row in a:
-        acc = 0
-        for aik, v in zip(row, vec):
-            if aik and v:
-                acc = add(acc, mul(aik, v))
-        out.append(acc)
-    return out
 
 
 def _eliminate(ctx: FieldContext, rows: list[list[int]], reduced: bool) -> list[int]:
@@ -305,21 +293,6 @@ def apply_shift(ctx: FieldContext, r: int, f) -> list[int]:
     return normalize(out)
 
 
-def operator_order(op: ShiftOperator) -> int:
-    """Smallest k >= 1 with matrix^k = I (1 for the zero shift)."""
-    ident = mat_identity(len(op.matrix))
-    if op.r == 0 or op.matrix == ident:
-        return 1
-    acc = op.matrix
-    k = 1
-    while acc != ident:
-        acc = mat_mul(op.ctx, acc, op.matrix)
-        k += 1
-        if k > op.ctx.p:
-            raise AssertionError("operator order exceeds the characteristic")
-    return k
-
-
 def _add_scaled(ctx: FieldContext, acc: list[list[int]], c: int, m: Matrix) -> None:
     """acc += c * m in place, for upper-triangular m."""
     q = ctx.q
@@ -335,8 +308,11 @@ def _add_scaled(ctx: FieldContext, acc: list[list[int]], c: int, m: Matrix) -> N
             arow[i:] = [add(a, mul(c, v)) if v else a for a, v in zip(arow[i:], mrow[i:])]
 
 
-def _difference_power(ctx: FieldContext, r: int, k: int) -> list[list[int]]:
-    """(A_r - I)^k = sum_j (-1)^(k-j) C(k, j) A_(jr), since A_r^j = A_(jr)."""
+def _difference_power(ctx: FieldContext, r: int, k: int, operator=None) -> list[list[int]]:
+    """(A_r - I)^k = sum_j (-1)^(k-j) C(k, j) A_(jr), since A_r^j = A_(jr).
+
+    operator(s) gives the matrix of A_s; by default each is built and dropped.
+    """
     if not 1 <= k <= ctx.p:
         raise OutOfRangeError(f"k = {k} outside [1, p]")
     require_element(ctx, r)
@@ -357,7 +333,7 @@ def _difference_power(ctx: FieldContext, r: int, k: int) -> list[list[int]]:
         if s == 0:
             diag = ctx.add(diag, c)
             continue
-        m = shift_operator(ctx, s).matrix
+        m = operator(s) if operator else shift_operator(ctx, s).matrix
         if acc is None:
             acc = [[0] * d for _ in range(d)]
         _add_scaled(ctx, acc, c, m)

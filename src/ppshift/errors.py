@@ -22,7 +22,7 @@ class NotIrreducibleError(PreconditionError):
 
 
 class CapExceededError(PreconditionError):
-    """Requested field or census size exceeds the configured cap."""
+    """Requested field size exceeds the configured cap."""
 
 
 class NotADivisorError(PreconditionError):

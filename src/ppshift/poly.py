@@ -71,10 +71,6 @@ def poly_add(ctx: FieldContext, f, g) -> list[int]:
     return normalize(out)
 
 
-def poly_sub(ctx: FieldContext, f, g) -> list[int]:
-    return poly_add(ctx, f, [ctx.neg(c) for c in g])
-
-
 def poly_scale(ctx: FieldContext, c: int, f) -> list[int]:
     if c == 0:
         return []

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
-    CapExceededError,
     NotAPermutationError,
     OutOfRangeError,
     TooLargeFieldError,
@@ -59,7 +58,7 @@ def is_permutation(ctx: FieldContext, f) -> PermVerdict:
     return PermVerdict(is_pp=is_pp, is_ppr=is_ppr, witness=witness)
 
 
-def hermite_test(ctx: FieldContext, f, max_q: int = HERMITE_MAX_Q) -> bool:
+def hermite_test(ctx: FieldContext, f) -> bool:
     """Degree criterion on the reduced powers f^t mod x^q - x.
 
     True iff f^(q-1) reduces monic of degree q-1 and every f^t for
@@ -69,8 +68,8 @@ def hermite_test(ctx: FieldContext, f, max_q: int = HERMITE_MAX_Q) -> bool:
     q, p = ctx.q, ctx.p
     if q <= 2:
         raise OutOfRangeError("degree criterion needs q > 2")
-    if q > max_q:
-        raise TooLargeFieldError(f"q = {q} exceeds the cost cap {max_q}")
+    if q > HERMITE_MAX_Q:
+        raise TooLargeFieldError(f"q = {q} exceeds the cost cap {HERMITE_MAX_Q}")
     f = reduce_poly(ctx, f)
     power = [1]
     for t in range(1, q - 1):
@@ -163,7 +162,7 @@ class EnumReport:
     ppr_list: tuple[tuple[int, ...], ...] | None
 
 
-def _scan_subspace(ctx: FieldContext, basis, list_limit: int):
+def _scan_subspace(ctx: FieldContext, basis):
     """Test every candidate in lexicographic coordinate order (first
     coordinate most significant)."""
     q = ctx.q
@@ -225,12 +224,12 @@ def _scan_subspace(ctx: FieldContext, basis, list_limit: int):
             count += 1
             if found is not None:
                 found.append((0, *vec[: deg_idx + 1]))
-                if len(found) > list_limit:
+                if len(found) > LIST_LIMIT:
                     found = None
     return searched, count, found
 
 
-def _scan_shape(ctx: FieldContext, shape: FamilyShape, list_limit: int):
+def _scan_shape(ctx: FieldContext, shape: FamilyShape):
     """Candidates in the order alpha * q + beta, alpha outer; each
     candidate stops at its first collision.
 
@@ -287,7 +286,7 @@ def _scan_shape(ctx: FieldContext, shape: FamilyShape, list_limit: int):
                     coeffs[ctx.p] = add(coeffs[ctx.p], alpha)
                     coeffs[1] = add(coeffs[1], beta)
                     found.append(tuple(coeffs))
-                    if len(found) > list_limit:
+                    if len(found) > LIST_LIMIT:
                         found = None
     return searched, count, found
 
@@ -296,9 +295,8 @@ def enumerate_pprs(
     ctx: FieldContext,
     domain,
     budget: int = DEFAULT_BUDGET,
-    list_limit: int = LIST_LIMIT,
 ) -> EnumReport:
-    """Count (and below list_limit, list) the monic zero-fixing
+    """Count (and up to LIST_LIMIT, list) the monic zero-fixing
     permutations in a subspace or parametric shape.
 
     The domain size must fit the budget; nothing is silently truncated.
@@ -309,10 +307,10 @@ def enumerate_pprs(
         if domain.ambient != ctx.q - 2:
             raise OutOfRangeError("subspace does not live over the monomial coordinates")
         total = ctx.q**domain.dim
-        scan = lambda: _scan_subspace(ctx, domain.basis, list_limit)
+        scan = lambda: _scan_subspace(ctx, domain.basis)
     elif isinstance(domain, FamilyShape):
         total = ctx.q**2
-        scan = lambda: _scan_shape(ctx, domain, list_limit)
+        scan = lambda: _scan_shape(ctx, domain)
     else:
         raise OutOfRangeError(f"unsupported enumeration domain {type(domain).__name__}")
     if total > budget:
@@ -332,25 +330,25 @@ class DegreeCensus:
     total: int
 
 
-def degree_distribution(ctx: FieldContext, cap: int = 11) -> DegreeCensus:
+def degree_distribution(ctx: FieldContext, budget: int = DEFAULT_BUDGET) -> DegreeCensus:
     """Census of monic zero-fixing permutations of F_p by degree.
 
-    Each hit is also checked to first appear in the kernel chain
-    exactly at stage = degree; offenders (none expected) are returned.
+    The candidates of degree d = 1 .. p-2 number sum p^(d-1), which must
+    fit the budget. Each hit is also checked to first appear in the
+    kernel chain exactly at stage = degree: (A_1 - I)^d kills it and
+    (A_1 - I)^(d-1) does not, with the shift applied by substitution.
+    Offenders (none expected) are returned.
     """
     from itertools import product
 
-    from .eigen import kernel_power
-    from .poly import coords
+    from .eigen import apply_shift
 
     if ctx.n != 1:
         raise OutOfRangeError("degree census applies to prime fields")
     p = ctx.q
-    if p > cap:
-        raise CapExceededError(f"p = {p} exceeds census cap {cap}")
-    kernels = [kernel_power(ctx, 1, k) for k in range(1, p - 1)] if p > 3 else [
-        kernel_power(ctx, 1, 1)
-    ]
+    total = sum(p ** (d - 1) for d in range(1, p - 1))
+    if total > budget:
+        raise BudgetExceededError(f"{total} candidates exceed budget {budget}")
     counts = {d: 0 for d in range(1, p - 1)}
     violations = []
     for d in range(1, p - 1):
@@ -359,9 +357,11 @@ def degree_distribution(ctx: FieldContext, cap: int = 11) -> DegreeCensus:
             if not is_permutation(ctx, f).is_pp:
                 continue
             counts[d] += 1
-            vec = coords(ctx, f)
-            if not kernels[d - 1].contains_vector(vec):
-                violations.append(tuple(f))
-            elif d > 1 and kernels[d - 2].contains_vector(vec):
+            g, stage = f, 0
+            while g and stage <= d:  # g = (A_1 - I)^stage f
+                # the shift keeps the degree and the lead, so the lengths agree
+                g = normalize([ctx.sub(a, b) for a, b in zip(apply_shift(ctx, 1, g), g)])
+                stage += 1
+            if stage != d:
                 violations.append(tuple(f))
     return DegreeCensus(counts=counts, stage_violations=tuple(violations), total=sum(counts.values()))

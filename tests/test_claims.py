@@ -1,18 +1,25 @@
 import json
+from collections import Counter
 
-from ppshift import build_field
+import pytest
+
+from ppshift import build_field, eigen, pp
 from ppshift.claims import (
     CLAIM_ANCHORS,
     DEFAULT_ROSTER,
     RunConfig,
     SECTION_ORDER,
     _FieldRun,
+    _first_appearance,
     _hermite_agreement,
+    _inverse_keeps_shape,
     reproduce,
     reproduce_field,
 )
 from ppshift.cli import emit_report
-from ppshift.pp import HERMITE_MAX_Q
+from ppshift.errors import BudgetExceededError
+from ppshift.fp2 import check_conditions, family_poly
+from ppshift.pp import HERMITE_MAX_Q, is_permutation
 
 STATUSES = {"verified", "refuted", "measured", "skipped"}
 
@@ -128,3 +135,61 @@ def test_hermite_agreement_skipped_past_its_cap():
     status, expected, observed, note = _hermite_agreement(_FieldRun(ctx, RunConfig()))
     assert (status, expected, observed) == ("skipped", None, None)
     assert str(HERMITE_MAX_Q) in note
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
+def test_field_run_kernels_match_the_public_route(field, p, n):
+    ctx = field(p, n)
+    run = _FieldRun(ctx, RunConfig())
+    for r in range(1, ctx.q):
+        for k in range(1, ctx.p + 1):
+            assert run.kernel(r, k) == eigen.kernel_power(ctx, r, k), (r, k)
+            assert run.kernel_dim(r, k) == eigen.kernel_dim(ctx, r, k), (r, k)
+
+
+def _count_calls(monkeypatch, module, name, key=lambda *a, **kw: None):
+    calls = Counter()
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args, **kwargs)] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_reproduce_field_builds_each_operator_once(monkeypatch):
+    ctx = build_field(5, 2)
+    calls = _count_calls(monkeypatch, eigen, "shift_operator", key=lambda ctx, r: r)
+    reproduce_field(ctx, RunConfig())
+    assert calls and max(calls.values()) == 1
+    assert set(calls) <= set(range(ctx.q))
+
+
+def test_reproduce_field_runs_one_degree_census(monkeypatch):
+    calls = _count_calls(monkeypatch, pp, "degree_distribution")
+    reports = reproduce_field(build_field(5, 1), RunConfig())
+    assert sum(calls.values()) == 1
+    by_id = {r.claim_id: r.status for r in reports}
+    for claim_id in ("def1.orbit_identity", "cor3.first_appearance", "degree.distribution"):
+        assert by_id[claim_id] == "verified"
+
+
+def test_degree_census_uses_the_run_budget():
+    # F_5 has 1 + 5 + 25 candidates of degree 1..3
+    assert _first_appearance(_FieldRun(build_field(5, 1), RunConfig(budget=31)))[0] == "verified"
+    with pytest.raises(BudgetExceededError):
+        _first_appearance(_FieldRun(build_field(5, 1), RunConfig(budget=30)))
+
+
+def test_unconditioned_inverse_has_the_inverse_exponent():
+    # unconditioned m = 3 shape PPRs of F_121 invert to the shape with
+    # m' = 7 = 3^-1 mod 10, not to m = 3
+    ctx = build_field(11, 2)
+    for alpha, beta in ((1, 1), (11, 1), (38, 1)):
+        f = family_poly(ctx, 3, 1, alpha, beta)
+        assert is_permutation(ctx, f).is_ppr
+        assert not check_conditions(ctx, 3, 1, alpha, beta).constructible
+        assert _inverse_keeps_shape(ctx, 3, f)
+        assert not _inverse_keeps_shape(ctx, 7, f)  # expecting 7^-1 = 3 must fail

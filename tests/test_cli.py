@@ -97,6 +97,14 @@ def test_degree_dist(capsys):
     assert doc["stage_violations"] == []
 
 
+def test_degree_dist_budget(capsys):
+    code, out, err = run(capsys, "degree-dist", "--p", "11")
+    assert code == 3 and out == "" and "235794769 candidates" in err
+    assert run_json(capsys, "degree-dist", "--p", "5", "--budget", "31")["total"] == 6
+    code, out, err = run(capsys, "degree-dist", "--p", "5", "--cap", "11")
+    assert code == 64 and "unrecognized arguments" in err
+
+
 def test_degree_dist_csv(capsys):
     code, out, err = run(capsys, "degree-dist", "--p", "5", "--format", "csv")
     assert code == 0

@@ -6,7 +6,6 @@ import pytest
 from ppshift.eigen import intersection_space, kernel_power, span_of_polys
 from ppshift.errors import (
     BudgetExceededError,
-    CapExceededError,
     NotAPermutationError,
     OutOfRangeError,
     TooLargeFieldError,
@@ -63,7 +62,7 @@ def test_hermite_examples(field):
         ctx = field(p, n)
         assert hermite_test(ctx, monomial(ctx.q - 1)) is False
     with pytest.raises(TooLargeFieldError):
-        hermite_test(field(3, 2), monomial(1), max_q=8)
+        hermite_test(field(3, 4), monomial(1))  # q = 81 > HERMITE_MAX_Q
 
 
 def test_hermite_agreement_exhaustive_f5(field):
@@ -269,8 +268,13 @@ def test_degree_distribution_f7(field):
 def test_degree_distribution_preconditions(field):
     with pytest.raises(OutOfRangeError):
         degree_distribution(field(3, 2))
-    with pytest.raises(CapExceededError):
-        degree_distribution(field(13, 1))
+    # sum p^(d-1) over d = 1..p-2 candidates: 31 on F_5, 2.36e8 on F_11
+    assert degree_distribution(field(5, 1), budget=31).total == 6
+    with pytest.raises(BudgetExceededError, match="31 candidates exceed budget 30"):
+        degree_distribution(field(5, 1), budget=30)
+    for p in (11, 13):
+        with pytest.raises(BudgetExceededError):
+            degree_distribution(field(p, 1))
 
 
 def test_orbit_identity_f5(field):
