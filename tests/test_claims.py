@@ -12,6 +12,7 @@ from ppshift.claims import (
     _FieldRun,
     _first_appearance,
     _hermite_agreement,
+    _vk_conjecture,
     _inverse_keeps_shape,
     reproduce,
     reproduce_field,
@@ -193,3 +194,10 @@ def test_unconditioned_inverse_has_the_inverse_exponent():
         assert not check_conditions(ctx, 3, 1, alpha, beta).constructible
         assert _inverse_keeps_shape(ctx, 3, f)
         assert not _inverse_keeps_shape(ctx, 7, f)  # expecting 7^-1 = 3 must fail
+
+
+def test_vk_conjecture_covers_every_k_below_p():
+    # F_125: dim V_k = k^3 + 2 for k = 1..4, and V_5 is everything
+    status, expected, observed, _ = _vk_conjecture(_FieldRun(build_field(5, 3), RunConfig()))
+    assert status == "verified"
+    assert observed == {1: 3, 2: 10, 3: 29, 4: 66, 5: 123}

@@ -68,6 +68,12 @@ def test_invert(capsys):
     assert doc["inverse"] == "1*x^3"
 
 
+def test_invert_on_a_zech_field(capsys):
+    # F_625 interpolates on the Zech-log path: 7 * 535 = 1 mod 624
+    doc = run_json(capsys, "invert", "--p", "5", "--n", "4", "1*x^7")
+    assert doc["inverse"] == "1*x^535"
+
+
 def test_poly_from_stdin(capsys, monkeypatch):
     import io
 

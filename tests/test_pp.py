@@ -1,8 +1,10 @@
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
+from ppshift.claims import DEFAULT_ROSTER
 from ppshift.eigen import intersection_space, kernel_power, span_of_polys
 from ppshift.errors import (
     BudgetExceededError,
@@ -90,6 +92,83 @@ def test_interpolate_table_is_exact(field):
             h = interpolate_table(ctx, values)
             assert eval_table(ctx, h) == values
             assert len(h) <= ctx.q
+
+
+def slow_interpolate_table(ctx, values):
+    """The O(q^2) power-sum double loop: S_j = sum over nonzero a of
+    values[a] * a^j, one running power of a per point."""
+    q = ctx.q
+    s = [0] * (q - 1)
+    for a in range(1, q):
+        term = values[a]
+        if term:
+            for j in range(q - 1):
+                s[j] = ctx.add(s[j], term)
+                term = ctx.mul(term, a)
+    out = [values[0]] + [ctx.neg(s[q - 1 - k]) for k in range(1, q - 1)]
+    out.append(ctx.neg(ctx.add(s[0], values[0])))
+    return normalize(out)
+
+
+def oracle_tables(ctx, rng, sampled=False):
+    """A random permutation and a random function; unless sampled, also
+    the zero table, one nonzero point and a nonzero value at 0 only."""
+    q = ctx.q
+    perm = list(range(q))
+    rng.shuffle(perm)
+    yield perm
+    yield [rng.randrange(q) for _ in range(q)]
+    if sampled:
+        return
+    yield [0] * q
+    single = [0] * q
+    single[rng.randrange(1, q)] = 1 + rng.randrange(q - 1)
+    yield single
+    yield [1 + rng.randrange(q - 1)] + [0] * (q - 1)
+
+
+# q - 1 = 1, 2, the roster, 120 = 2^3 3 5, 124 = 2^2 31, 127 prime, 342
+@pytest.mark.parametrize(
+    "p,n", [(2, 1), (3, 1), *DEFAULT_ROSTER, (11, 2), (5, 3), (2, 7), (7, 3)]
+)
+def test_interpolate_table_matches_power_sum_oracle(field, p, n):
+    ctx = field(p, n)
+    rng = random.Random(ctx.q)
+    for values in oracle_tables(ctx, rng):
+        assert interpolate_table(ctx, values) == slow_interpolate_table(ctx, values)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2)])
+def test_interpolate_table_matches_oracle_without_flat_tables(zech_field, p, n):
+    ctx = zech_field(p, n)
+    rng = random.Random(ctx.q)
+    for values in oracle_tables(ctx, rng):
+        assert interpolate_table(ctx, values) == slow_interpolate_table(ctx, values)
+
+
+@pytest.mark.parametrize("p,n", [(5, 4), (3, 6)])  # q > FLAT_TABLE_LIMIT
+def test_interpolate_table_matches_oracle_on_zech_fields(field, p, n):
+    ctx = field(p, n)
+    assert ctx.add_table is None
+    rng = random.Random(ctx.q)
+    for values in oracle_tables(ctx, rng, sampled=True):
+        assert interpolate_table(ctx, values) == slow_interpolate_table(ctx, values)
+
+
+@pytest.mark.parametrize("p,n", [(11, 2), (5, 3), (2, 7)])
+def test_inverse_of_monomial_is_closed_form(field, p, n):
+    # x^e permutes F_q iff gcd(e, q - 1) = 1, and x^e o x^e' = x^(e e')
+    ctx = field(p, n)
+    q1 = ctx.q - 1
+    for e in range(1, q1):
+        if gcd(e, q1) == 1:
+            assert compositional_inverse(ctx, monomial(e)) == monomial(pow(e, -1, q1))
+
+
+def test_inverse_of_monomial_on_a_zech_field(field):
+    ctx = field(5, 4)
+    for e in (5, 7, 11, 623):
+        assert compositional_inverse(ctx, monomial(e)) == monomial(pow(e, -1, 624))
 
 
 def test_inverse_examples(field):
