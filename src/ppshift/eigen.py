@@ -50,29 +50,13 @@ def mat_mul(ctx: FieldContext, a, b) -> Matrix:
     """Row-major product; skips zero entries, which pays off on the
     (strictly) upper-triangular matrices this module produces."""
     cols = len(b[0]) if b else 0
-    q = ctx.q
-    mt = ctx.mul_table
-    at = ctx.add_table
     out = []
-    if mt is not None:
-        for row in a:
-            acc = [0] * cols
-            for k, aik in enumerate(row):
-                if aik:
-                    bk = b[k]
-                    base = aik * q
-                    acc = [at[c * q + mt[base + v]] if v else c for c, v in zip(acc, bk)]
-            out.append(tuple(acc))
-    else:
-        mul = ctx.mul
-        add = ctx.add
-        for row in a:
-            acc = [0] * cols
-            for k, aik in enumerate(row):
-                if aik:
-                    bk = b[k]
-                    acc = [add(c, mul(aik, v)) if v else c for c, v in zip(acc, bk)]
-            out.append(tuple(acc))
+    for row in a:
+        acc = [0] * cols
+        for k, aik in enumerate(row):
+            if aik:
+                acc = ctx.axpy(acc, aik, b[k])
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -81,17 +65,12 @@ def _eliminate(ctx: FieldContext, rows: list[list[int]], reduced: bool) -> list[
 
     Pivot rule: first nonzero entry scanning top to bottom, columns left
     to right. With reduced=True the result is canonical RREF. Each
-    target row is updated in place over the pivot row's nonzero columns
-    only.
+    target row gets -f times the pivot row added in place, over the
+    pivot row's nonzero columns only.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    q = ctx.q
-    mt = ctx.mul_table
-    st = ctx.sub_table
-    mul = ctx.mul
-    sub = ctx.sub
-    inv = ctx.inv
+    neg = ctx.neg_table
     pivots = []
     pr = 0
     for col in range(ncols):
@@ -106,8 +85,7 @@ def _eliminate(ctx: FieldContext, rows: list[list[int]], reduced: bool) -> list[
             rows[pr], rows[piv] = rows[piv], rows[pr]
         head = rows[pr][col]
         if head != 1:
-            factor = inv(head)
-            rows[pr] = [mul(factor, v) for v in rows[pr]]
+            rows[pr] = ctx.axpy([0] * ncols, ctx.inv(head), rows[pr])
         prow = rows[pr]
         # columns left of col are zero in every row from pr down
         nz = [(c, prow[c]) for c in range(col, ncols) if prow[c]]
@@ -115,15 +93,8 @@ def _eliminate(ctx: FieldContext, rows: list[list[int]], reduced: bool) -> list[
         for r in targets:
             row = rows[r]
             f = row[col]
-            if r == pr or not f:
-                continue
-            if mt is not None:
-                fq = f * q
-                for c, b in nz:
-                    row[c] = st[row[c] * q + mt[fq + b]]
-            else:
-                for c, b in nz:
-                    row[c] = sub(row[c], mul(f, b))
+            if r != pr and f:
+                ctx.axpy_at(row, neg[f], nz)
         pivots.append(col)
         pr += 1
         if pr == nrows:
@@ -211,7 +182,7 @@ class Subspace:
             pc = next(i for i, v in enumerate(row) if v)
             c = work[pc]
             if c:
-                work = [ctx.sub(a, ctx.mul(c, b)) if b else a for a, b in zip(work, row)]
+                work = ctx.axpy(work, ctx.neg(c), row)
         return not any(work)
 
     def contains(self, other: "Subspace") -> bool:
@@ -238,7 +209,7 @@ class Subspace:
             for i in range(na):
                 c = srow[i]
                 if c:
-                    vec = [ctx.add(v, ctx.mul(c, w)) for v, w in zip(vec, a[i])]
+                    vec = ctx.axpy(vec, c, a[i])
             vectors.append(vec)
         return Subspace.from_vectors(ctx, vectors, self.ambient)
 
@@ -295,17 +266,8 @@ def apply_shift(ctx: FieldContext, r: int, f) -> list[int]:
 
 def _add_scaled(ctx: FieldContext, acc: list[list[int]], c: int, m: Matrix) -> None:
     """acc += c * m in place, for upper-triangular m."""
-    q = ctx.q
-    mt = ctx.mul_table
-    at = ctx.add_table
-    add = ctx.add
-    mul = ctx.mul
-    base = c * q
     for i, (arow, mrow) in enumerate(zip(acc, m)):
-        if mt is not None:
-            arow[i:] = [at[a * q + mt[base + v]] if v else a for a, v in zip(arow[i:], mrow[i:])]
-        else:
-            arow[i:] = [add(a, mul(c, v)) if v else a for a, v in zip(arow[i:], mrow[i:])]
+        arow[i:] = ctx.axpy(arow[i:], c, mrow[i:])
 
 
 def _difference_power(ctx: FieldContext, r: int, k: int, operator=None) -> list[list[int]]:

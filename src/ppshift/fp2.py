@@ -231,14 +231,6 @@ def _sign(ctx: FieldContext, m: int) -> int:
     return 1 if m % 2 == 0 else ctx.neg(1)
 
 
-def _add_row(ctx: FieldContext, c: int) -> list[int]:
-    """[c + y for y in F_q]: a slice of the flat add table when it exists."""
-    at = ctx.add_table
-    if at is not None:
-        return at[c * ctx.q : (c + 1) * ctx.q]
-    return [ctx.add(c, y) for y in range(ctx.q)]
-
-
 def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     """Check the six identities behind the inverse formula over their
     full hypothesis ranges; counterexamples are reported verbatim.
@@ -246,8 +238,8 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     The per-instance loops read x^p, x^(p+1) and x^(p-1) from tables
     built once per call, divide through the log/exp tables (zero kept
     as a special case), and take what depends only on (m, b) or on
-    alpha out of the beta loop. Additions by a fixed element are rows
-    of the flat add table when the field has one.
+    alpha out of the beta loop. Additions by a fixed element are read
+    from ctx.add_row.
     """
     _require_fp2(ctx)
     p, q = ctx.p, ctx.q
@@ -321,8 +313,8 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
             b_beta_p = [mul(b, y) for y in frob]  # b beta^p
             for alpha in range(q):
                 alpha_norm = norm[alpha]
-                base_row = _add_row(ctx, mul(b, alpha))  # beta + b alpha
-                num_row = _add_row(ctx, frob[alpha])  # y + alpha^p
+                base_row = ctx.add_row(mul(b, alpha))  # beta + b alpha
+                num_row = ctx.add_row(frob[alpha])  # y + alpha^p
                 for beta, base, beta_norm, num_index in zip(range(q), base_row, norm, b_beta_p):
                     if base == 0 or alpha_norm == beta_norm:
                         n_skipped += 1

@@ -11,9 +11,19 @@ the modulus is the lexicographically smallest monic irreducible of
 degree n (coefficients compared from degree 0 upward, with an override
 hook for cross-checking), and the primitive element is the smallest
 index of multiplicative order q - 1. Multiplication and division run
-on discrete exp/log tables; small fields additionally get flat q*q
-add/sub/mul tables that hot loops index directly, and larger fields
-add through a table of q - 1 Zech logarithms.
+on discrete exp/log tables; fields up to FLAT_TABLE_LIMIT additionally
+get flat q*q add/mul tables, and larger fields add through a table of
+q - 1 Zech logarithms.
+
+Kernels elsewhere do not see that choice. Besides the scalar
+operations, the context offers four vector operations: axpy (acc +
+c * vec), axpy_at (the same over the (column, value) pairs of a sparse
+row, in place), add_powers (acc + g^e for a row given by its exponents
+e) and add_row ([c + y for y in F_q]). Each has a flat branch that
+indexes the tables and a Zech branch that stays in the log domain,
+with no method call per entry, so every kernel runs one code path. The
+one exception is pp._scan_shape, whose candidates stop at their first
+collision: it reads the flat tables point by point.
 
 Contexts are immutable after construction and safe to share between
 threads; every operation is a pure read.
@@ -151,12 +161,6 @@ class FieldContext:
                     s = self._add_digits(x, y)
                     add_t[base + y] = s
                     add_t[y * q + x] = s
-            neg = self.neg_table
-            sub_t = [0] * (q * q)
-            for x in range(q):
-                base = x * q
-                for y in range(q):
-                    sub_t[base + y] = add_t[base + neg[y]]
             mul_t = [0] * (q * q)
             for x in range(1, q):
                 lx = log[x]
@@ -164,12 +168,10 @@ class FieldContext:
                 for y in range(1, q):
                     mul_t[base + y] = exp[(lx + log[y]) % (q - 1)]
             self.add_table = add_t
-            self.sub_table = sub_t
             self.mul_table = mul_t
             self.zech_table = None
         else:
             self.add_table = None
-            self.sub_table = None
             self.mul_table = None
             # Zech logarithms: 1 + g^i = g^zech[i], -1 where the sum is 0
             self.zech_table = [log[self._add_digits(1, v)] for v in exp]
@@ -250,9 +252,9 @@ class FieldContext:
         return 0 if z < 0 else self.exp_table[(a + z) % (self.q - 1)]
 
     def sub(self, x: int, y: int) -> int:
-        t = self.sub_table
+        t = self.add_table
         if t is not None:
-            return t[x * self.q + y]
+            return t[x * self.q + self.neg_table[y]]
         return self.add(x, self.neg_table[y])
 
     def neg(self, x: int) -> int:
@@ -285,6 +287,67 @@ class FieldContext:
                 raise ZeroDivisionError("negative power of zero")
             return 1 if e == 0 else 0
         return self.exp_table[(self.log_table[x] * e) % (self.q - 1)]
+
+    # -- vector operations: a flat branch and a Zech branch each --
+
+    def axpy(self, acc, c: int, vec) -> list[int]:
+        """acc + c * vec, entrywise, for rows of equal length."""
+        at = self.add_table
+        if at is None:
+            out = list(acc)
+            self.axpy_at(out, c, [(j, v) for j, v in enumerate(vec) if v])
+            return out
+        q = self.q
+        mt = self.mul_table
+        cq = c * q
+        return [at[a * q + mt[cq + v]] if v else a for a, v in zip(acc, vec)]
+
+    def axpy_at(self, row: list[int], c: int, pairs) -> None:
+        """row[j] += c * v in place for each (j, v) of a sparse row; every
+        v is nonzero."""
+        at = self.add_table
+        if at is not None:
+            q = self.q
+            mt = self.mul_table
+            cq = c * q
+            for j, v in pairs:
+                row[j] = at[row[j] * q + mt[cq + v]]
+            return
+        if not c:
+            return
+        # with a = g^la and c v = g^t: a + c v = g^la (1 + g^(t - la))
+        q1 = self.q - 1
+        exp, log, zech = self.exp_table, self.log_table, self.zech_table
+        lc = log[c]
+        for j, v in pairs:
+            t = lc + log[v]
+            a = row[j]
+            if a:
+                la = log[a]
+                z = zech[(t - la) % q1]
+                row[j] = 0 if z < 0 else exp[(la + z) % q1]
+            else:
+                row[j] = exp[t % q1]
+
+    def add_powers(self, acc, logs) -> list[int]:
+        """[a + g^e for a, e in zip(acc, logs)], g the primitive element:
+        a row given by its exponents, added without a multiplication."""
+        q1 = self.q - 1
+        exp = self.exp_table
+        at = self.add_table
+        if at is None:
+            out = list(acc)
+            self.axpy_at(out, 1, [(j, exp[e % q1]) for j, e in enumerate(logs)])
+            return out
+        q = self.q
+        return [at[a * q + exp[e % q1]] for a, e in zip(acc, logs)]
+
+    def add_row(self, c: int) -> list[int]:
+        """[c + y for y in F_q]."""
+        at = self.add_table
+        if at is not None:
+            return at[c * self.q : (c + 1) * self.q]
+        return self.axpy(range(self.q), c, [1] * self.q)
 
     def frobenius(self, x: int) -> int:
         return self.frob_table[x]

@@ -121,34 +121,21 @@ def eval_table(ctx: FieldContext, f) -> list[int]:
     """Evaluation at every element, indexed by element.
 
     Sparse: one pass over F_q^* per nonzero term. With x = a^i for the
-    primitive element a, the term c x^j is exp[(log c + j i) mod (q-1)],
-    so a pass is a run of table lookups in log order; the passes are
-    summed with the flat add table (ctx.add above FLAT_TABLE_LIMIT) and
-    the value at 0 is the constant term. Cost is O(q) per nonzero term
-    against O(q) per coefficient for the Horner route of eval_at.
+    primitive element a, the term c x^j (j >= 1) is a^(log c + j i), so
+    a pass is ctx.add_powers over that exponent run in log order, on top
+    of the constant term. Cost is O(q) per nonzero term against O(q) per
+    coefficient for the Horner route of eval_at.
     """
-    q = ctx.q
-    q1 = q - 1
+    q1 = ctx.q - 1
+    log = ctx.log_table
+    const = f[0] if f else 0
+    acc = [const] * q1  # values at a^0, ..., a^(q-2)
+    for j in range(1, len(f)):
+        c = f[j]
+        if c:
+            acc = ctx.add_powers(acc, range(log[c], log[c] + j * q1, j))
     exp = ctx.exp_table
-    at = ctx.add_table
-    acc = None  # values at a^0, ..., a^(q-2)
-    for j, c in enumerate(f):
-        if not c:
-            continue
-        if j:
-            lc = ctx.log_table[c]
-            term = [exp[k % q1] for k in range(lc, lc + j * q1, j)]
-        else:
-            term = [c] * q1
-        if acc is None:
-            acc = term
-        elif at is not None:
-            acc = [at[a * q + t] for a, t in zip(acc, term)]
-        else:
-            acc = list(map(ctx.add, acc, term))
-    if acc is None:
-        return [0] * q
-    out = [f[0]] * q
+    out = [const] * ctx.q
     for i, v in enumerate(acc):
         out[exp[i]] = v
     return out

@@ -15,7 +15,6 @@ a table iff it agrees with the table at every point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 from .errors import (
     BudgetExceededError,
@@ -89,28 +88,18 @@ DFT_LEAF = 16
 
 
 def _dft_leaf(ctx: FieldContext, seq, stride: int) -> list[int]:
-    """sum_n seq[n] * w^(n k) for every k, w = g^stride: the power-sum
-    recurrence, O(len(seq)^2)."""
-    q = ctx.q
-    q1 = q - 1
-    exp = ctx.exp_table
-    mt = ctx.mul_table
-    at = ctx.add_table
-    mul = ctx.mul
-    add = ctx.add
+    """sum_n seq[n] * w^(n k) for every k, w = g^stride: the rows
+    seq[n] * w^(n k) over k, added from their exponent runs
+    log seq[n] + stride n k as eval_table adds its terms,
+    O(len(seq)^2)."""
+    log = ctx.log_table
     length = len(seq)
-    s = [0] * length
-    for n, term in enumerate(seq):
-        if term:
-            a = exp[stride * n % q1]
-            if mt is not None:
-                for k in range(length):
-                    s[k] = at[s[k] * q + term]
-                    term = mt[term * q + a]
-            else:
-                for k in range(length):
-                    s[k] = add(s[k], term)
-                    term = mul(term, a)
+    s = [seq[0]] * length
+    for n in range(1, length):
+        c = seq[n]
+        if c:
+            step = stride * n
+            s = ctx.add_powers(s, range(log[c], log[c] + step * length, step))
     return s
 
 
@@ -131,12 +120,9 @@ def _dft(ctx: FieldContext, seq, stride: int) -> list[int]:
     r = prime_factors(length)[0]
     if r == length:
         return _dft_leaf(ctx, seq, stride)
-    q = ctx.q
-    q1 = q - 1
+    q1 = ctx.q - 1
     exp = ctx.exp_table
     log = ctx.log_table
-    at = ctx.add_table
-    mt = ctx.mul_table
     subs = [_dft(ctx, seq[t::r], stride * r) for t in range(r)]
     for t in range(1, r):
         step = stride * t
@@ -146,12 +132,7 @@ def _dft(ctx: FieldContext, seq, stride: int) -> list[int]:
     for k2 in range(r):
         acc = subs[0]
         for t in range(1, r):
-            c = exp[root * (t * k2 % r)]
-            if at is not None:
-                off = c * q
-                acc = [at[a * q + mt[off + z]] for a, z in zip(acc, subs[t])]
-            else:
-                acc = list(map(ctx.add, acc, map(ctx.mul, repeat(c), subs[t])))
+            acc = ctx.axpy(acc, exp[root * (t * k2 % r)], subs[t])
         out += acc
     return out
 
@@ -230,9 +211,6 @@ def _scan_subspace(ctx: FieldContext, basis):
     q = ctx.q
     dim = len(basis)
     width = q - 2
-    # scaled[i][v] = v * basis_row_i, so a candidate is a sum of one
-    # scaled row per coordinate
-    scaled = [[tuple(ctx.mul(v, c) for c in row) for v in range(q)] for row in basis]
     # monomial evaluation tables power[j][x] = x^(j+1)
     power = [[ctx.pow(x, j + 1) for x in range(q)] for j in range(width)]
     add = ctx.add
@@ -240,8 +218,8 @@ def _scan_subspace(ctx: FieldContext, basis):
     q1 = q - 1
 
     digits = [0] * dim
-    zero = (0,) * width
-    partial = [zero] * dim  # partial[i] = sum of scaled rows 0..i
+    zero = [0] * width
+    partial = [zero] * dim  # partial[i] = sum of digits[j] * basis[j], j <= i
 
     searched = 0
     count = 0
@@ -257,7 +235,7 @@ def _scan_subspace(ctx: FieldContext, basis):
             digits[pos] += 1
             base = partial[pos - 1] if pos else zero
             for i in range(pos, dim):
-                base = tuple(add(a, b) for a, b in zip(base, scaled[i][digits[i]]))
+                base = ctx.axpy(base, digits[i], basis[i])
                 partial[i] = base
         vec = partial[dim - 1] if dim else zero
         searched += 1
@@ -295,19 +273,20 @@ def _scan_shape(ctx: FieldContext, shape: FamilyShape):
     """Candidates in the order alpha * q + beta, alpha outer; each
     candidate stops at its first collision.
 
-    g(x) + alpha x^p is tabulated once per alpha. With the flat tables
-    it is kept as add-table row offsets and beta x is the mul-table row
-    of beta, so a point costs one add-table lookup and the stamp test;
-    above FLAT_TABLE_LIMIT each point calls ctx.add and ctx.mul.
+    g(x) + alpha x^p is tabulated once per alpha with ctx.axpy. With
+    the flat tables it is kept as add-table row offsets and beta x is
+    the mul-table row of beta, so a point costs one add-table lookup and
+    the stamp test; above FLAT_TABLE_LIMIT each point calls ctx.add and
+    ctx.mul.
     """
     from .poly import gmb_poly  # local import keeps module load light
 
     q = ctx.q
     g = gmb_poly(ctx, shape.m, shape.b)
     g_table = eval_table(ctx, g)
-    frob = ctx.frob_table
     add = ctx.add
     mul = ctx.mul
+    # flat tables read directly, point by point: each candidate stops at its first collision
     at = ctx.add_table
     mt = ctx.mul_table
     if mt is not None:  # beta x for x = 1 .. q-1
@@ -319,7 +298,7 @@ def _scan_shape(ctx: FieldContext, shape: FamilyShape):
     tick = 0
     for alpha in range(q):
         # g(x) + alpha x^p at every x
-        shape_alpha = [add(gx, mul(alpha, fx)) for gx, fx in zip(g_table, frob)]
+        shape_alpha = ctx.axpy(g_table, alpha, ctx.frob_table)
         if mt is not None:
             offsets = [v * q for v in shape_alpha[1:]]
         for beta in range(q):
@@ -422,7 +401,7 @@ def degree_distribution(ctx: FieldContext, budget: int = DEFAULT_BUDGET) -> Degr
             g, stage = f, 0
             while g and stage <= d:  # g = (A_1 - I)^stage f
                 # the shift keeps the degree and the lead, so the lengths agree
-                g = normalize([ctx.sub(a, b) for a, b in zip(apply_shift(ctx, 1, g), g)])
+                g = normalize(ctx.axpy(apply_shift(ctx, 1, g), ctx.neg(1), g))
                 stage += 1
             if stage != d:
                 violations.append(tuple(f))

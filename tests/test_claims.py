@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from ppshift import build_field, eigen, pp
+from ppshift import build_field, eigen, fp2, pp
 from ppshift.claims import (
     CLAIM_ANCHORS,
     DEFAULT_ROSTER,
@@ -175,6 +175,16 @@ def test_reproduce_field_runs_one_degree_census(monkeypatch):
     by_id = {r.claim_id: r.status for r in reports}
     for claim_id in ("def1.orbit_identity", "cor3.first_appearance", "degree.distribution"):
         assert by_id[claim_id] == "verified"
+
+
+def test_conditioned_count_reads_the_theorem15_sweep(monkeypatch):
+    # each (m, b) pair list is built by the sweep and by the lemma suite only
+    calls = _count_calls(monkeypatch, fp2, "constructible_pairs", key=lambda ctx, m, b: (m, b))
+    reports = reproduce_field(build_field(5, 2), RunConfig())
+    assert calls and set(calls.values()) == {2}
+    by_id = {r.claim_id: r for r in reports}
+    assert by_id["sec5.conditioned_count"].status == "verified"
+    assert by_id["sec5.conditioned_count"].observed == [80]
 
 
 def test_degree_census_uses_the_run_budget():

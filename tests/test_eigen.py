@@ -26,6 +26,14 @@ from ppshift.poly import coords, degree, gmb_poly, monomial, reduce_poly
 FIELDS = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)]
 
 
+def with_zech(fields, zech):
+    """(p, n, factory) cases: fields with their flat tables under the
+    plain p-n ids, then zech-p-n cases built without them."""
+    return [pytest.param(p, n, "field", id=f"{p}-{n}") for p, n in fields] + [
+        pytest.param(p, n, "zech_field", id=f"zech-{p}-{n}") for p, n in zech
+    ]
+
+
 def mat_vec(ctx, a, vec):
     """a . vec over F_q, summed entry by entry."""
     out = []
@@ -119,10 +127,12 @@ def test_kernel_dims_and_chain(field, p, n):
             prev = space
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
-def test_difference_power_matches_product_chain(field, p, n):
+@pytest.mark.parametrize(
+    "p,n,make", with_zech([(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)], [(2, 3), (5, 2)])
+)
+def test_difference_power_matches_product_chain(request, p, n, make):
     # oracle: k - 1 dense products of A_r - I, independent of A_r^j = A_(jr)
-    ctx = field(p, n)
+    ctx = request.getfixturevalue(make)(p, n)
     for r in range(1, ctx.q):
         a = shift_operator(ctx, r).matrix
         b = tuple(
@@ -147,9 +157,9 @@ def test_kernel_power_preconditions(field):
         kernel_power(field(5, 1), 7, 1)
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (3, 2), (5, 2)])
-def test_additivity_exhaustive(field, p, n):
-    ctx = field(p, n)
+@pytest.mark.parametrize("p,n,make", with_zech([(2, 2), (5, 1), (3, 2), (5, 2)], [(5, 1), (3, 2), (5, 2)]))
+def test_additivity_exhaustive(request, p, n, make):
+    ctx = request.getfixturevalue(make)(p, n)
     ops = {r: shift_operator(ctx, r).matrix for r in range(ctx.q)}
     for r in range(ctx.q):
         for s in range(ctx.q):
@@ -299,9 +309,11 @@ def test_rref_matches_sympy_over_prime_fields(field, p):
         assert mat_rank(ctx, rows) == len(pivots)
 
 
-@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 2), (3, 3), (5, 4)])
-def test_rref_over_extension_fields(field, p, n):
-    ctx = field(p, n)
+@pytest.mark.parametrize(
+    "p,n,make", with_zech([(2, 3), (3, 2), (5, 2), (3, 3), (5, 4)], [(3, 2), (5, 2), (3, 3)])
+)
+def test_rref_over_extension_fields(request, p, n, make):
+    ctx = request.getfixturevalue(make)(p, n)
     rng = random.Random(99)
     for _ in range(15):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)

@@ -223,3 +223,40 @@ def test_zech_addition_sampled(field, p, n):
 
 def test_flat_fields_have_no_zech_table(field):
     assert field(7, 3).zech_table is None
+
+
+@pytest.mark.parametrize(
+    "make,p,n,samples",
+    [
+        pytest.param("field", 5, 2, None, id="flat-F25"),
+        pytest.param("field", 3, 3, None, id="flat-F27"),
+        pytest.param("zech_field", 5, 2, None, id="zech-F25"),
+        pytest.param("zech_field", 3, 3, None, id="zech-F27"),
+        # above FLAT_TABLE_LIMIT: sampled scalars
+        pytest.param("field", 5, 4, 40, id="zech-F625"),
+    ],
+)
+def test_vector_operations_match_scalar(request, make, p, n, samples):
+    ctx = request.getfixturevalue(make)(p, n)
+    q = ctx.q
+    rng = random.Random(q)
+    scalars = range(q) if samples is None else [0, 1, q - 1, *rng.sample(range(2, q - 1), samples)]
+    for c in scalars:
+        # every element appears in both rows, zeros included
+        acc = rng.sample(range(q), q)
+        vec = rng.sample(range(q), q)
+        want = [ctx.add(a, ctx.mul(c, v)) for a, v in zip(acc, vec)]
+        before = list(acc)
+        assert ctx.axpy(acc, c, vec) == want, c
+        assert acc == before  # axpy leaves its input alone
+        row = list(acc)
+        ctx.axpy_at(row, c, [(j, v) for j, v in enumerate(vec) if v])
+        assert row == want, c
+        assert ctx.add_row(c) == [ctx.add(c, y) for y in range(q)], c
+        # exponents run past q - 1, as term rows do
+        logs = [rng.randrange(3 * q) for _ in range(q)]
+        want = [ctx.add(a, ctx.pow(ctx.primitive, e)) for a, e in zip(acc, logs)]
+        assert ctx.add_powers(acc, logs) == want, c
+        assert acc == before
+    if samples is None:  # the scalar reference itself, sub through add_table and neg
+        _check_against_digit_addition(ctx, ((x, y) for x in range(q) for y in range(q)))
