@@ -376,11 +376,7 @@ def _monomial_fixed(run: _FieldRun):
 def _fixed_degrees(run: _FieldRun):
     ctx = run.ctx
     powers = {ctx.p**k for k in range(ctx.n)}
-    # echelonize with the top coordinate first: the pivots are then
-    # exactly the degrees attained by nonzero fixed vectors
-    reversed_rows = [tuple(reversed(row)) for row in run.kernel(1, 1).basis]
-    _, pivots = eigen.rref(ctx, reversed_rows)
-    degrees = sorted(ctx.q - 2 - c for c in pivots)
+    degrees = sorted(len(f) - 1 for f in eigen.degree_echelon(ctx, run.kernel(1, 1)))
     bad = [d for d in degrees if d not in powers and d % ctx.p]
     status = "verified" if not bad else "refuted"
     return status, "p-powers or p-multiples", degrees, "attainable degrees in the fixed space"

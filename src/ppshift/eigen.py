@@ -404,6 +404,15 @@ def predicted_basis(ctx: FieldContext, variant: str, m: int | None = None, r: in
     raise OutOfRangeError(f"unknown basis variant {variant!r}")
 
 
+def degree_echelon(ctx: FieldContext, space: Subspace) -> list[list[int]]:
+    """A basis of a V[x] subspace as polynomials echelonized on their top
+    degrees: monic, of strictly falling degree, and each zero at the
+    others' degrees. Those degrees are the ones the space's nonzero
+    members attain."""
+    red, _ = rref(ctx, [row[::-1] for row in space.basis])
+    return [from_coords(ctx, row[::-1]) for row in red]
+
+
 def span_of_polys(ctx: FieldContext, polys) -> Subspace:
     """Row-reduce a list of V[x] polynomials into a canonical subspace."""
     return Subspace.from_vectors(ctx, [coords(ctx, f) for f in polys], ctx.q - 2)

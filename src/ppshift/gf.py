@@ -16,14 +16,14 @@ get flat q*q add/mul tables, and larger fields add through a table of
 q - 1 Zech logarithms.
 
 Kernels elsewhere do not see that choice. Besides the scalar
-operations, the context offers four vector operations: axpy (acc +
+operations, the context offers five vector operations: axpy (acc +
 c * vec), axpy_at (the same over the (column, value) pairs of a sparse
 row, in place), add_powers (acc + g^e for a row given by its exponents
-e) and add_row ([c + y for y in F_q]). Each has a flat branch that
-indexes the tables and a Zech branch that stays in the log domain,
-with no method call per entry, so every kernel runs one code path. The
-one exception is pp._scan_shape, whose candidates stop at their first
-collision: it reads the flat tables point by point.
+e), add_row ([c + y for y in F_q]) and bijective_scalars (the c for
+which a + c * w permutes F_q, each candidate stopped at its first
+collision). Each has a flat branch that indexes the tables and a Zech
+branch that stays in the log domain, with no method call per entry, so
+every kernel runs one code path.
 
 Contexts are immutable after construction and safe to share between
 threads; every operation is a pure read.
@@ -349,14 +349,59 @@ class FieldContext:
             return at[c * self.q : (c + 1) * self.q]
         return self.axpy(range(self.q), c, [1] * self.q)
 
+    def bijective_scalars(self, prefixes, w):
+        """For each table a of prefixes, in turn, the ascending c in F_q
+        for which a + c * w is a bijection of F_q; tables are indexed by
+        element. Each candidate stops at its first repeated value."""
+        q = self.q
+        stamp = [0] * q
+        tick = 0
+        at = self.add_table
+        if at is not None:
+            mt = self.mul_table
+            multiples = [[mt[c * q + v] for v in w] for c in range(q)]
+            for a in prefixes:
+                offsets = [v * q for v in a]
+                hits = []
+                for c, cw in enumerate(multiples):
+                    tick += 1
+                    for off, y in zip(offsets, cw):
+                        s = at[off + y]
+                        if stamp[s] == tick:
+                            break
+                        stamp[s] = tick
+                    else:
+                        hits.append(c)
+                yield hits
+            return
+        # with a = g^la, c = g^lc and w = g^t: a + c w = g^la (1 + g^(lc + t - la))
+        q1 = q - 1
+        exp, log, zech = self.exp_table, self.log_table, self.zech_table
+        lw = [log[v] for v in w]  # -1 where w vanishes
+        unmoved = [-1] * q  # the logs of 0 * w
+        for a in prefixes:
+            pairs = [(v, log[v]) for v in a]
+            hits = []
+            for c in range(q):
+                tick += 1
+                lc = log[c]
+                for (v, la), t in zip(pairs, lw if c else unmoved):
+                    if t < 0:
+                        s = v
+                    elif v:
+                        z = zech[(lc + t - la) % q1]
+                        s = 0 if z < 0 else exp[(la + z) % q1]
+                    else:
+                        s = exp[(lc + t) % q1]
+                    if stamp[s] == tick:
+                        break
+                    stamp[s] = tick
+                else:
+                    hits.append(c)
+            yield hits
+
     def frobenius(self, x: int) -> int:
         return self.frob_table[x]
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def nonzero(self) -> range:
-        return range(1, self.q)
 
     def __repr__(self):
         return f"FieldContext(p={self.p}, n={self.n})"

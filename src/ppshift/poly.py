@@ -25,6 +25,14 @@ from .errors import (
 from .gf import FieldContext, require_element
 
 
+def require_poly(ctx: FieldContext, f) -> None:
+    """Refuse a coefficient list with an entry that is not an element index."""
+    q = ctx.q
+    for c in f:
+        if not isinstance(c, int) or not 0 <= c < q:
+            require_element(ctx, c)  # raises
+
+
 def normalize(coeffs) -> list[int]:
     """Strip trailing zeros; the zero polynomial is []."""
     coeffs = list(coeffs)
@@ -124,8 +132,10 @@ def eval_table(ctx: FieldContext, f) -> list[int]:
     primitive element a, the term c x^j (j >= 1) is a^(log c + j i), so
     a pass is ctx.add_powers over that exponent run in log order, on top
     of the constant term. Cost is O(q) per nonzero term against O(q) per
-    coefficient for the Horner route of eval_at.
+    coefficient for the Horner route of eval_at. A coefficient that is
+    not an element index raises OutOfRangeError.
     """
+    require_poly(ctx, f)
     q1 = ctx.q - 1
     log = ctx.log_table
     const = f[0] if f else 0

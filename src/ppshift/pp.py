@@ -10,6 +10,10 @@ with multiplicity), which falls back to (q-1)^2 when q-1 is prime
 (F_128, F_8192). A claimed inverse h is checked pointwise instead,
 O(q) per nonzero term: a reduced polynomial equals the interpolant of
 a table iff it agrees with the table at every point.
+
+Every enumeration is an affine scan of offset + span(basis): a
+subspace's monic members (one scan per top degree), the F_{p^2} family
+shapes and the degree census, all through FieldContext.bijective_scalars.
 """
 
 from __future__ import annotations
@@ -25,10 +29,13 @@ from .errors import (
 from .gf import FieldContext, prime_factors
 from .poly import (
     eval_table,
+    gmb_poly,
     is_monic,
+    monomial,
     normalize,
     poly_mul,
     reduce_poly,
+    require_poly,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -45,12 +52,14 @@ class PermVerdict:
 
 def is_permutation(ctx: FieldContext, f) -> PermVerdict:
     """Direct bijectivity test; a witness collision is reported on failure."""
+    require_poly(ctx, f)
     preimage = [-1] * ctx.q
     witness = None
+    add, mul = ctx.add, ctx.mul
     for x in range(ctx.q):
         y = 0
         for c in reversed(f):
-            y = ctx.add(ctx.mul(y, x), c)
+            y = add(mul(y, x), c)
         if preimage[y] >= 0:
             witness = (preimage[y], x)
             break
@@ -67,6 +76,7 @@ def hermite_test(ctx: FieldContext, f) -> bool:
     1 <= t <= q-2 with t not a multiple of p reduces to degree <= q-2.
     Agrees with is_permutation on every input.
     """
+    require_poly(ctx, f)
     q, p = ctx.q, ctx.p
     if q <= 2:
         raise OutOfRangeError("degree criterion needs q > 2")
@@ -183,6 +193,7 @@ def is_compositional_inverse(ctx: FieldContext, f, h) -> bool:
     table at every point. Raises NotAPermutationError when f is not a
     permutation.
     """
+    require_poly(ctx, h)  # eval_table checks f, and h too unless len(h) > q
     inverse = inverse_table(ctx, eval_table(ctx, f))
     return len(h) <= ctx.q and eval_table(ctx, h) == inverse
 
@@ -205,131 +216,54 @@ class EnumReport:
     ppr_list: tuple[tuple[int, ...], ...] | None
 
 
-def _scan_subspace(ctx: FieldContext, basis):
-    """Test every candidate in lexicographic coordinate order (first
-    coordinate most significant)."""
-    q = ctx.q
-    dim = len(basis)
-    width = q - 2
-    # monomial evaluation tables power[j][x] = x^(j+1)
-    power = [[ctx.pow(x, j + 1) for x in range(q)] for j in range(width)]
-    add = ctx.add
-    mul = ctx.mul
-    q1 = q - 1
-
-    digits = [0] * dim
-    zero = [0] * width
-    partial = [zero] * dim  # partial[i] = sum of digits[j] * basis[j], j <= i
-
-    searched = 0
-    count = 0
-    found: list[tuple[int, ...]] | None = []
-    stamp = [0] * q
-    tick = 0
-    for index in range(q**dim):
-        if index:
-            pos = dim - 1
-            while digits[pos] == q1:
-                digits[pos] = 0
-                pos -= 1
-            digits[pos] += 1
-            base = partial[pos - 1] if pos else zero
-            for i in range(pos, dim):
-                base = ctx.axpy(base, digits[i], basis[i])
-                partial[i] = base
-        vec = partial[dim - 1] if dim else zero
-        searched += 1
-        # leading coefficient must be 1 (monic) before any evaluation
-        deg_idx = width - 1
-        while deg_idx >= 0 and not vec[deg_idx]:
-            deg_idx -= 1
-        if deg_idx < 0 or vec[deg_idx] != 1:
-            continue
-        d = deg_idx + 1
-        if d > 1 and q1 % d == 0:
-            continue  # no permutation of degree d when d divides q - 1
-        support = [(j, c) for j, c in enumerate(vec[: deg_idx + 1]) if c]
-        tick += 1
-        ok = True
-        stamp[0] = tick  # candidate fixes 0
-        for x in range(1, q):
-            y = 0
-            for j, c in support:
-                y = add(y, mul(c, power[j][x]))
-            if stamp[y] == tick:
-                ok = False
-                break
-            stamp[y] = tick
-        if ok:
-            count += 1
-            if found is not None:
-                found.append((0, *vec[: deg_idx + 1]))
-                if len(found) > LIST_LIMIT:
-                    found = None
-    return searched, count, found
+def _prefixes(ctx: FieldContext, start, rows):
+    """start + sum c_i rows[i] for every (c_0, c_1, ...) in F_q^len(rows),
+    in lexicographic order (c_0 most significant), each built from its
+    parent with one ctx.axpy."""
+    if not rows:
+        yield start
+        return
+    for c in range(ctx.q):
+        yield from _prefixes(ctx, ctx.axpy(start, c, rows[0]) if c else start, rows[1:])
 
 
-def _scan_shape(ctx: FieldContext, shape: FamilyShape):
-    """Candidates in the order alpha * q + beta, alpha outer; each
-    candidate stops at its first collision.
+def _scan(ctx: FieldContext, offset, basis):
+    """The members of offset + span(basis) that permute F_q, as
+    coefficient tuples in lexicographic order of their coordinates; the
+    offset must outrank every basis polynomial in degree.
 
-    g(x) + alpha x^p is tabulated once per alpha with ctx.axpy. With
-    the flat tables it is kept as add-table row offsets and beta x is
-    the mul-table row of beta, so a point costs one add-table lookup and
-    the stamp test; above FLAT_TABLE_LIMIT each point calls ctx.add and
-    ctx.mul.
-    """
-    from .poly import gmb_poly  # local import keeps module load light
+    Each polynomial is evaluated once. _prefixes builds the tables and
+    coefficient rows of all coordinates but the last in step, and
+    ctx.bijective_scalars tests the last coordinate's q candidates."""
+    width = len(offset)
+    coeffs = [list(f) + [0] * (width - len(f)) for f in (offset, *basis)]
+    tables = [eval_table(ctx, f) for f in (offset, *basis)]
+    if not basis:
+        if len(set(tables[0])) == ctx.q:
+            yield tuple(offset)
+        return
+    last = [(j, v) for j, v in enumerate(basis[-1]) if v]
+    heads = _prefixes(ctx, coeffs[0], coeffs[1:-1])
+    prefix_tables = _prefixes(ctx, tables[0], tables[1:-1])
+    for head, hits in zip(heads, ctx.bijective_scalars(prefix_tables, tables[-1])):
+        for c in hits:
+            row = list(head)
+            ctx.axpy_at(row, c, last)
+            yield tuple(row)
 
-    q = ctx.q
-    g = gmb_poly(ctx, shape.m, shape.b)
-    g_table = eval_table(ctx, g)
-    add = ctx.add
-    mul = ctx.mul
-    # flat tables read directly, point by point: each candidate stops at its first collision
-    at = ctx.add_table
-    mt = ctx.mul_table
-    if mt is not None:  # beta x for x = 1 .. q-1
-        beta_rows = [mt[beta * q + 1 : beta * q + q] for beta in range(q)]
-    searched = 0
-    count = 0
-    found: list[tuple[int, ...]] | None = []
-    stamp = [0] * q
-    tick = 0
-    for alpha in range(q):
-        # g(x) + alpha x^p at every x
-        shape_alpha = ctx.axpy(g_table, alpha, ctx.frob_table)
-        if mt is not None:
-            offsets = [v * q for v in shape_alpha[1:]]
-        for beta in range(q):
-            searched += 1
-            tick += 1
-            stamp[0] = tick
-            ok = True
-            if mt is not None:
-                for off, bx in zip(offsets, beta_rows[beta]):
-                    y = at[off + bx]
-                    if stamp[y] == tick:
-                        ok = False
-                        break
-                    stamp[y] = tick
-            else:
-                for x in range(1, q):
-                    y = add(shape_alpha[x], mul(beta, x))
-                    if stamp[y] == tick:
-                        ok = False
-                        break
-                    stamp[y] = tick
-            if ok:
-                count += 1
-                if found is not None:
-                    coeffs = list(g)
-                    coeffs[ctx.p] = add(coeffs[ctx.p], alpha)
-                    coeffs[1] = add(coeffs[1], beta)
-                    found.append(tuple(coeffs))
-                    if len(found) > LIST_LIMIT:
-                        found = None
-    return searched, count, found
+
+def _monic_blocks(ctx: FieldContext, space):
+    """The monic members of a V[x] subspace as affine sets (offset, basis).
+
+    Echelonized on top degrees, the rows B_0, B_1, ... are monic of
+    falling degree, so sum c_i B_i has the degree and lead of its first
+    nonzero c_t: the monic members are B_t + span(B_(t+1), ...) over t.
+    Blocks of degree d > 1 with d | q - 1 hold no permutation."""
+    from .eigen import degree_echelon
+
+    rows = degree_echelon(ctx, space)
+    q1 = ctx.q - 1
+    return [(f, rows[t + 1 :]) for t, f in enumerate(rows) if len(f) == 2 or q1 % (len(f) - 1)]
 
 
 def enumerate_pprs(
@@ -348,17 +282,25 @@ def enumerate_pprs(
         if domain.ambient != ctx.q - 2:
             raise OutOfRangeError("subspace does not live over the monomial coordinates")
         total = ctx.q**domain.dim
-        scan = lambda: _scan_subspace(ctx, domain.basis)
+        blocks = lambda: _monic_blocks(ctx, domain)
     elif isinstance(domain, FamilyShape):
         total = ctx.q**2
-        scan = lambda: _scan_shape(ctx, domain)
+        blocks = lambda: [(gmb_poly(ctx, domain.m, domain.b), [monomial(ctx.p), monomial(1)])]
     else:
         raise OutOfRangeError(f"unsupported enumeration domain {type(domain).__name__}")
     if total > budget:
         raise BudgetExceededError(f"{total} candidates exceed budget {budget}")
-    searched, count, found = scan()
+    count = 0
+    found: list[tuple[int, ...]] | None = []
+    for offset, basis in blocks():
+        for f in _scan(ctx, offset, basis):
+            count += 1
+            if found is not None:
+                found.append(f)
+                if len(found) > LIST_LIMIT:
+                    found = None
     ppr_list = None if found is None else tuple(sorted(found))
-    return EnumReport(searched=searched, ppr_count=count, ppr_list=ppr_list)
+    return EnumReport(searched=total, ppr_count=count, ppr_list=ppr_list)
 
 
 # -- degree census over prime fields --
@@ -380,8 +322,6 @@ def degree_distribution(ctx: FieldContext, budget: int = DEFAULT_BUDGET) -> Degr
     (A_1 - I)^(d-1) does not, with the shift applied by substitution.
     Offenders (none expected) are returned.
     """
-    from itertools import product
-
     from .eigen import apply_shift
 
     if ctx.n != 1:
@@ -393,10 +333,7 @@ def degree_distribution(ctx: FieldContext, budget: int = DEFAULT_BUDGET) -> Degr
     counts = {d: 0 for d in range(1, p - 1)}
     violations = []
     for d in range(1, p - 1):
-        for mid in product(range(p), repeat=d - 1):
-            f = [0, *mid, 1]
-            if not is_permutation(ctx, f).is_pp:
-                continue
+        for f in _scan(ctx, monomial(d), [monomial(j) for j in range(1, d)]):
             counts[d] += 1
             g, stage = f, 0
             while g and stage <= d:  # g = (A_1 - I)^stage f
@@ -404,5 +341,5 @@ def degree_distribution(ctx: FieldContext, budget: int = DEFAULT_BUDGET) -> Degr
                 g = normalize(ctx.axpy(apply_shift(ctx, 1, g), ctx.neg(1), g))
                 stage += 1
             if stage != d:
-                violations.append(tuple(f))
+                violations.append(f)
     return DegreeCensus(counts=counts, stage_violations=tuple(violations), total=sum(counts.values()))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -260,3 +261,51 @@ def test_vector_operations_match_scalar(request, make, p, n, samples):
         assert acc == before
     if samples is None:  # the scalar reference itself, sub through add_table and neg
         _check_against_digit_addition(ctx, ((x, y) for x in range(q) for y in range(q)))
+
+
+@pytest.mark.parametrize(
+    "make,p,n",
+    [
+        pytest.param("field", 3, 2, id="flat-F9"),
+        pytest.param("field", 5, 2, id="flat-F25"),
+        pytest.param("zech_field", 3, 2, id="zech-F9"),
+        pytest.param("zech_field", 5, 2, id="zech-F25"),
+        pytest.param("zech_field", 7, 2, id="zech-F49"),
+    ],
+)
+def test_bijective_scalars_match_a_set_count(request, make, p, n):
+    ctx = request.getfixturevalue(make)(p, n)
+    q = ctx.q
+    rng = random.Random(q)
+    frob = [ctx.frobenius(x) for x in range(q)]
+    # permutations plus a Frobenius multiple, so that most prefixes have hits
+    prefixes = [rng.sample(range(q), q) for _ in range(3)]
+    prefixes += [[ctx.add(x, ctx.mul(c, frob[x])) for x in range(q)] for c in (0, 1, 2)]
+    prefixes.append([rng.randrange(q) for _ in range(q)])
+    prefixes.append([prefixes[0][1], *prefixes[0][1:]])  # injective but for x = 0
+    for w in (list(range(q)), frob, [0] * q, [rng.randrange(q) for _ in range(q)]):
+        got = list(ctx.bijective_scalars(iter(prefixes), w))
+        want = [[c for c in range(q) if len({ctx.add(a[x], ctx.mul(c, w[x])) for x in range(q)}) == q]
+                for a in prefixes]
+        assert got == want
+    assert any(hits for hits in want)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 4),
+                                 (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)])
+def test_default_modulus_is_the_smallest_irreducible(p, n):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def irreducible(low):
+        coeffs = [1, *reversed(low)]  # sympy lists the top degree first
+        return sympy.Poly(coeffs, x, modulus=p).is_irreducible
+
+    modulus = build_field(p, n).modulus
+    assert modulus[-1] == 1 and len(modulus) == n + 1
+    assert irreducible(modulus[:-1])
+    # the candidates before it, coefficients compared from degree 0 upward
+    for low in itertools.product(range(p), repeat=n):
+        if low == modulus[:-1]:
+            break
+        assert not irreducible(low), low

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 from math import gcd
@@ -282,6 +283,76 @@ def test_enumerate_matches_brute_force(field):
     assert report.ppr_count == brute
 
 
+# (searched, ppr_count, sha256 of repr(ppr_list) to 16 digits), recorded
+# from the per-space scanners that the affine scan replaced
+RECORDED_SCANS = {
+    (2, 3, "V", 1): (512, 24, "abbaf267c9282eb3"),
+    (2, 3, "V", 2): (262144, 720, "f10affcad92732ea"),
+    (3, 2, "V", 1): (81, 6, "36c6f2ec9fe3fc6f"),
+    (3, 2, "V", 2): (59049, 54, "35a1aaa3defd9d2b"),
+    (3, 2, "ker", 1): (729, 18, "f6d49457e2456790"),
+    (5, 2, "V", 1): (625, 20, "b25b7a87802045b7"),
+    (3, 3, "V", 1): (19683, 432, "20c2fb3d98c5529c"),
+    (7, 2, "V", 1): (2401, 42, "b5d470ef83590dee"),
+}
+
+
+def _space(ctx, kind, k):
+    return intersection_space(ctx, k) if kind == "V" else kernel_power(ctx, 1, k)
+
+
+def _recorded(report):
+    digest = hashlib.sha256(repr(report.ppr_list).encode()).hexdigest()[:16]
+    return report.searched, report.ppr_count, digest
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED_SCANS))
+def test_enumerate_matches_recorded_scans(field, key):
+    p, n, kind, k = key
+    ctx = field(p, n)
+    assert _recorded(enumerate_pprs(ctx, _space(ctx, kind, k))) == RECORDED_SCANS[key]
+
+
+def test_enumerate_on_zech_arithmetic_matches_recorded_scan(zech_field):
+    ctx = zech_field(3, 2)
+    assert _recorded(enumerate_pprs(ctx, _space(ctx, "V", 2))) == RECORDED_SCANS[(3, 2, "V", 2)]
+
+
+def _brute_monic_pprs(ctx, space):
+    """Every member of the space, summed coordinate by coordinate, kept
+    when it is monic and is_permutation accepts it."""
+    found = []
+    for vec in product(range(ctx.q), repeat=space.dim):
+        acc = [0] * space.ambient
+        for c, row in zip(vec, space.basis):
+            acc = [ctx.add(a, ctx.mul(c, b)) for a, b in zip(acc, row)]
+        f = normalize([0, *acc])
+        if f and f[-1] == 1 and is_permutation(ctx, f).is_pp:
+            found.append(tuple(f))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "p,n,kind,k", [(2, 3, "V", 1), (3, 2, "V", 1), (5, 2, "V", 1), (7, 2, "V", 1)]
+)
+def test_enumerate_matches_an_is_permutation_loop(field, p, n, kind, k):
+    ctx = field(p, n)
+    space = _space(ctx, kind, k)
+    report = enumerate_pprs(ctx, space)
+    assert report.searched == ctx.q**space.dim
+    assert list(report.ppr_list) == _brute_monic_pprs(ctx, space)
+
+
+def test_enumerate_a_subspace_without_x(field):
+    f9 = field(3, 2)
+    space = span_of_polys(f9, [monomial(2), monomial(3), monomial(5)])
+    report = enumerate_pprs(f9, space)
+    assert report.searched == 729
+    assert list(report.ppr_list) == _brute_monic_pprs(f9, space)
+    # x^3 and x^5 (gcd(e, 8) = 1), and no other monic member
+    assert report.ppr_list == ((0, 0, 0, 0, 0, 1), (0, 0, 0, 1))
+
+
 def test_enumerate_family_shape(field):
     f25 = field(5, 2)
     report = enumerate_pprs(f25, FamilyShape(m=3, b=1))
@@ -342,6 +413,29 @@ def test_degree_distribution_f7(field):
     assert census.counts[2] == 0 and census.counts[3] == 0  # degrees dividing q-1
     assert 6 not in census.counts
     assert census.stage_violations == ()
+
+
+def test_degree_distribution_on_zech_arithmetic(field, zech_field):
+    assert degree_distribution(zech_field(7, 1)) == degree_distribution(field(7, 1))
+
+
+BAD_COEFFICIENTS = [[0, 1, 60], [0, -1, 1], [0, 1.0]]  # over F_49
+
+
+@pytest.mark.parametrize("f", BAD_COEFFICIENTS)
+def test_entry_points_refuse_non_element_coefficients(field, f):
+    f49 = field(7, 2)
+    calls = [
+        lambda: is_permutation(f49, f),
+        lambda: hermite_test(f49, f),
+        lambda: compositional_inverse(f49, f),
+        lambda: is_compositional_inverse(f49, f, [0, 1]),
+        lambda: is_compositional_inverse(f49, [0, 1], f),
+        lambda: eval_table(f49, f),
+    ]
+    for call in calls:
+        with pytest.raises(OutOfRangeError, match="not an element index of F_49"):
+            call()
 
 
 def test_degree_distribution_preconditions(field):

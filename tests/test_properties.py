@@ -1,4 +1,6 @@
-"""Property tests: interpolation and evaluation are inverse maps."""
+"""Property tests: the field axioms on both arithmetic routes,
+interpolation and evaluation as inverse maps, and the text format's
+round trip."""
 
 import pytest
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ppshift import build_field, gf  # noqa: E402
-from ppshift.poly import eval_table, reduce_poly  # noqa: E402
+from ppshift.poly import eval_table, format_poly, parse_poly, reduce_poly  # noqa: E402
 from ppshift.pp import interpolate_table  # noqa: E402
 
 
@@ -52,3 +54,40 @@ def test_evaluating_an_interpolant_gives_the_table(case):
     h = interpolate_table(ctx, values)
     assert len(h) <= ctx.q
     assert eval_table(ctx, h) == values
+
+
+# a flat field and its Zech twin per size: q - 1 = 8, 24 and 48
+AXIOM_FIELDS = [build_field(3, 2), _zech(3, 2), build_field(5, 2), _zech(5, 2),
+                build_field(7, 2), FIELDS[-1]]
+
+
+@st.composite
+def triples(draw):
+    ctx = draw(st.sampled_from(AXIOM_FIELDS))
+    elem = st.integers(0, ctx.q - 1)
+    return ctx, draw(elem), draw(elem), draw(elem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triples())
+def test_field_axioms(case):
+    ctx, x, y, z = case
+    add, mul = ctx.add, ctx.mul
+    assert add(x, y) == add(y, x) and mul(x, y) == mul(y, x)
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+    assert add(x, 0) == x and mul(x, 1) == x and mul(x, 0) == 0
+    assert add(x, ctx.neg(x)) == 0 and ctx.sub(add(x, y), y) == x
+    if x:
+        assert mul(x, ctx.inv(x)) == 1 and ctx.div(mul(x, y), x) == y
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys())
+def test_format_parse_round_trip(case):
+    ctx, f = case
+    f = reduce_poly(ctx, f)
+    text = format_poly(ctx, f)
+    assert parse_poly(ctx, text) == f
+    assert format_poly(ctx, parse_poly(ctx, text)) == text
