@@ -26,6 +26,7 @@ from .errors import NotAPermutationError
 from .gf import FieldContext, build_field, line_count, line_decomposition, roots_of_unity
 from .poly import (
     coords,
+    eval_table,
     from_coords,
     linearized_coeffs,
     linearized_to_matrix,
@@ -277,10 +278,7 @@ def _orbit_identity(run: _FieldRun):
     q = ctx.q
     if ctx.n != 1 or q > 7:
         return "skipped", None, None, "exhaustive count runs on F_5 and F_7 only"
-    pp_count = 0
-    for vec in product(range(q), repeat=q - 1):
-        if pp.is_permutation(ctx, list(vec)).is_pp:
-            pp_count += 1
+    pp_count = sum(1 for _ in pp._scan(ctx, [], [monomial(j) for j in range(q - 1)]))
     ppr_total = run.census().total
     expected = q * (q - 1) * ppr_total
     status = "verified" if pp_count == expected else "refuted"
@@ -513,7 +511,8 @@ def _line_kernels(run: _FieldRun):
         for s in line.members:
             if ctx.pow(s, ctx.p - 1) != line.b:
                 bad.append(("member power", s))
-        kernel = {x for x in range(ctx.q) if ctx.sub(ctx.frobenius(x), ctx.mul(line.b, x)) == 0}
+        table = eval_table(ctx, [0, ctx.neg(line.b), *[0] * (ctx.p - 2), 1])  # x^p - bx
+        kernel = {x for x, y in enumerate(table) if y == 0}
         if kernel != {0, *line.members}:
             bad.append(("kernel", line.representative))
     if len(lines) != line_count(ctx) or covered != set(range(1, ctx.q)):

@@ -34,6 +34,7 @@ from .poly import (
     gmb_poly,
     hmd_d,
     hmd_poly,
+    neg_one_pow,
     normalize,
     poly_add,
     poly_pow,
@@ -92,8 +93,7 @@ def check_conditions(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -
     if lhs_base == 0:
         cond2 = False
     else:
-        sign = 1 if m % 2 == 0 else ctx.neg(1)
-        cond2 = ctx.pow(lhs_base, p - 1) == ctx.mul(sign, ctx.pow(b, m * p - 1))
+        cond2 = ctx.pow(lhs_base, p - 1) == ctx.mul(neg_one_pow(ctx, m), ctx.pow(b, m * p - 1))
     return ConditionVerdict(cond1=cond1, cond2=cond2)
 
 
@@ -163,7 +163,7 @@ def constructible_pairs(ctx: FieldContext, m: int, b: int) -> list[tuple[int, in
     _require_fp2(ctx)
     require_mb(ctx, m, b)
     p = ctx.p
-    rhs = ctx.mul(_sign(ctx, m), ctx.pow(b, m * p - 1))
+    rhs = ctx.mul(neg_one_pow(ctx, m), ctx.pow(b, m * p - 1))
     solutions = [s for s in range(1, ctx.q) if ctx.pow(s, p - 1) == rhs]
     out = []
     for alpha in range(ctx.q):
@@ -227,10 +227,6 @@ class LemmaSuiteReport:
         return all(c.passed for c in self.checks)
 
 
-def _sign(ctx: FieldContext, m: int) -> int:
-    return 1 if m % 2 == 0 else ctx.neg(1)
-
-
 def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     """Check the six identities behind the inverse formula over their
     full hypothesis ranges; counterexamples are reported verbatim.
@@ -258,7 +254,7 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
         for b in bs:
             g = gmb_poly(ctx, m, b)
             lhs = poly_pow(ctx, g, p)
-            rhs = poly_scale(ctx, ctx.mul(_sign(ctx, m), ctx.pow(b, m * p)), g)
+            rhs = poly_scale(ctx, ctx.mul(neg_one_pow(ctx, m), ctx.pow(b, m * p)), g)
             n_checked += 1
             if lhs != rhs:
                 bad.append((m, b))
@@ -307,7 +303,7 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     bad, n_checked, n_skipped = [], 0, 0
     for m in ms:
         for b in bs:
-            sign = _sign(ctx, m)
+            sign = neg_one_pow(ctx, m)
             rhs_direct = mul(sign, ctx.pow(b, m * p - 1))
             log_rhs_ratio = log[mul(sign, ctx.pow(b, m * p))]
             b_beta_p = [mul(b, y) for y in frob]  # b beta^p

@@ -116,24 +116,16 @@ def poly_pow(ctx: FieldContext, f, e: int) -> list[int]:
     return result
 
 
-def eval_at(ctx: FieldContext, f, x: int) -> int:
-    mul = ctx.mul
-    add = ctx.add
-    acc = 0
-    for c in reversed(f):
-        acc = add(mul(acc, x), c)
-    return acc
-
-
 def eval_table(ctx: FieldContext, f) -> list[int]:
-    """Evaluation at every element, indexed by element.
+    """Evaluation at every element, indexed by element: the one
+    evaluator of the library.
 
     Sparse: one pass over F_q^* per nonzero term. With x = a^i for the
     primitive element a, the term c x^j (j >= 1) is a^(log c + j i), so
     a pass is ctx.add_powers over that exponent run in log order, on top
     of the constant term. Cost is O(q) per nonzero term against O(q) per
-    coefficient for the Horner route of eval_at. A coefficient that is
-    not an element index raises OutOfRangeError.
+    coefficient for a Horner route. A coefficient that is not an
+    element index raises OutOfRangeError.
     """
     require_poly(ctx, f)
     q1 = ctx.q - 1
@@ -226,10 +218,14 @@ def gmb_poly(ctx: FieldContext, m: int, b: int) -> list[int]:
     return _binomial_power(ctx, b, m)
 
 
+def neg_one_pow(ctx: FieldContext, m: int) -> int:
+    """(-1)^m as an element index."""
+    return 1 if m % 2 == 0 else ctx.neg(1)
+
+
 def hmd_d(ctx: FieldContext, m: int, b: int) -> int:
     """d = (-1)^m b^(m p)."""
-    sign = 1 if m % 2 == 0 else ctx.neg(1)
-    return ctx.mul(sign, ctx.pow(b, m * ctx.p))
+    return ctx.mul(neg_one_pow(ctx, m), ctx.pow(b, m * ctx.p))
 
 
 def hmd_poly(ctx: FieldContext, m: int, b: int) -> list[int]:
@@ -264,15 +260,6 @@ def linearized_coeffs(ctx: FieldContext, f) -> list[int] | None:
     return d
 
 
-def linearized_eval(ctx: FieldContext, d, x: int) -> int:
-    acc = 0
-    for c in d:
-        if c:
-            acc = ctx.add(acc, ctx.mul(c, x))
-        x = ctx.frobenius(x)
-    return acc
-
-
 def linearized_to_matrix(ctx: FieldContext, d) -> tuple[tuple[int, ...], ...]:
     """n x n matrix over F_p of the map's action on the power basis.
 
@@ -280,10 +267,8 @@ def linearized_to_matrix(ctx: FieldContext, d) -> tuple[tuple[int, ...], ...]:
     a permutation of the field exactly when the matrix is invertible.
     """
     n = ctx.n
-    cols = []
-    for j in range(n):
-        img = linearized_eval(ctx, d, ctx._pows[j])
-        cols.append(ctx.digits(img))
+    table = eval_table(ctx, linearized_poly(ctx, d))
+    cols = [ctx.digits(table[ctx._pows[j]]) for j in range(n)]
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 

@@ -1,10 +1,12 @@
 """Permutation testing, inversion and exhaustive enumeration.
 
 The primary oracle is the direct bijectivity test on the full
-evaluation table; the degree-based power test is kept as an
-independent cross-check, not an optimization. inverse_table is the one
-place an evaluation table is inverted. Compositional inverses come
-from interpolating the inverted table through all q points with a
+evaluation table from poly.eval_table; the degree-based power test is
+kept as an independent cross-check, not an optimization. One loop,
+_invert, reads a whole table once: it returns the inverse table or the
+first colliding pair, and is_permutation, inverse_table and the
+basis-less scan all take their verdict from it. Compositional inverses
+come from interpolating the inverted table through all q points with a
 mixed-radix DFT over F_q^*: O((q-1) * sum of the prime factors of q-1,
 with multiplicity), which falls back to (q-1)^2 when q-1 is prime
 (F_128, F_8192). A claimed inverse h is checked pointwise instead,
@@ -13,7 +15,8 @@ a table iff it agrees with the table at every point.
 
 Every enumeration is an affine scan of offset + span(basis): a
 subspace's monic members (one scan per top degree), the F_{p^2} family
-shapes and the degree census, all through FieldContext.bijective_scalars.
+shapes, the degree census and, with an empty offset, all polynomials of
+degree <= q-2, all through FieldContext.bijective_scalars.
 """
 
 from __future__ import annotations
@@ -50,20 +53,21 @@ class PermVerdict:
     witness: tuple[int, int] | None  # colliding pair when not bijective
 
 
+def _invert(table):
+    """One pass over an evaluation table indexed by element: (inverse,
+    None) when it is a bijection, inverse[table[x]] = x, else (None,
+    (x', x)) for the first x whose value the smaller x' already took."""
+    inverse = [-1] * len(table)
+    for x, y in enumerate(table):
+        if inverse[y] >= 0:
+            return None, (inverse[y], x)
+        inverse[y] = x
+    return inverse, None
+
+
 def is_permutation(ctx: FieldContext, f) -> PermVerdict:
     """Direct bijectivity test; a witness collision is reported on failure."""
-    require_poly(ctx, f)
-    preimage = [-1] * ctx.q
-    witness = None
-    add, mul = ctx.add, ctx.mul
-    for x in range(ctx.q):
-        y = 0
-        for c in reversed(f):
-            y = add(mul(y, x), c)
-        if preimage[y] >= 0:
-            witness = (preimage[y], x)
-            break
-        preimage[y] = x
+    witness = _invert(eval_table(ctx, f))[1]
     is_pp = witness is None
     is_ppr = is_pp and is_monic(f) and f[0] == 0
     return PermVerdict(is_pp=is_pp, is_ppr=is_ppr, witness=witness)
@@ -171,13 +175,9 @@ def interpolate_table(ctx: FieldContext, values) -> list[int]:
 
 def inverse_table(ctx: FieldContext, table) -> list[int]:
     """The table of the inverse permutation: inverse[table[x]] = x."""
-    inverse = [-1] * ctx.q
-    for x, y in enumerate(table):
-        if inverse[y] >= 0:
-            raise NotAPermutationError(
-                f"not a permutation: collides at {inverse[y]} and {x}"
-            )
-        inverse[y] = x
+    inverse, witness = _invert(table)
+    if inverse is None:
+        raise NotAPermutationError(f"not a permutation: collides at {witness[0]} and {witness[1]}")
     return inverse
 
 
@@ -229,17 +229,17 @@ def _prefixes(ctx: FieldContext, start, rows):
 
 def _scan(ctx: FieldContext, offset, basis):
     """The members of offset + span(basis) that permute F_q, as
-    coefficient tuples in lexicographic order of their coordinates; the
-    offset must outrank every basis polynomial in degree.
+    coefficient tuples in lexicographic order of their coordinates,
+    padded to the longest of offset and basis.
 
     Each polynomial is evaluated once. _prefixes builds the tables and
     coefficient rows of all coordinates but the last in step, and
     ctx.bijective_scalars tests the last coordinate's q candidates."""
-    width = len(offset)
+    width = max(map(len, (offset, *basis)))
     coeffs = [list(f) + [0] * (width - len(f)) for f in (offset, *basis)]
     tables = [eval_table(ctx, f) for f in (offset, *basis)]
     if not basis:
-        if len(set(tables[0])) == ctx.q:
+        if _invert(tables[0])[1] is None:
             yield tuple(offset)
         return
     last = [(j, v) for j, v in enumerate(basis[-1]) if v]

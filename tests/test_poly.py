@@ -10,7 +10,6 @@ from ppshift.poly import (
     compose,
     coords,
     degree,
-    eval_at,
     eval_table,
     format_poly,
     from_coords,
@@ -18,11 +17,11 @@ from ppshift.poly import (
     hmd_d,
     hmd_poly,
     linearized_coeffs,
-    linearized_eval,
     linearized_poly,
     linearized_to_matrix,
     matrix_to_linearized,
     monomial,
+    neg_one_pow,
     normalize,
     parse_poly,
     poly_mul,
@@ -31,6 +30,14 @@ from ppshift.poly import (
 )
 
 SMALL_FIELDS = [(2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]
+
+
+def eval_at(ctx, f, x):
+    """Horner's rule at one point: the oracle for eval_table."""
+    acc = 0
+    for c in reversed(f):
+        acc = ctx.add(ctx.mul(acc, x), c)
+    return acc
 
 
 def test_reduce_examples(field):
@@ -162,6 +169,12 @@ def test_gmb_f25_degree_and_power_identity(field):
         assert lhs == [f25.mul(scale, c) for c in g]
 
 
+def test_neg_one_pow(field):
+    f25, f8 = field(5, 2), field(2, 3)
+    assert [neg_one_pow(f25, m) for m in range(4)] == [1, f25.neg(1), 1, f25.neg(1)]
+    assert {neg_one_pow(f8, m) for m in range(4)} == {1}  # -1 = 1 in characteristic 2
+
+
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3)])
 def test_linearized_bridge_roundtrip_and_determinant(field, p, n):
     ctx = field(p, n)
@@ -170,7 +183,10 @@ def test_linearized_bridge_roundtrip_and_determinant(field, p, n):
         d = [(idx // ctx.q**j) % ctx.q for j in range(ctx.n)]
         mat = linearized_to_matrix(ctx, d)
         assert matrix_to_linearized(ctx, mat) == d
-        values = {linearized_eval(ctx, d, x) for x in range(ctx.q)}
+        f = linearized_poly(ctx, d)
+        for j in range(n):  # column j holds the digits of f(t^j)
+            assert ctx.digits(eval_at(ctx, f, p**j)) == tuple(row[j] for row in mat)
+        values = set(eval_table(ctx, f))
         is_bijective = len(values) == ctx.q
         assert is_bijective == (mat_rank(field(p), mat) == n)
         bijective += is_bijective

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -30,6 +30,7 @@ from ppshift.poly import (
 )
 from ppshift.pp import (
     FamilyShape,
+    _scan,
     compositional_inverse,
     degree_distribution,
     enumerate_pprs,
@@ -39,10 +40,52 @@ from ppshift.pp import (
     is_compositional_inverse,
     is_permutation,
 )
+from test_poly import eval_at
 
 
 def brute_is_pp(ctx, f):
     return len(set(eval_table(ctx, f))) == ctx.q
+
+
+def horner_verdict(ctx, f):
+    """(is_pp, is_ppr, witness) from Horner's rule point by point, the
+    first repeated value giving the witness."""
+    preimage = {}
+    for x in range(ctx.q):
+        y = eval_at(ctx, f, x)
+        if y in preimage:
+            return False, False, (preimage[y], x)
+        preimage[y] = x
+    return True, bool(f) and f[-1] == 1 and f[0] == 0, None
+
+
+def _verdict_inputs(ctx, rng):
+    q = ctx.q
+    polys = [[], [1], [0, 1], monomial(q - 1)]
+    polys += [monomial(e) for e in range(2, q + 3)]  # x^q and past: unreduced
+    values = list(range(q))
+    for _ in range(6):
+        rng.shuffle(values)
+        polys.append(interpolate_table(ctx, values))  # a permutation
+    for _ in range(20):
+        f = [rng.randrange(q) for _ in range(rng.randrange(1, 2 * q + 3))]
+        f[-1] = 1 + rng.randrange(q - 1)
+        polys.append(f)
+        polys.append([0, *f[1:-1], 1])  # zero-fixing and monic
+    return polys
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3)])
+def test_is_permutation_matches_a_horner_loop(field, zech_field, p, n):
+    for ctx in (field(p, n), zech_field(p, n)):
+        rng = random.Random(p * 10 + n)
+        for f in _verdict_inputs(ctx, rng):
+            v = is_permutation(ctx, f)
+            assert (v.is_pp, v.is_ppr, v.witness) == horner_verdict(ctx, f), f
+    f9 = field(3, 2)
+    # x^10 = x^2 on F_9: the same collision, found at the same points
+    assert is_permutation(f9, monomial(10)) == is_permutation(f9, monomial(2))
+    assert is_permutation(f9, monomial(10)).witness == horner_verdict(f9, monomial(2))[2]
 
 
 def test_is_permutation_examples(field):
@@ -184,8 +227,9 @@ def test_inverse_table(field):
     f5 = field(5, 1)
     assert inverse_table(f5, [0, 1, 3, 2, 4]) == [0, 1, 3, 2, 4]
     assert inverse_table(f5, [4, 0, 1, 2, 3]) == [1, 2, 3, 4, 0]
-    with pytest.raises(NotAPermutationError, match="collides at 2 and 3"):
-        inverse_table(f5, eval_table(f5, monomial(2)))
+    assert eval_table(f5, monomial(2)) == [0, 1, 4, 4, 1]
+    with pytest.raises(NotAPermutationError, match="^not a permutation: collides at 2 and 3$"):
+        inverse_table(f5, [0, 1, 4, 4, 1])
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -448,6 +492,17 @@ def test_degree_distribution_preconditions(field):
     for p in (11, 13):
         with pytest.raises(BudgetExceededError):
             degree_distribution(field(p, 1))
+
+
+@pytest.mark.parametrize("p,zech", [(5, False), (7, False), (7, True)])
+def test_scan_with_a_basis_that_outranks_the_offset(field, zech_field, p, zech):
+    ctx = (zech_field if zech else field)(p)
+    hits = list(_scan(ctx, [], [monomial(j) for j in range(p - 1)]))
+    assert len(hits) == factorial(p)  # every permutation, in degree <= q-2
+    assert {len(f) for f in hits} == {p - 1}  # padded to the longest basis polynomial
+    if p == 5:
+        loop = [normalize(v) for v in product(range(5), repeat=4)]
+        assert [normalize(f) for f in hits] == [f for f in loop if is_permutation(ctx, f).is_pp]
 
 
 def test_orbit_identity_f5(field):
