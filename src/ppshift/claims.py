@@ -28,6 +28,7 @@ from .poly import (
     coords,
     eval_table,
     from_coords,
+    gmb_poly,
     linearized_coeffs,
     linearized_to_matrix,
     matrix_to_linearized,
@@ -96,7 +97,7 @@ CLAIM_ANCHORS = {
     "thm15.inverse": ("fp2", "parametric inverse agrees with the inverse table at every point"),
     "thm15.closure": ("fp2", "the conditioned family closes under inversion"),
     "sec5.conditioned_count": ("fp2", "p(p-1)^2 conditioned pairs per (m, b)"),
-    "sec5.full_count_coprime": ("fp2", "p(p-1)(2p-1) shape PPRs per b for coprime m"),
+    "sec5.full_count_coprime": ("fp2", "p(p-1)(2p-1) shape PPRs per b for coprime m != (p+1)/2"),
     "sec5.full_count_half": ("fp2", "shape census at m = (p+1)/2"),
     "sec5.extra_closure": ("fp2", "unconditioned shape PPRs close under inversion"),
     "appendix.lemma20": ("appendix", "g^p identity"),
@@ -112,9 +113,10 @@ SECTION_ORDER = ("preliminaries", "shift-map", "shift-family", "fp2", "appendix"
 
 class _FieldRun:
     """Shared per-field state: context, claim list and one memo that
-    keeps what several claims read (A_r, kernels, V_k, enumerations,
-    shape counts, the degree census, the Theorem 15 sweep) from the
-    first claim that builds it to the end of the run."""
+    keeps what several claims read (A_r, the kernels K_k of the unit
+    shift and their rescalings, V_k, enumerations, shape counts, the
+    degree census, the Theorem 15 sweep) from the first claim that
+    builds it to the end of the run."""
 
     def __init__(self, ctx: FieldContext, cfg: RunConfig):
         self.ctx = ctx
@@ -136,13 +138,17 @@ class _FieldRun:
         """The matrix of A_r."""
         return self.memo(("A", r), lambda: eigen.shift_operator(self.ctx, r).matrix)
 
+    def unit_kernel(self, k: int) -> eigen.Subspace:
+        """K_k = ker((A_1 - I)^k) over F_p, the one elimination per k."""
+        return self.memo(("K", k), lambda: eigen.unit_kernel(self.ctx, k))
+
     def kernel(self, r: int, k: int) -> eigen.Subspace:
-        return self.memo(("ker", r, k), lambda: eigen.nullspace(
-            self.ctx, eigen._difference_power(self.ctx, r, k, self.operator)))
+        return self.memo(("ker", r, k), lambda: eigen.rescale_kernel(
+            self.ctx, self.unit_kernel(k), r))
 
     def kernel_dim(self, r: int, k: int) -> int:
-        return self.memo(("dim", r, k), lambda: self.ctx.q - 2 - eigen.mat_rank(
-            self.ctx, eigen._difference_power(self.ctx, r, k, self.operator)))
+        """dim ker((A_r - I)^k) = dim K_k: the rescaling by D_r^-1 keeps it."""
+        return self.unit_kernel(k).dim
 
     def vk(self, k: int, generators=None) -> eigen.Subspace:
         """V_k over the generators (default 1, a, ..., a^(n-1))."""
@@ -686,7 +692,9 @@ def _v1_shapes(run: _FieldRun):
         if r not in roots:
             coeffs = [0, ctx.neg(r)] + [0] * (ctx.p - 2) + [1]
             expected.add(tuple(normalize(coeffs)))
-    observed = set(report.ppr_list or ())
+    if report.ppr_list is None:
+        return "skipped", None, None, "PPR list above the reporting threshold"
+    observed = set(report.ppr_list)
     status = "verified" if observed == expected else "refuted"
     return status, f"x and {ctx.q - ctx.p - 1} maps x^p - rx", len(observed), (
         "shape comparison of the enumerated V_1 PPRs"
@@ -829,12 +837,22 @@ def _conditioned_count(run: _FieldRun):
     )
 
 
+def _coprime_count_exponents(p: int) -> list[int]:
+    """The m in [2, p-1] coprime to p - 1 whose shape census the coprime
+    claim predicts: all of them but m = (p+1)/2 when p > 5. That m is
+    coprime to p - 1 exactly when p = 1 mod 4, and its count exceeds
+    p(p-1)(2p-1) for p > 5, as sec5.full_count_half claims; at p = 5
+    the two counts agree."""
+    return [m for m in range(2, p)
+            if math.gcd(m, p - 1) == 1 and not (p > 5 and 2 * m == p + 1)]
+
+
 def _full_count_coprime(run: _FieldRun):
     ctx = run.ctx
     if not _fp2_applicable(ctx):
         return "skipped", None, None, "quadratic extensions with p >= 3"
     p = ctx.p
-    ms = [m for m in range(2, p) if math.gcd(m, p - 1) == 1]
+    ms = _coprime_count_exponents(p)
     if not ms:
         return "skipped", None, None, f"no m in [2, {p - 1}] coprime to p - 1"
     expected = p * (p - 1) * (2 * p - 1)
@@ -882,12 +900,13 @@ def _extra_closure(run: _FieldRun):
         return "skipped", None, None, "checked for p in {5, 7}"
     p = ctx.p
     ms = [m for m in range(2, p) if math.gcd(m, p - 1) == 1]
+    pp.require_budget(ctx.q**2, run.cfg.budget)  # candidates per shape
     bad = []
     total = 0
     for m in ms:
         for b in fp2.family_b_values(ctx):
-            report = pp.enumerate_pprs(ctx, pp.FamilyShape(m=m, b=b), budget=run.cfg.budget)
-            for coeffs in report.ppr_list:
+            # streamed: a shape can hold more PPRs than pp.LIST_LIMIT lists
+            for coeffs in pp._scan(ctx, gmb_poly(ctx, m, b), [monomial(p), monomial(1)]):
                 params = fp2.shape_parameters(ctx, list(coeffs))
                 alpha, beta = params[2], params[3]
                 if fp2.check_conditions(ctx, m, b, alpha, beta).constructible:

@@ -201,6 +201,12 @@ def is_compositional_inverse(ctx: FieldContext, f, h) -> bool:
 # -- enumeration domains --
 
 
+def require_budget(total: int, budget: int) -> None:
+    """Refuse a scan of total candidates before it starts."""
+    if total > budget:
+        raise BudgetExceededError(f"{total} candidates exceed budget {budget}")
+
+
 @dataclass(frozen=True)
 class FamilyShape:
     """Candidates (x^p - b x)^m + alpha x^p + beta x over all (alpha, beta)."""
@@ -288,8 +294,7 @@ def enumerate_pprs(
         blocks = lambda: [(gmb_poly(ctx, domain.m, domain.b), [monomial(ctx.p), monomial(1)])]
     else:
         raise OutOfRangeError(f"unsupported enumeration domain {type(domain).__name__}")
-    if total > budget:
-        raise BudgetExceededError(f"{total} candidates exceed budget {budget}")
+    require_budget(total, budget)
     count = 0
     found: list[tuple[int, ...]] | None = []
     for offset, basis in blocks():
@@ -328,8 +333,7 @@ def degree_distribution(ctx: FieldContext, budget: int = DEFAULT_BUDGET) -> Degr
         raise OutOfRangeError("degree census applies to prime fields")
     p = ctx.q
     total = sum(p ** (d - 1) for d in range(1, p - 1))
-    if total > budget:
-        raise BudgetExceededError(f"{total} candidates exceed budget {budget}")
+    require_budget(total, budget)
     counts = {d: 0 for d in range(1, p - 1)}
     violations = []
     for d in range(1, p - 1):

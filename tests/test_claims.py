@@ -10,8 +10,11 @@ from ppshift.claims import (
     RunConfig,
     SECTION_ORDER,
     _FieldRun,
+    _coprime_count_exponents,
+    _extra_closure,
     _first_appearance,
     _hermite_agreement,
+    _v1_shapes,
     _vk_conjecture,
     _inverse_keeps_shape,
     reproduce,
@@ -211,3 +214,30 @@ def test_vk_conjecture_covers_every_k_below_p():
     status, expected, observed, _ = _vk_conjecture(_FieldRun(build_field(5, 3), RunConfig()))
     assert status == "verified"
     assert observed == {1: 3, 2: 10, 3: 29, 4: 66, 5: 123}
+
+
+def test_list_overflow_streams_extra_closure_and_skips_v1_shapes(monkeypatch):
+    # each F_25 shape holds 180 PPRs and V_1 holds 20, so a list limit of
+    # 5 sends enumerate_pprs down its unlisted path, as m = 7 does on F_169
+    ctx = build_field(5, 2)
+    listed = _FieldRun(ctx, RunConfig())
+    closure = _extra_closure(listed)
+    assert closure[0] == "verified" and closure[3] == "600 unconditioned shape PPRs inverted"
+    assert _v1_shapes(listed)[0] == "verified"
+    monkeypatch.setattr(pp, "LIST_LIMIT", 5)
+    unlisted = _FieldRun(ctx, RunConfig())
+    assert _extra_closure(unlisted) == closure
+    assert _v1_shapes(unlisted) == (
+        "skipped", None, None, "PPR list above the reporting threshold"
+    )
+
+
+def test_coprime_count_leaves_out_the_half_exponent_past_p5():
+    # m = (p+1)/2 is coprime to p - 1 when p = 1 mod 4; past p = 5 its
+    # census belongs to sec5.full_count_half
+    assert _coprime_count_exponents(13) == [5, 11]
+    assert _coprime_count_exponents(17) == [3, 5, 7, 11, 13, 15]
+    # the roster keeps its exponents: m = 3 = (5+1)/2 on F_25, m = 5 on F_49
+    assert _coprime_count_exponents(5) == [3]
+    assert _coprime_count_exponents(7) == [5]
+    assert _coprime_count_exponents(3) == []

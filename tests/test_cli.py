@@ -170,6 +170,13 @@ def test_exit_codes(capsys):
     assert run_json(capsys, "fp2", "census", "--p", "3")["field"]["q"] == 9
 
 
+def test_dense_operator_cap_exits_2(capsys):
+    # F_2048 lies past eigen.OPERATOR_MAX_Q; the refusal comes before any matrix
+    for argv in (("eigenspace", "--r", "1", "--k", "1"), ("intersect", "--k", "1")):
+        code, out, err = run(capsys, *argv, "--p", "2", "--n", "11")
+        assert code == 2 and out == "" and "dense operator cap" in err
+
+
 def test_closed_stdout_exits_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ppshift import eigen
 from ppshift.claims import RunConfig, _FieldRun, _shift_order
 from ppshift.eigen import (
     Subspace,
@@ -14,12 +15,13 @@ from ppshift.eigen import (
     mat_identity,
     mat_mul,
     mat_rank,
+    nullspace,
     predicted_basis,
     rref,
     shift_operator,
     span_of_polys,
 )
-from ppshift.errors import DimensionMismatchError, OutOfRangeError
+from ppshift.errors import CapExceededError, DimensionMismatchError, OutOfRangeError
 from ppshift.gf import line_decomposition
 from ppshift.poly import coords, degree, gmb_poly, monomial, reduce_poly
 
@@ -127,23 +129,83 @@ def test_kernel_dims_and_chain(field, p, n):
             prev = space
 
 
+def product_chain(ctx, r):
+    """(A_r - I)^k for k = 1..p from k - 1 dense products of A_r - I: no
+    Lemma 9 (A_r^j = A_(jr)) and no conjugation A_r = D_r^-1 A_1 D_r."""
+    a = shift_operator(ctx, r).matrix
+    b = tuple(
+        tuple(ctx.sub(v, 1) if i == j else v for j, v in enumerate(row))
+        for i, row in enumerate(a)
+    )
+    chain = [b]
+    for _ in range(ctx.p - 1):
+        chain.append(mat_mul(ctx, chain[-1], b))
+    return chain
+
+
 @pytest.mark.parametrize(
     "p,n,make", with_zech([(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)], [(2, 3), (5, 2)])
 )
 def test_difference_power_matches_product_chain(request, p, n, make):
-    # oracle: k - 1 dense products of A_r - I, independent of A_r^j = A_(jr)
+    # D_r^-1 (A_1 - I)^k D_r has entry (i, j) = M_k[i][j] * r^(j - i)
+    ctx = request.getfixturevalue(make)(p, n)
+    powers = [_difference_power(ctx, k) for k in range(1, ctx.p + 1)]
+    for m in powers:
+        assert all(v < ctx.p for row in m for v in row)  # entries in F_p
+    for r in range(1, ctx.q):
+        for k, (m, chain) in enumerate(zip(powers, product_chain(ctx, r)), start=1):
+            conj = [
+                tuple(ctx.mul(v, ctx.pow(r, j - i)) if v else 0 for j, v in enumerate(row))
+                for i, row in enumerate(m)
+            ]
+            assert conj == list(chain), (r, k)
+
+
+ROSTER = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]
+
+
+@pytest.mark.parametrize("p,n,make", with_zech(ROSTER, ROSTER))
+def test_kernel_power_matches_dense_nullspace(request, p, n, make):
+    # the rescaled F_p kernel against elimination of the dense chain over F_q
     ctx = request.getfixturevalue(make)(p, n)
     for r in range(1, ctx.q):
-        a = shift_operator(ctx, r).matrix
-        b = tuple(
-            tuple(ctx.sub(v, 1) if i == j else v for j, v in enumerate(row))
-            for i, row in enumerate(a)
-        )
-        chain = b
-        for k in range(1, ctx.p + 1):
-            if k > 1:
-                chain = mat_mul(ctx, chain, b)
-            assert [tuple(row) for row in _difference_power(ctx, r, k)] == list(chain), (r, k)
+        for k, chain in enumerate(product_chain(ctx, r), start=1):
+            want = nullspace(ctx, chain, ctx.q - 2)
+            got = kernel_power(ctx, r, k)
+            assert got.basis == want.basis, (r, k)
+            assert kernel_dim(ctx, r, k) == want.dim, (r, k)
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3)])
+def test_intersection_space_matches_dense_kernels(field, p, n):
+    ctx = field(p, n)
+    gens = default_generators(ctx)
+    chains = [product_chain(ctx, r) for r in gens]
+    for k in range(1, ctx.p + 1):
+        kernels = [nullspace(ctx, chain[k - 1], ctx.q - 2) for chain in chains]
+        want = kernels[0]
+        for other in kernels[1:]:
+            want = want.intersect(other)
+        assert intersection_space(ctx, k).basis == want.basis, k
+    # an explicit generator set, repeats and other lines included
+    alt = [2, ctx.primitive, ctx.mul(3, ctx.primitive), 2]
+    want = nullspace(ctx, product_chain(ctx, alt[0])[0], ctx.q - 2)
+    for r in alt[1:]:
+        want = want.intersect(nullspace(ctx, product_chain(ctx, r)[0], ctx.q - 2))
+    assert intersection_space(ctx, 1, alt) == want
+
+
+def test_dense_routes_refuse_past_the_cap(field, monkeypatch):
+    f9 = field(3, 2)
+    monkeypatch.setattr(eigen, "OPERATOR_MAX_Q", 8)
+    for call in (
+        lambda: shift_operator(f9, 1),
+        lambda: kernel_power(f9, 1, 1),
+        lambda: kernel_dim(f9, 1, 1),
+        lambda: intersection_space(f9, 1),
+    ):
+        with pytest.raises(CapExceededError, match="exceeds the dense operator cap 8"):
+            call()
 
 
 def test_kernel_power_preconditions(field):

@@ -1,6 +1,6 @@
 """Property tests: the field axioms on both arithmetic routes,
-interpolation and evaluation as inverse maps, and the text format's
-round trip."""
+interpolation and evaluation as inverse maps, the text format's round
+trip and the conjugation A_r = D_r^-1 A_1 D_r of the shift operators."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ppshift import build_field, gf  # noqa: E402
+from ppshift.eigen import shift_operator  # noqa: E402
 from ppshift.poly import eval_table, format_poly, parse_poly, reduce_poly  # noqa: E402
 from ppshift.pp import interpolate_table  # noqa: E402
 
@@ -91,3 +92,19 @@ def test_format_parse_round_trip(case):
     text = format_poly(ctx, f)
     assert parse_poly(ctx, text) == f
     assert format_poly(ctx, parse_poly(ctx, text)) == text
+
+
+@st.composite
+def shifts(draw):
+    ctx = draw(st.sampled_from(FIELDS))
+    return ctx, draw(st.integers(1, ctx.q - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifts())
+def test_shift_operator_is_a_diagonal_conjugate_of_the_unit_shift(case):
+    # entry (i, j) of A_r is C(j, i) r^(j - i): A_r = D_r^-1 A_1 D_r
+    ctx, r = case
+    unit = shift_operator(ctx, 1).matrix
+    for i, row in enumerate(shift_operator(ctx, r).matrix):
+        assert row == tuple(ctx.mul(ctx.pow(r, j - i), v) for j, v in enumerate(unit[i]))
