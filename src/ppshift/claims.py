@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import eigen, fp2, pp
-from .errors import NotAPermutationError
 from .gf import FieldContext, build_field, line_count, line_decomposition, roots_of_unity
 from .poly import (
     coords,
     eval_table,
     from_coords,
     gmb_poly,
+    hmd_poly,
     linearized_coeffs,
     linearized_to_matrix,
     matrix_to_linearized,
@@ -295,12 +295,20 @@ def _orbit_identity(run: _FieldRun):
 
 
 def _identity_powers(run: _FieldRun, r: int) -> tuple[bool, ...]:
-    """Whether A_r^j = I for j = 1..p, from one mat_mul product chain,
-    so that Lemma 1 does not lean on Lemma 9's A_r^j = A_(jr)."""
+    """Whether A_r^j = I for j = 1..p, from a mat_mul product chain, so
+    that Lemma 1 does not lean on Lemma 9's A_r^j = A_(jr).
+
+    The chain runs for A_1. An A_r that equals D_r^-1 A_1 D_r entry for
+    entry, D_r = diag(r^e), has A_r^j = D_r^-1 A_1^j D_r, which is I
+    exactly when A_1^j is, so it takes A_1's flags; an A_r that fails
+    that check runs its own chain.
+    """
 
     def build():
         ctx = run.ctx
         a = run.operator(r)
+        if r != 1 and _conjugates_unit(ctx, r, a, run.operator(1)):
+            return _identity_powers(run, 1)
         ident = eigen.mat_identity(ctx.q - 2)
         acc, flags = a, [a == ident]
         for _ in range(ctx.p - 1):
@@ -309,6 +317,16 @@ def _identity_powers(run: _FieldRun, r: int) -> tuple[bool, ...]:
         return tuple(flags)
 
     return run.memo(("powers", r), build)
+
+
+def _conjugates_unit(ctx: FieldContext, r: int, a, unit) -> bool:
+    """Whether a = D_r^-1 unit D_r: entry (i, j) is r^(j-i) unit[i][j],
+    so a is zero wherever unit is, below the diagonal too."""
+    d = len(unit)
+    scale = [ctx.pow(r, s) for s in range(1 - d, d)]  # r^s at index s + d - 1
+    return len(a) == d and all(
+        row == tuple(map(ctx.mul, scale[d - 1 - i:2 * d - 1 - i], unit_row))
+        for i, (row, unit_row) in enumerate(zip(a, unit)))
 
 
 def _shift_order(run: _FieldRun, r: int) -> int | None:
@@ -773,27 +791,47 @@ def _fp2_applicable(ctx: FieldContext) -> bool:
 def _thm15_sweep(ctx: FieldContext):
     """(instances, inverse failures, closure failures, {(m, b): number of
     constructible pairs}) from one pass over every constructible
-    instance; both Theorem 15 claims and the conditioned count read it."""
+    instance; both Theorem 15 claims and the conditioned count read it.
+
+    The pair f = (x^p - bx)^m + alpha x^p + beta x and h = delta
+    (x^p - dx)^m + gamma x^p + epsilon x is checked on tables: the two
+    binomial powers are evaluated once per (m, b), and each instance
+    adds its scaled x^p and x rows to them. Both polynomials are
+    reduced (degree mp < q), so h is the compositional inverse of f
+    exactly when h(f(x)) = x at every x; only on a mismatch does the
+    bijectivity of f's table tell "not a PPR" from "inverse mismatch".
+    f has the top and constant coefficients of (x^p - bx)^m, whose
+    degree exceeds p, so it is monic and fixes 0 when that power does.
+    """
     inverse_bad, closure_bad = [], []
     instances = 0
     counts = {}
+    points = list(range(ctx.q))
+    frob = ctx.frob_table  # x^p
+    zero = [0] * ctx.q
     for m in range(2, ctx.p):
         for b in fp2.family_b_values(ctx):
             pairs = fp2.constructible_pairs(ctx, m, b)
             counts[m, b] = len(pairs)
+            g = gmb_poly(ctx, m, b)
+            monic = len(g) > ctx.p + 1 and g[-1] == 1 and g[0] == 0
+            g_table = eval_table(ctx, g)
+            hmd_table = eval_table(ctx, hmd_poly(ctx, m, b))
+            g_alpha = {}  # g + alpha x^p, shared by the betas of one alpha
             for alpha, beta in pairs:
                 instances += 1
                 tag = (m, b, alpha, beta)
                 inst = fp2.derive_params(ctx, m, b, alpha, beta)
-                f, h = fp2.build_pair(inst)
-                try:
-                    exact = pp.is_compositional_inverse(ctx, f, h)
-                except NotAPermutationError:
-                    exact = None
-                if exact is None or not (f[-1] == 1 and f[0] == 0):
+                if alpha not in g_alpha:
+                    g_alpha = {alpha: ctx.axpy(g_table, alpha, frob)}
+                f = ctx.axpy(g_alpha[alpha], beta, points)
+                h = ctx.axpy(zero, inst.delta, hmd_table)
+                h = ctx.axpy(ctx.axpy(h, inst.gamma, frob), inst.epsilon, points)
+                if not monic:
                     inverse_bad.append(("not a PPR", *tag))
-                elif not exact:
-                    inverse_bad.append(("inverse mismatch", *tag))
+                elif [h[y] for y in f] != points:
+                    bijective = pp._invert(f)[0] is not None
+                    inverse_bad.append(("inverse mismatch" if bijective else "not a PPR", *tag))
                 if inst.delta == 0:
                     closure_bad.append(("zero delta", *tag))
                     continue

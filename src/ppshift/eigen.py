@@ -16,9 +16,11 @@ D_r^-1 ker((A_1 - I)^k). The entries of (A_1 - I)^k lie in F_p and
 have a closed form (see _difference_power), so no operator is built:
 K_k = ker((A_1 - I)^k) is one elimination over the prime field, and
 each shift's kernel is K_k with its coordinates rescaled. V_k takes one
-K_k and n rescalings. mat_mul is left to the claims that check Lemma 1
-(the product chain A_r, A_r^2, ..., A_r^p) and Lemma 9 itself, so that
-they do not lean on this route.
+K_k and n rescalings. mat_mul, the product over the sparse rows of its
+right factor, serves the claims that check Lemma 1 (one product chain
+A_1, A_1^2, ..., A_1^p, carried to every A_r that passes an entrywise
+check against D_r^-1 A_1 D_r) and Lemma 9 itself, so that they do not
+lean on this route.
 
 The dense routes (shift_operator, kernel_power, kernel_dim,
 intersection_space) refuse q > OPERATOR_MAX_Q with CapExceededError
@@ -64,15 +66,19 @@ def mat_identity(d: int) -> Matrix:
 
 
 def mat_mul(ctx: FieldContext, a, b) -> Matrix:
-    """Row-major product; skips zero entries, which pays off on the
-    (strictly) upper-triangular matrices this module produces."""
+    """Row-major product over sparse rows: the nonzero (column, value)
+    pairs of each row of b are listed once, and each output row adds
+    a[i][k] times row k of b over those pairs only, skipping zero
+    a[i][k]. That pays off on the upper-triangular, Lucas-sparse
+    operators this module produces (F_49: 687 nonzeros of 2209)."""
     cols = len(b[0]) if b else 0
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in b]
     out = []
     for row in a:
         acc = [0] * cols
         for k, aik in enumerate(row):
             if aik:
-                acc = ctx.axpy(acc, aik, b[k])
+                ctx.axpy_at(acc, aik, sparse[k])
         out.append(tuple(acc))
     return tuple(out)
 

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from collections import Counter
 
 import pytest
 
-from ppshift import build_field, eigen, fp2, pp
+from ppshift import build_field, claims, eigen, fp2, pp
 from ppshift.claims import (
     CLAIM_ANCHORS,
     DEFAULT_ROSTER,
@@ -14,6 +15,10 @@ from ppshift.claims import (
     _extra_closure,
     _first_appearance,
     _hermite_agreement,
+    _identity_powers,
+    _operator_order,
+    _operator_power,
+    _thm15_sweep,
     _v1_shapes,
     _vk_conjecture,
     _inverse_keeps_shape,
@@ -21,8 +26,9 @@ from ppshift.claims import (
     reproduce_field,
 )
 from ppshift.cli import emit_report
-from ppshift.errors import BudgetExceededError
+from ppshift.errors import BudgetExceededError, NotAPermutationError
 from ppshift.fp2 import check_conditions, family_poly
+from ppshift.poly import hmd_d
 from ppshift.pp import HERMITE_MAX_Q, is_permutation
 
 STATUSES = {"verified", "refuted", "measured", "skipped"}
@@ -241,3 +247,164 @@ def test_coprime_count_leaves_out_the_half_exponent_past_p5():
     assert _coprime_count_exponents(5) == [3]
     assert _coprime_count_exponents(7) == [5]
     assert _coprime_count_exponents(3) == []
+
+
+def _chain_identity_powers(run, r):
+    """Whether A_r^j = I for j = 1..p from A_r's own mat_mul chain: the
+    per-shift route, with no appeal to D_r conjugation."""
+    ctx = run.ctx
+    a = run.operator(r)
+    ident = eigen.mat_identity(ctx.q - 2)
+    acc, flags = a, [a == ident]
+    for _ in range(ctx.p - 1):
+        acc = eigen.mat_mul(ctx, acc, a)
+        flags.append(acc == ident)
+    return tuple(flags)
+
+
+@pytest.mark.parametrize("p,n", DEFAULT_ROSTER)
+def test_identity_powers_match_each_shifts_own_chain(field, monkeypatch, p, n):
+    run = _FieldRun(field(p, n), RunConfig())
+    products = _count_calls(monkeypatch, eigen, "mat_mul")
+    got = [_identity_powers(run, r) for r in range(1, run.ctx.q)]
+    assert sum(products.values()) == p - 1  # the one A_1 chain
+    for r, flags in enumerate(got, start=1):
+        assert flags == _chain_identity_powers(run, r), r
+
+
+def _lemma1_claims(ctx, per_shift):
+    """Both Lemma 1 claims on a fresh run, with every flag from the
+    shift's own chain when per_shift is set."""
+    with pytest.MonkeyPatch.context() as mp:
+        if per_shift:
+            mp.setattr(claims, "_identity_powers", _chain_identity_powers)
+        run = _FieldRun(ctx, RunConfig())
+        return _operator_power(run), _operator_order(run)
+
+
+def _plant(monkeypatch, r, change):
+    """Make shift_operator return change(A_r) in place of A_r."""
+    build = eigen.shift_operator
+
+    def planted(ctx, s):
+        op = build(ctx, s)
+        return dataclasses.replace(op, matrix=change(ctx, op.matrix)) if s == r else op
+
+    monkeypatch.setattr(eigen, "shift_operator", planted)
+
+
+def _set_entry(i, j, value):
+    def change(ctx, matrix):
+        rows = [list(row) for row in matrix]
+        rows[i][j] = value
+        return tuple(tuple(row) for row in rows)
+
+    return change
+
+
+@pytest.mark.parametrize("r,change,power_status,power_observed", [
+    pytest.param(7, _set_entry(3, 3, 2), "refuted", [7], id="diagonal"),
+    pytest.param(7, _set_entry(20, 2, 1), "refuted", [7], id="below-diagonal"),
+    # A_1 itself: every other r then fails the check and runs its own chain
+    pytest.param(1, _set_entry(0, 1, 3), "refuted", [1], id="unit-shift"),
+    pytest.param(7, lambda ctx, m: eigen.shift_operator(ctx, 11).matrix,
+                 "verified", "identity at power p", id="swapped"),
+])
+def test_planted_operator_faults_give_the_per_shift_statuses(
+        monkeypatch, r, change, power_status, power_observed):
+    ctx = build_field(5, 2)
+    _plant(monkeypatch, r, change)
+    got = _lemma1_claims(ctx, per_shift=False)
+    assert got == _lemma1_claims(ctx, per_shift=True)
+    power, order = got
+    assert (power[0], power[2]) == (power_status, power_observed)
+    if power_status == "refuted":
+        assert order[0] == "refuted" and order[2]["counterexample"]["r"] == r
+
+
+def _pairwise_thm15_sweep(ctx):
+    """The Theorem 15 sweep by polynomials: build_pair per instance and
+    is_compositional_inverse, which compares h with the inverse table."""
+    inverse_bad, closure_bad = [], []
+    instances = 0
+    counts = {}
+    for m in range(2, ctx.p):
+        for b in fp2.family_b_values(ctx):
+            pairs = fp2.constructible_pairs(ctx, m, b)
+            counts[m, b] = len(pairs)
+            for alpha, beta in pairs:
+                instances += 1
+                tag = (m, b, alpha, beta)
+                inst = fp2.derive_params(ctx, m, b, alpha, beta)
+                f, h = fp2.build_pair(inst)
+                try:
+                    exact = pp.is_compositional_inverse(ctx, f, h)
+                except NotAPermutationError:
+                    exact = None
+                if exact is None or not (f[-1] == 1 and f[0] == 0):
+                    inverse_bad.append(("not a PPR", *tag))
+                elif not exact:
+                    inverse_bad.append(("inverse mismatch", *tag))
+                if inst.delta == 0:
+                    closure_bad.append(("zero delta", *tag))
+                    continue
+                alpha2 = ctx.div(inst.gamma, inst.delta)
+                beta2 = ctx.div(inst.epsilon, inst.delta)
+                if not fp2.check_conditions(ctx, m, inst.d, alpha2, beta2).constructible:
+                    closure_bad.append(("inverse instance fails conditions", *tag))
+    return instances, inverse_bad, closure_bad, counts
+
+
+@pytest.mark.parametrize("p,n,make", [(5, 2, "field"), (7, 2, "field"), (5, 2, "zech_field")])
+def test_thm15_sweep_matches_the_pairwise_route(request, p, n, make):
+    ctx = request.getfixturevalue(make)(p, n)
+    got = _thm15_sweep(ctx)
+    assert got == _pairwise_thm15_sweep(ctx)
+    assert got[1:3] == ([], [])
+
+
+def _plant_delta(monkeypatch, at, delta):
+    """derive_params with delta replaced by delta(inst) at instance at."""
+    derive = fp2.derive_params
+
+    def planted(ctx, m, b, alpha, beta):
+        inst = derive(ctx, m, b, alpha, beta)
+        return dataclasses.replace(inst, delta=delta(inst)) if (m, b, alpha, beta) == at else inst
+
+    monkeypatch.setattr(fp2, "derive_params", planted)
+
+
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_thm15_sweep_planted_delta(request, monkeypatch, make):
+    ctx = request.getfixturevalue(make)(5, 2)
+    b = fp2.family_b_values(ctx)[1]
+    at = (3, b, *fp2.constructible_pairs(ctx, 3, b)[5])
+    _plant_delta(monkeypatch, at, lambda inst: ctx.add(inst.delta, 1))
+    wrong = _thm15_sweep(ctx)
+    assert wrong == _pairwise_thm15_sweep(ctx)
+    assert wrong[1] == [("inverse mismatch", *at)]
+    _plant_delta(monkeypatch, at, lambda inst: 0)
+    zero = _thm15_sweep(ctx)
+    assert zero == _pairwise_thm15_sweep(ctx)
+    assert zero[1] == [("inverse mismatch", *at)] and zero[2] == [("zero delta", *at)]
+
+
+def test_thm15_sweep_tags_a_non_permutation(monkeypatch):
+    # an F_25 pair failing the second condition whose f does not permute,
+    # let through constructible_pairs and build_pair's condition check
+    ctx = build_field(5, 2)
+    m, b = 2, fp2.family_b_values(ctx)[0]
+    extra = next((alpha, beta) for alpha in range(1, ctx.q) for beta in range(1, ctx.q)
+                 if check_conditions(ctx, m, b, alpha, beta).cond1
+                 and not check_conditions(ctx, m, b, alpha, beta).cond2
+                 and ctx.pow(beta, ctx.p) != ctx.mul(alpha, hmd_d(ctx, m, b))  # derive_params' guard
+                 and not is_permutation(ctx, family_poly(ctx, m, b, alpha, beta)).is_pp)
+    pairs, verdict = fp2.constructible_pairs, fp2.check_conditions
+    monkeypatch.setattr(fp2, "constructible_pairs",
+                        lambda ctx, mm, bb: pairs(ctx, mm, bb) + ([extra] if (mm, bb) == (m, b) else []))
+    monkeypatch.setattr(fp2, "check_conditions",
+                        lambda *args: fp2.ConditionVerdict(True, True) if args[1:] == (m, b, *extra)
+                        else verdict(*args))
+    got = _thm15_sweep(ctx)
+    assert got == _pairwise_thm15_sweep(ctx)
+    assert got[1] == [("not a PPR", m, b, *extra)]

@@ -47,6 +47,34 @@ def mat_vec(ctx, a, vec):
     return out
 
 
+def dense_mat_mul(ctx, a, b):
+    """a . b by the triple loop: each entry summed over every k."""
+    columns = [[bk[j] for bk in b] for j in range(len(b[0]) if b else 0)]
+    return tuple(tuple(mat_vec(ctx, [row], col)[0] for col in columns) for row in a)
+
+
+@pytest.mark.parametrize("p,n,make", with_zech([(5, 2), (3, 3)], [(5, 2)]))
+def test_mat_mul_matches_the_dense_product(request, p, n, make):
+    ctx = request.getfixturevalue(make)(p, n)
+    rng = random.Random(31 + ctx.q)
+    for _ in range(30):
+        # random, not triangular, with zero and repeated rows on either side
+        nrows, inner, ncols = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)
+        a = _random_rows(rng, ctx.q, nrows, inner)
+        b = _random_rows(rng, ctx.q, inner, ncols)
+        assert mat_mul(ctx, a, b) == dense_mat_mul(ctx, a, b)
+    ops = [shift_operator(ctx, r).matrix for r in (1, ctx.primitive, ctx.q - 1)]
+    for x in ops:
+        for y in ops:
+            assert mat_mul(ctx, x, y) == dense_mat_mul(ctx, x, y)
+    zero = ((0, 0, 0),) * 2
+    assert mat_mul(ctx, zero, ((1, 2), (3, 4), (0, 5))) == ((0, 0), (0, 0))
+    assert mat_mul(ctx, ((1, 2, 3),), ((0, 0),) * 3) == ((0, 0),)
+    # empty rows and empty matrices
+    assert mat_mul(ctx, ((), ()), ()) == dense_mat_mul(ctx, ((), ()), ()) == ((), ())
+    assert mat_mul(ctx, (), ((1, 2),)) == ()
+
+
 def test_shift_matrix_f5_columns(field):
     op = shift_operator(field(5, 1), 1)
     assert op.matrix == ((1, 2, 3), (0, 1, 3), (0, 0, 1))

@@ -1,6 +1,7 @@
 """Property tests: the field axioms on both arithmetic routes,
 interpolation and evaluation as inverse maps, the text format's round
-trip and the conjugation A_r = D_r^-1 A_1 D_r of the shift operators."""
+trip, the conjugation A_r = D_r^-1 A_1 D_r of the shift operators and
+their action on V[x] as the substitution f(x+r) - f(r)."""
 
 import pytest
 
@@ -10,8 +11,16 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ppshift import build_field, gf  # noqa: E402
-from ppshift.eigen import shift_operator  # noqa: E402
-from ppshift.poly import eval_table, format_poly, parse_poly, reduce_poly  # noqa: E402
+from ppshift.claims import DEFAULT_ROSTER  # noqa: E402
+from ppshift.eigen import apply_shift, shift_operator  # noqa: E402
+from ppshift.poly import (  # noqa: E402
+    coords,
+    eval_table,
+    format_poly,
+    from_coords,
+    parse_poly,
+    reduce_poly,
+)
 from ppshift.pp import interpolate_table  # noqa: E402
 
 
@@ -108,3 +117,29 @@ def test_shift_operator_is_a_diagonal_conjugate_of_the_unit_shift(case):
     unit = shift_operator(ctx, 1).matrix
     for i, row in enumerate(shift_operator(ctx, r).matrix):
         assert row == tuple(ctx.mul(ctx.pow(r, j - i), v) for j, v in enumerate(unit[i]))
+
+
+# the default roster, then F_25 on the Zech route
+ROSTER_FIELDS = [build_field(p, n) for p, n in DEFAULT_ROSTER] + [_zech(5, 2)]
+
+
+@st.composite
+def shifted_polys(draw):
+    ctx = draw(st.sampled_from(ROSTER_FIELDS))
+    vec = draw(st.lists(st.integers(0, ctx.q - 1), min_size=ctx.q - 2, max_size=ctx.q - 2))
+    return ctx, draw(st.integers(0, ctx.q - 1)), from_coords(ctx, vec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifted_polys())
+def test_shift_matrix_acts_as_the_substitution(case):
+    # A_r coords(f) = coords(f(x+r) - f(r)), summed entry by entry
+    ctx, r, f = case
+    vec = coords(ctx, f)
+    image = []
+    for row in shift_operator(ctx, r).matrix:
+        acc = 0
+        for a, v in zip(row, vec):
+            acc = ctx.add(acc, ctx.mul(a, v))
+        image.append(acc)
+    assert image == coords(ctx, apply_shift(ctx, r, f))
