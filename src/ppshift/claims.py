@@ -34,7 +34,6 @@ from .poly import (
     matrix_to_linearized,
     monomial,
     normalize,
-    poly_scale,
 )
 
 DEFAULT_ROSTER = ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2))
@@ -114,8 +113,8 @@ SECTION_ORDER = ("preliminaries", "shift-map", "shift-family", "fp2", "appendix"
 class _FieldRun:
     """Shared per-field state: context, claim list and one memo that
     keeps what several claims read (A_r, the kernels K_k of the unit
-    shift and their rescalings, V_k, enumerations, shape counts, the
-    degree census, the Theorem 15 sweep) from the first claim that
+    shift and their rescalings, V_k, enumerations, the family shapes'
+    PPRs, the degree census, the Theorem 15 sweep) from the first claim that
     builds it to the end of the run."""
 
     def __init__(self, ctx: FieldContext, cfg: RunConfig):
@@ -160,12 +159,18 @@ class _FieldRun:
         return self.memo(("enum", space),
                          lambda: pp.enumerate_pprs(self.ctx, space, budget=self.cfg.budget))
 
+    def shape(self, m: int, b: int):
+        """The PPRs (x^p - bx)^m + alpha x^p + beta x, one array of
+        alpha * q + beta in scan order (fp2.shape_pprs). The shape
+        censuses and sec5.extra_closure read it; held for the run as
+        coefficient tuples, the PPRs raised the peak memory of the
+        default roster by about a tenth."""
+        return self.memo(("shape", m, b), lambda: fp2.shape_pprs(
+            self.ctx, m, b, budget=self.cfg.budget))
+
     def shape_count(self, m: int, b: int) -> int:
-        """PPRs of the shape (x^p - bx)^m + alpha x^p + beta x. Only the
-        count is kept: held for the run, the PPR lists raise the peak
-        memory of the default roster by about a tenth."""
-        return self.memo(("shape", m, b), lambda: pp.enumerate_pprs(
-            self.ctx, pp.FamilyShape(m, b), budget=self.cfg.budget).ppr_count)
+        """How many PPRs the shape holds: the length of its array."""
+        return len(self.shape(m, b))
 
     def census(self) -> pp.DegreeCensus:
         return self.memo("census", lambda: pp.degree_distribution(self.ctx, self.cfg.budget))
@@ -924,33 +929,78 @@ def _full_count_half(run: _FieldRun):
     return "measured", None, counts, note
 
 
+def _inverse_table_keeps_shape(ctx: FieldContext, m_inv: int, inverse, power_table) -> bool:
+    """Whether the inverse table is that of
+    c (x^p - b'x)^m' + alpha' x^p + beta' x with c != 0 and
+    b'^(p+1) = 1, m' = m_inv; power_table(m', b') is the table of
+    (x^p - b'x)^m'.
+
+    Four coefficients of the reduced interpolant h of the table, each
+    one O(q) power sum, fix the candidate. (x^p - b'x)^m' has its terms
+    at degrees m' + i(p-1), 0 <= i <= m', with coefficient -m' b' at
+    i = m' - 1, and none at p or 1 when 2 <= m' <= p-2. So if h has
+    the shape, c is its coefficient at m'p, -m' c b' the one at
+    m'p - (p-1) (m' < p is a unit), and alpha', beta' those at p and
+    1: the candidate built from them is h, and the tables agree.
+    Conversely the candidate has degree m'p <= (p-2)p < q-1, so it is
+    a reduced polynomial, and when its table equals the inverse table
+    at every point it is h by uniqueness of the interpolant. The
+    verdict is therefore that of scaling h monic and matching it with
+    fp2.shape_parameters for exponent m', with no interpolation."""
+    p = ctx.p
+    lead, low, alpha, beta = pp._interpolant_coeffs(
+        ctx, inverse, (m_inv * p, m_inv * p - (p - 1), p, 1))
+    if not lead:
+        return False
+    b = ctx.div(ctx.neg(low), ctx.mul(lead, m_inv))
+    if not b or ctx.pow(b, p + 1) != 1:
+        return False
+    predicted = ctx.axpy([0] * ctx.q, lead, power_table(m_inv, b))
+    predicted = ctx.axpy(ctx.axpy(predicted, alpha, ctx.frob_table), beta, range(ctx.q))
+    return predicted == inverse
+
+
+def _power_tables(ctx: FieldContext):
+    """(m, b) -> the table of (x^p - bx)^m, each evaluated once."""
+    return functools.cache(lambda m, b: eval_table(ctx, gmb_poly(ctx, m, b)))
+
+
 def _inverse_keeps_shape(ctx: FieldContext, m: int, coeffs) -> bool:
     """Whether the monic inverse of the shape PPR coeffs with exponent m
     has the shape with exponent m^-1 mod p-1 (m itself for p <= 7)."""
-    inverse = pp.compositional_inverse(ctx, list(coeffs))
-    back = fp2.shape_parameters(ctx, poly_scale(ctx, ctx.inv(inverse[-1]), inverse))
-    return back is not None and back[0] == pow(m, -1, ctx.p - 1)
+    inverse = pp.inverse_table(ctx, eval_table(ctx, list(coeffs)))
+    return _inverse_table_keeps_shape(ctx, pow(m, -1, ctx.p - 1), inverse, _power_tables(ctx))
 
 
 def _extra_closure(run: _FieldRun):
+    """The unconditioned shape PPRs, read from the run's shape scans,
+    invert into the shape with exponent m^-1 mod p-1. Each f is a table
+    of (x^p - bx)^m plus its alpha x^p and beta x rows, as in
+    _thm15_sweep; its inverse table is tested by
+    _inverse_table_keeps_shape."""
     ctx = run.ctx
     if not _fp2_applicable(ctx) or ctx.p < 5:
         return "skipped", None, None, "checked for p in {5, 7}"
-    p = ctx.p
+    p, q = ctx.p, ctx.q
     ms = [m for m in range(2, p) if math.gcd(m, p - 1) == 1]
-    pp.require_budget(ctx.q**2, run.cfg.budget)  # candidates per shape
+    frob = ctx.frob_table  # x^p
+    points = range(q)
+    power_table = _power_tables(ctx)
     bad = []
     total = 0
     for m in ms:
+        m_inv = pow(m, -1, p - 1)
         for b in fp2.family_b_values(ctx):
-            # streamed: a shape can hold more PPRs than pp.LIST_LIMIT lists
-            for coeffs in pp._scan(ctx, gmb_poly(ctx, m, b), [monomial(p), monomial(1)]):
-                params = fp2.shape_parameters(ctx, list(coeffs))
-                alpha, beta = params[2], params[3]
+            g_alpha = {}  # g + alpha x^p, shared by the betas of one alpha
+            for code in run.shape(m, b):
+                alpha, beta = divmod(code, q)
                 if fp2.check_conditions(ctx, m, b, alpha, beta).constructible:
                     continue
                 total += 1
-                if not _inverse_keeps_shape(ctx, m, coeffs):
+                if alpha not in g_alpha:
+                    g_alpha = {alpha: ctx.axpy(power_table(m, b), alpha, frob)}
+                inverse = pp.inverse_table(ctx, ctx.axpy(g_alpha[alpha], beta, points))
+                if not _inverse_table_keeps_shape(ctx, m_inv, inverse, power_table):
                     bad.append((m, b, alpha, beta))
     status = "verified" if not bad else "refuted"
     return status, "inverse PPRs keep the shape and m", bad[:3] or (

@@ -21,6 +21,7 @@ beta), and sweeps the identity suite backing the inverse formula.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -28,12 +29,13 @@ from .errors import (
     NotConstructibleError,
     OutOfRangeError,
 )
+from . import pp
 from .gf import FieldContext, require_element, roots_of_unity
-from .pp import FamilyShape, enumerate_pprs
 from .poly import (
     gmb_poly,
     hmd_d,
     hmd_poly,
+    monomial,
     neg_one_pow,
     normalize,
     poly_add,
@@ -103,11 +105,17 @@ def derive_params(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -> F
     require_mb(ctx, m, b)
     require_element(ctx, alpha)
     require_element(ctx, beta)
+    return _derive(ctx, m, b, hmd_d(ctx, m, b), alpha, beta)
+
+
+def _derive(ctx: FieldContext, m: int, b: int, d: int, alpha: int, beta: int) -> FamilyInstance:
+    """derive_params' arithmetic on validated arguments, with
+    d = hmd_d(ctx, m, b) passed in so that a loop over many (alpha,
+    beta) computes it once per (m, b)."""
     p = ctx.p
     norm_gap = ctx.sub(ctx.pow(beta, p + 1), ctx.pow(alpha, p + 1))
     if norm_gap == 0:
         raise DegenerateParametersError("alpha and beta have equal norms")
-    d = hmd_d(ctx, m, b)
     gamma = ctx.div(ctx.neg(alpha), norm_gap)
     epsilon = ctx.div(ctx.pow(beta, p), norm_gap)
     denom = ctx.sub(ctx.pow(beta, p), ctx.mul(alpha, d))
@@ -195,11 +203,24 @@ def census(ctx: FieldContext, m: int, b: int, mode: str = "conditioned") -> Cens
     conditioned = len(constructible_pairs(ctx, m, b))
     if mode == "conditioned":
         return CensusReport(m=m, b=b, conditioned=conditioned, full=None, excess=None)
-    report = enumerate_pprs(ctx, FamilyShape(m=m, b=b))
-    return CensusReport(
-        m=m, b=b, conditioned=conditioned,
-        full=report.ppr_count, excess=report.ppr_count - conditioned,
-    )
+    full = len(shape_pprs(ctx, m, b))
+    return CensusReport(m=m, b=b, conditioned=conditioned, full=full, excess=full - conditioned)
+
+
+def shape_pprs(ctx: FieldContext, m: int, b: int, budget: int = pp.DEFAULT_BUDGET) -> array:
+    """The (alpha, beta) of every PPR (x^p - bx)^m + alpha x^p + beta x,
+    as alpha * q + beta, alpha outer and beta ascending.
+
+    One pp._scan of the q^2 candidates, which must fit the budget: the
+    offset (x^p - bx)^m plus span(x^p, x). The offset's terms sit at
+    degrees m + i(p-1), none of them p or 1 for 2 <= m <= p-1, so alpha
+    and beta are each hit's coefficients at p and 1. One array instead
+    of a list of coefficient tuples keeps a run's shapes small enough
+    to hold."""
+    pp.require_budget(ctx.q**2, budget)
+    p, q = ctx.p, ctx.q
+    hits = pp._scan(ctx, gmb_poly(ctx, m, b), [monomial(p), monomial(1)])
+    return array("I", (f[p] * q + f[1] for f in hits))
 
 
 # -- the identity suite backing the inverse formula --
@@ -340,10 +361,11 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     for m in ms:
         for b in bs:
             b_m2 = ctx.pow(b, m * m)
+            d = hmd_d(ctx, m, b)
             for alpha, beta in constructible_pairs(ctx, m, b):
-                inst = derive_params(ctx, m, b, alpha, beta)
+                inst = _derive(ctx, m, b, d, alpha, beta)
                 n_checked += 1
-                # derive_params refused a zero norm gap
+                # _derive refused a zero norm gap
                 base = add(beta, mul(b, alpha))
                 log_gap = log[sub(norm[beta], norm[alpha])]
                 closed = neg[exp[((m - 1) * log[base] - m * log_gap) % q1]] if base else 0

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -28,7 +29,7 @@ from ppshift.claims import (
 from ppshift.cli import emit_report
 from ppshift.errors import BudgetExceededError, NotAPermutationError
 from ppshift.fp2 import check_conditions, family_poly
-from ppshift.poly import hmd_d
+from ppshift.poly import eval_table, gmb_poly, hmd_d, monomial, poly_scale
 from ppshift.pp import HERMITE_MAX_Q, is_permutation
 
 STATUSES = {"verified", "refuted", "measured", "skipped"}
@@ -236,6 +237,85 @@ def test_list_overflow_streams_extra_closure_and_skips_v1_shapes(monkeypatch):
     assert _v1_shapes(unlisted) == (
         "skipped", None, None, "PPR list above the reporting threshold"
     )
+
+
+def _rescanned_extra_closure(ctx):
+    """sec5.extra_closure by polynomials: a second scan of every shape,
+    then compositional_inverse, scaled monic, and shape_parameters for
+    the exponent m^-1 mod p-1."""
+    p = ctx.p
+    bad, total = [], 0
+    for m in (m for m in range(2, p) if gcd(m, p - 1) == 1):
+        for b in fp2.family_b_values(ctx):
+            for coeffs in pp._scan(ctx, gmb_poly(ctx, m, b), [monomial(p), monomial(1)]):
+                _, _, alpha, beta = fp2.shape_parameters(ctx, list(coeffs))
+                if check_conditions(ctx, m, b, alpha, beta).constructible:
+                    continue
+                total += 1
+                inverse = pp.compositional_inverse(ctx, list(coeffs))
+                back = fp2.shape_parameters(ctx, poly_scale(ctx, ctx.inv(inverse[-1]), inverse))
+                if back is None or back[0] != pow(m, -1, p - 1):
+                    bad.append((m, b, alpha, beta))
+    status = "verified" if not bad else "refuted"
+    return status, bad, total
+
+
+@pytest.mark.parametrize("p,n,make", [(5, 2, "field"), (7, 2, "field"), (5, 2, "zech_field")])
+def test_extra_closure_matches_the_interpolating_route(request, p, n, make):
+    ctx = request.getfixturevalue(make)(p, n)
+    want_status, want_bad, total = _rescanned_extra_closure(ctx)
+    status, _, observed, note = _extra_closure(_FieldRun(ctx, RunConfig()))
+    assert (status, observed) == (want_status, want_bad[:3] or "inverse PPRs keep the shape and m")
+    assert note == f"{total} unconditioned shape PPRs inverted"
+    assert status == "verified"
+
+
+def _swap_two(ctx, inverse):
+    inverse[1], inverse[2] = inverse[2], inverse[1]
+
+
+def _add_square(ctx, inverse):
+    # + x^2 leaves the four coefficients the shortcut reads unchanged,
+    # so only its table comparison can see it
+    inverse[:] = [ctx.add(v, ctx.mul(y, y)) for y, v in enumerate(inverse)]
+
+
+@pytest.mark.parametrize("fault", [_swap_two, _add_square])
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_extra_closure_planted_inverse_fault(request, monkeypatch, make, fault):
+    # one inverse table corrupted: both routes refute exactly that PPR
+    ctx = request.getfixturevalue(make)(5, 2)
+    b = fp2.family_b_values(ctx)[2]
+    at = next((3, b, alpha, beta) for alpha in range(1, ctx.q) for beta in range(ctx.q)
+              if is_permutation(ctx, family_poly(ctx, 3, b, alpha, beta)).is_pp
+              and not check_conditions(ctx, 3, b, alpha, beta).constructible)
+    planted_table = eval_table(ctx, family_poly(ctx, *at))
+    inverse_table = pp.inverse_table
+
+    def planted(ctx, table):
+        inverse = inverse_table(ctx, table)
+        if list(table) == planted_table:
+            fault(ctx, inverse)
+        return inverse
+
+    monkeypatch.setattr(pp, "inverse_table", planted)
+    status, _, observed, _ = _extra_closure(_FieldRun(ctx, RunConfig()))
+    assert (status, observed) == ("refuted", [at])
+    assert _rescanned_extra_closure(ctx)[:2] == ("refuted", [at])
+
+
+def test_reproduce_field_scans_each_shape_once(monkeypatch):
+    ctx = build_field(5, 2)
+    shape_basis = [monomial(ctx.p), monomial(1)]
+    calls = _count_calls(monkeypatch, pp, "_scan", key=lambda ctx, offset, basis: (
+        tuple(offset) if basis == shape_basis else None))
+    reports = reproduce_field(ctx, RunConfig())
+    # sec5.v2_count reads m = 2; the coprime, half and closure claims m = 3
+    offsets = {tuple(gmb_poly(ctx, m, b)) for m in (2, 3) for b in fp2.family_b_values(ctx)}
+    calls.pop(None, None)
+    assert set(calls) == offsets and set(calls.values()) == {1}
+    by_id = {r.claim_id: r for r in reports}
+    assert by_id["sec5.extra_closure"].note == "600 unconditioned shape PPRs inverted"
 
 
 def test_coprime_count_leaves_out_the_half_exponent_past_p5():

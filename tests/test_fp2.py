@@ -1,7 +1,9 @@
 import pytest
 
+from ppshift import fp2
 from ppshift.errors import (
     BadExponentError,
+    BudgetExceededError,
     DegenerateParametersError,
     NotConstructibleError,
     NotRootOfUnityError,
@@ -17,9 +19,10 @@ from ppshift.fp2 import (
     family_poly,
     lemma_suite,
     shape_parameters,
+    shape_pprs,
 )
 from ppshift.poly import compose, eval_table, poly_scale
-from ppshift.pp import compositional_inverse, is_permutation
+from ppshift.pp import FamilyShape, compositional_inverse, enumerate_pprs, is_permutation
 
 
 def test_family_b_values(field):
@@ -162,6 +165,21 @@ def test_census_counts(field):
     assert rep.full is None and rep.excess is None and rep.conditioned == 80
 
 
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_shape_pprs_match_the_listed_enumeration(request, make):
+    ctx = request.getfixturevalue(make)(5, 2)
+    p, q = ctx.p, ctx.q
+    for m in (2, 3, 4):
+        for b in family_b_values(ctx):
+            codes = shape_pprs(ctx, m, b)
+            listed = enumerate_pprs(ctx, FamilyShape(m, b)).ppr_list
+            assert [divmod(c, q) for c in codes] == sorted((f[p], f[1]) for f in listed)
+            assert census(ctx, m, b, "full").full == len(codes)
+    with pytest.raises(BudgetExceededError):
+        shape_pprs(ctx, 3, 1, budget=q * q - 1)
+    assert len(shape_pprs(ctx, 3, 1, budget=q * q)) == 180
+
+
 def test_census_invariant_under_b(field):
     f25 = field(5, 2)
     counts = {census(f25, 3, b, "full").full for b in family_b_values(f25)}
@@ -200,6 +218,18 @@ def test_lemma_suite_pinned_counts(field, p):
     report = lemma_suite(field(p, 2))
     got = [(c.name, c.checked, c.skipped, c.passed) for c in report.checks]
     assert got == LEMMA_SUITE_PINS[p]
+
+
+def test_lemma_suite_validates_once_per_exponent_and_root(field, monkeypatch):
+    # the lemma23/24 loop runs derive_params' arithmetic with d computed
+    # per (m, b); only constructible_pairs checks (m, b), once each
+    ctx = field(5, 2)
+    calls = []
+    monkeypatch.setattr(fp2, "require_mb", lambda *args: calls.append(args[1:]))
+    monkeypatch.setattr(fp2, "derive_params", None)
+    assert lemma_suite(ctx).passed
+    pairs = [(m, b) for m in range(2, 5) for b in family_b_values(ctx)]
+    assert sorted(calls) == sorted(pairs)
 
 
 def test_lemma_suite_without_flat_tables(field, zech_field):
