@@ -60,62 +60,16 @@ class ClaimReport:
     note: str = ""
 
 
-# claim id -> (report section, one-line statement of what is checked)
-CLAIM_ANCHORS = {
-    "prop2.frobenius_additivity": ("preliminaries", "x -> x^p is additive"),
-    "cor1.max_degree": ("preliminaries", "reduced permutations have degree <= q-2"),
-    "cor2.divisor_degrees": ("preliminaries", "no permutation of degree d > 1 dividing q-1"),
-    "hermite.agreement": ("preliminaries", "power-degree criterion agrees with direct bijectivity"),
-    "def1.orbit_identity": ("preliminaries", "#PP = q(q-1) * #PPR"),
-    "lemma1.operator_power": ("shift-map", "(A_r)^p = I for every nonzero r"),
-    "lemma1.operator_order": ("shift-map", "the cyclic order of every nonzero shift is p"),
-    "lemma2.eigenvalue": ("shift-map", "1 is the only eigenvalue of a shift operator"),
-    "lemma3.monomial_fixed": ("shift-map", "monomials x^(p^k) are fixed by every shift"),
-    "lemma4.fixed_degrees": ("shift-map", "fixed vectors have p-power or p-multiple degree"),
-    "sec3.kernel_dims": ("shift-map", "dim ker(A_r - I)^k = min(k p^(n-1), q-2)"),
-    "lemma5.kernel_chain": ("shift-map", "kernel chain strictly grows until saturation"),
-    "thm7.kernel_basis": ("shift-map", "explicit spanning set of ker(A-I)^m"),
-    "cor3.prime_kernel_basis": ("shift-map", "ker(A-I)^m = span(x..x^m) over prime fields"),
-    "cor3.first_appearance": ("shift-map", "prime-field PPRs first appear at stage = degree"),
-    "degree.distribution": ("shift-map", "degree census of prime-field PPRs"),
-    "eq1.matrix_action": ("shift-family", "operator matrix agrees with direct substitution"),
-    "lemma9.additivity": ("shift-family", "A_r A_s = A_(r+s)"),
-    "lemma10.line_kernels": ("shift-family", "ker(x^p - bx) is the line of r, b = r^(p-1)"),
-    "lemma12.kernel_invariance": ("shift-family", "kernels agree along each line"),
-    "lemma13.v1_dim": ("shift-family", "dim V_1 = n"),
-    "lemma13.count": ("shift-family", "V_1 holds prod(q - p^i) PPRs"),
-    "lemma13.inverse_closure": ("shift-family", "V_1 permutations close under inversion"),
-    "eq3.alt_generators": ("shift-family", "V_k is stable under the generator choice"),
-    "vk.dim.conjecture": ("shift-family", "dim V_k = k^n + n - 1"),
-    "thm11.line_eigenspace": ("shift-family", "eigenspace of A_r from the line of r"),
-    "lemma19.vk_dims": ("fp2", "dim V_k = k^2 + 1 over quadratic fields"),
-    "sec5.v1_shapes": ("fp2", "V_1 PPRs are x and the nonsingular x^p - rx"),
-    "sec5.v2_span": ("fp2", "V_2 = span(x, x^2, x^p, x^(p+1), x^(2p))"),
-    "sec5.v2_count": ("fp2", "V_2 holds p(p+1)(p-1)^2 non-linearized PPRs"),
-    "sec5.v3_offspan": ("fp2", "no V_3 permutation uses the degree-4p basis vector"),
-    "thm15.inverse": ("fp2", "parametric inverse agrees with the inverse table at every point"),
-    "thm15.closure": ("fp2", "the conditioned family closes under inversion"),
-    "sec5.conditioned_count": ("fp2", "p(p-1)^2 conditioned pairs per (m, b)"),
-    "sec5.full_count_coprime": ("fp2", "p(p-1)(2p-1) shape PPRs per b for coprime m != (p+1)/2"),
-    "sec5.full_count_half": ("fp2", "shape census at m = (p+1)/2"),
-    "sec5.extra_closure": ("fp2", "unconditioned shape PPRs close under inversion"),
-    "appendix.lemma20": ("appendix", "g^p identity"),
-    "appendix.lemma21": ("appendix", "gamma/epsilon parameter identities"),
-    "appendix.lemma22": ("appendix", "the two condition forms are equivalent"),
-    "appendix.lemma23": ("appendix", "closed form of delta"),
-    "appendix.lemma24": ("appendix", "Frobenius twist of delta"),
-    "appendix.lemma25": ("appendix", "h^p identity"),
-}
-
 SECTION_ORDER = ("preliminaries", "shift-map", "shift-family", "fp2", "appendix")
 
 
 class _FieldRun:
     """Shared per-field state: context, claim list and one memo that
     keeps what several claims read (A_r, the kernels K_k of the unit
-    shift and their rescalings, V_k, enumerations, the family shapes'
-    PPRs, the degree census, the Theorem 15 sweep) from the first claim that
-    builds it to the end of the run."""
+    shift, V_k, enumerations, the family shapes' PPRs, the degree
+    census, the Theorem 15 sweep, the lemma suite) from the first claim
+    that builds it to the end of the run. A kernel of A_r is rescaled
+    from K_k on each read and not held."""
 
     def __init__(self, ctx: FieldContext, cfg: RunConfig):
         self.ctx = ctx
@@ -142,8 +96,8 @@ class _FieldRun:
         return self.memo(("K", k), lambda: eigen.unit_kernel(self.ctx, k))
 
     def kernel(self, r: int, k: int) -> eigen.Subspace:
-        return self.memo(("ker", r, k), lambda: eigen.rescale_kernel(
-            self.ctx, self.unit_kernel(k), r))
+        """ker((A_r - I)^k): K_k rescaled by D_r^-1, rebuilt on each call."""
+        return eigen.rescale_kernel(self.ctx, self.unit_kernel(k), r)
 
     def kernel_dim(self, r: int, k: int) -> int:
         """dim ker((A_r - I)^k) = dim K_k: the rescaling by D_r^-1 keeps it."""
@@ -175,26 +129,18 @@ class _FieldRun:
     def census(self) -> pp.DegreeCensus:
         return self.memo("census", lambda: pp.degree_distribution(self.ctx, self.cfg.budget))
 
-    def add(self, claim_id: str, status: str, expected, observed,
-            runtime: float, note: str = "") -> None:
-        if claim_id not in CLAIM_ANCHORS:
-            raise AssertionError(f"claim {claim_id} missing from the registry")
-        self.reports.append(
-            ClaimReport(
-                claim_id=claim_id,
-                field=self.name,
-                status=status,
-                expected=None if status == "measured" else expected,
-                observed=observed,
-                runtime=round(runtime, 3) if self.cfg.timings else None,
-                note=note,
-            )
-        )
-
-    def run(self, fn, claim_id: str) -> None:
+    def run(self, claim_id: str, check) -> None:
         started = time.perf_counter()
-        status, expected, observed, note = fn(self)
-        self.add(claim_id, status, expected, observed, time.perf_counter() - started, note)
+        status, expected, observed, note = check(self)
+        self.reports.append(ClaimReport(
+            claim_id=claim_id,
+            field=self.name,
+            status=status,
+            expected=None if status == "measured" else expected,
+            observed=observed,
+            runtime=round(time.perf_counter() - started, 3) if self.cfg.timings else None,
+            note=note,
+        ))
 
 
 def _sample_pairs(rng: random.Random, q: int, count: int):
@@ -481,10 +427,7 @@ def _degree_distribution_claim(run: _FieldRun):
     if ctx.n != 1 or ctx.q < 5:
         return "skipped", None, None, "prime fields with q >= 5"
     census = run.census()
-    factorial = 1
-    for i in range(2, ctx.q + 1):
-        factorial *= i
-    expected_total = factorial // (ctx.q * (ctx.q - 1))
+    expected_total = math.factorial(ctx.q) // (ctx.q * (ctx.q - 1))
     status = "verified" if census.total == expected_total else "refuted"
     return status, {"total": expected_total}, {
         "total": census.total, "by_degree": census.counts
@@ -632,13 +575,7 @@ def _alt_generators(run: _FieldRun):
     dims = []
     observed = {"generators": alt, "v1_equal": v1_equal, "dims": dims}
     for k in range(2, kmax + 1):
-        dims.append(
-            (
-                k,
-                run.vk(k).dim,
-                run.vk(k, alt).dim,
-            )
-        )
+        dims.append((k, run.vk(k).dim, run.vk(k, alt).dim))
     if ctx.n == 2 and ctx.p >= 5:
         # the two V_3 bases may differ in the one non-monomial vector
         # only; record whether their monomial supports agree
@@ -1008,74 +945,102 @@ def _extra_closure(run: _FieldRun):
     ), f"{total} unconditioned shape PPRs inverted"
 
 
-def _lemma_suite_claims(run: _FieldRun):
-    ctx = run.ctx
-    started = time.perf_counter()
-    if not _fp2_applicable(ctx):
-        for i in range(20, 26):
-            run.add(f"appendix.lemma{i}", "skipped", None, None, 0.0,
-                    "quadratic extensions with p >= 3")
-        return
-    suite = fp2.lemma_suite(ctx)
-    elapsed = time.perf_counter() - started
-    for check in suite.checks:
-        run.add(
-            f"appendix.{check.name}",
-            "verified" if check.passed else "refuted",
-            check.statement,
-            list(check.counterexamples[:3]) or "no counterexamples",
-            elapsed / len(suite.checks),
-            f"{check.checked} instances" + (f", {check.skipped} skipped" if check.skipped else ""),
-        )
+def _appendix(name: str):
+    """The check of appendix.<name>: its row of fp2.lemma_suite, which
+    runs once per field for all six appendix claims."""
+
+    def check(run: _FieldRun):
+        if not _fp2_applicable(run.ctx):
+            return "skipped", None, None, "quadratic extensions with p >= 3"
+        suite = run.memo("suite", lambda: fp2.lemma_suite(run.ctx))
+        c = next(c for c in suite.checks if c.name == name)
+        skipped = f", {c.skipped} skipped" if c.skipped else ""
+        return ("verified" if c.passed else "refuted", c.statement,
+                list(c.counterexamples[:3]) or "no counterexamples",
+                f"{c.checked} instances{skipped}")
+
+    return check
 
 
-_CLAIM_FUNCS = (
-    ("prop2.frobenius_additivity", _frobenius_additivity),
-    ("cor1.max_degree", _max_degree),
-    ("cor2.divisor_degrees", _divisor_degrees),
-    ("hermite.agreement", _hermite_agreement),
-    ("def1.orbit_identity", _orbit_identity),
-    ("lemma1.operator_power", _operator_power),
-    ("lemma1.operator_order", _operator_order),
-    ("lemma2.eigenvalue", _eigenvalue_only_one),
-    ("lemma3.monomial_fixed", _monomial_fixed),
-    ("lemma4.fixed_degrees", _fixed_degrees),
-    ("sec3.kernel_dims", _kernel_dims),
-    ("lemma5.kernel_chain", _kernel_chain),
-    ("thm7.kernel_basis", _thm7_basis),
-    ("cor3.prime_kernel_basis", _cor3_basis),
-    ("cor3.first_appearance", _first_appearance),
-    ("degree.distribution", _degree_distribution_claim),
-    ("eq1.matrix_action", _matrix_action),
-    ("lemma9.additivity", _additivity),
-    ("lemma10.line_kernels", _line_kernels),
-    ("lemma12.kernel_invariance", _kernel_invariance),
-    ("lemma13.v1_dim", _v1_dim),
-    ("lemma13.count", _v1_count),
-    ("lemma13.inverse_closure", _v1_inverse_closure),
-    ("eq3.alt_generators", _alt_generators),
-    ("vk.dim.conjecture", _vk_conjecture),
-    ("lemma19.vk_dims", _lemma19_dims),
-    ("thm11.line_eigenspace", _thm11_line_eigenspaces),
-    ("sec5.v1_shapes", _v1_shapes),
-    ("sec5.v2_span", _v2_span),
-    ("sec5.v2_count", _v2_count),
-    ("sec5.v3_offspan", _v3_offspan),
-    ("thm15.inverse", _thm15_inverse),
-    ("thm15.closure", _thm15_closure),
-    ("sec5.conditioned_count", _conditioned_count),
-    ("sec5.full_count_coprime", _full_count_coprime),
-    ("sec5.full_count_half", _full_count_half),
-    ("sec5.extra_closure", _extra_closure),
+# (claim id, report section, check, one-line statement) in run order, which the
+# report keeps: lemma19.vk_dims runs before thm11.line_eigenspace
+_CLAIMS = (
+    ("prop2.frobenius_additivity", "preliminaries", _frobenius_additivity,
+     "x -> x^p is additive"),
+    ("cor1.max_degree", "preliminaries", _max_degree, "reduced permutations have degree <= q-2"),
+    ("cor2.divisor_degrees", "preliminaries", _divisor_degrees,
+     "no permutation of degree d > 1 dividing q-1"),
+    ("hermite.agreement", "preliminaries", _hermite_agreement,
+     "power-degree criterion agrees with direct bijectivity"),
+    ("def1.orbit_identity", "preliminaries", _orbit_identity, "#PP = q(q-1) * #PPR"),
+    ("lemma1.operator_power", "shift-map", _operator_power, "(A_r)^p = I for every nonzero r"),
+    ("lemma1.operator_order", "shift-map", _operator_order,
+     "the cyclic order of every nonzero shift is p"),
+    ("lemma2.eigenvalue", "shift-map", _eigenvalue_only_one,
+     "1 is the only eigenvalue of a shift operator"),
+    ("lemma3.monomial_fixed", "shift-map", _monomial_fixed,
+     "monomials x^(p^k) are fixed by every shift"),
+    ("lemma4.fixed_degrees", "shift-map", _fixed_degrees,
+     "fixed vectors have p-power or p-multiple degree"),
+    ("sec3.kernel_dims", "shift-map", _kernel_dims, "dim ker(A_r - I)^k = min(k p^(n-1), q-2)"),
+    ("lemma5.kernel_chain", "shift-map", _kernel_chain,
+     "kernel chain strictly grows until saturation"),
+    ("thm7.kernel_basis", "shift-map", _thm7_basis, "explicit spanning set of ker(A-I)^m"),
+    ("cor3.prime_kernel_basis", "shift-map", _cor3_basis,
+     "ker(A-I)^m = span(x..x^m) over prime fields"),
+    ("cor3.first_appearance", "shift-map", _first_appearance,
+     "prime-field PPRs first appear at stage = degree"),
+    ("degree.distribution", "shift-map", _degree_distribution_claim,
+     "degree census of prime-field PPRs"),
+    ("eq1.matrix_action", "shift-family", _matrix_action,
+     "operator matrix agrees with direct substitution"),
+    ("lemma9.additivity", "shift-family", _additivity, "A_r A_s = A_(r+s)"),
+    ("lemma10.line_kernels", "shift-family", _line_kernels,
+     "ker(x^p - bx) is the line of r, b = r^(p-1)"),
+    ("lemma12.kernel_invariance", "shift-family", _kernel_invariance,
+     "kernels agree along each line"),
+    ("lemma13.v1_dim", "shift-family", _v1_dim, "dim V_1 = n"),
+    ("lemma13.count", "shift-family", _v1_count, "V_1 holds prod(q - p^i) PPRs"),
+    ("lemma13.inverse_closure", "shift-family", _v1_inverse_closure,
+     "V_1 permutations close under inversion"),
+    ("eq3.alt_generators", "shift-family", _alt_generators,
+     "V_k is stable under the generator choice"),
+    ("vk.dim.conjecture", "shift-family", _vk_conjecture, "dim V_k = k^n + n - 1"),
+    ("lemma19.vk_dims", "fp2", _lemma19_dims, "dim V_k = k^2 + 1 over quadratic fields"),
+    ("thm11.line_eigenspace", "shift-family", _thm11_line_eigenspaces,
+     "eigenspace of A_r from the line of r"),
+    ("sec5.v1_shapes", "fp2", _v1_shapes, "V_1 PPRs are x and the nonsingular x^p - rx"),
+    ("sec5.v2_span", "fp2", _v2_span, "V_2 = span(x, x^2, x^p, x^(p+1), x^(2p))"),
+    ("sec5.v2_count", "fp2", _v2_count, "V_2 holds p(p+1)(p-1)^2 non-linearized PPRs"),
+    ("sec5.v3_offspan", "fp2", _v3_offspan,
+     "no V_3 permutation uses the degree-4p basis vector"),
+    ("thm15.inverse", "fp2", _thm15_inverse,
+     "parametric inverse agrees with the inverse table at every point"),
+    ("thm15.closure", "fp2", _thm15_closure, "the conditioned family closes under inversion"),
+    ("sec5.conditioned_count", "fp2", _conditioned_count, "p(p-1)^2 conditioned pairs per (m, b)"),
+    ("sec5.full_count_coprime", "fp2", _full_count_coprime,
+     "p(p-1)(2p-1) shape PPRs per b for coprime m != (p+1)/2"),
+    ("sec5.full_count_half", "fp2", _full_count_half, "shape census at m = (p+1)/2"),
+    ("sec5.extra_closure", "fp2", _extra_closure,
+     "unconditioned shape PPRs close under inversion"),
+    ("appendix.lemma20", "appendix", _appendix("lemma20"), "g^p identity"),
+    ("appendix.lemma21", "appendix", _appendix("lemma21"), "gamma/epsilon parameter identities"),
+    ("appendix.lemma22", "appendix", _appendix("lemma22"),
+     "the two condition forms are equivalent"),
+    ("appendix.lemma23", "appendix", _appendix("lemma23"), "closed form of delta"),
+    ("appendix.lemma24", "appendix", _appendix("lemma24"), "Frobenius twist of delta"),
+    ("appendix.lemma25", "appendix", _appendix("lemma25"), "h^p identity"),
 )
+
+# claim id -> (report section, statement)
+CLAIM_ANCHORS = {claim_id: (section, statement) for claim_id, section, _, statement in _CLAIMS}
 
 
 def reproduce_field(ctx: FieldContext, cfg: RunConfig) -> list[ClaimReport]:
-    """Every applicable claim for one field, in registry order."""
+    """Every claim for one field, in table order."""
     run = _FieldRun(ctx, cfg)
-    for claim_id, fn in _CLAIM_FUNCS:
-        run.run(fn, claim_id)
-    _lemma_suite_claims(run)
+    for claim_id, _, check, _ in _CLAIMS:
+        run.run(claim_id, check)
     return run.reports
 
 

@@ -134,6 +134,8 @@ def _derive(ctx: FieldContext, m: int, b: int, d: int, alpha: int, beta: int) ->
 def family_poly(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -> list[int]:
     """(x^p - b x)^m + alpha x^p + beta x, reduced."""
     _require_fp2(ctx)
+    require_element(ctx, alpha)
+    require_element(ctx, beta)
     f = list(gmb_poly(ctx, m, b))
     f[ctx.p] = ctx.add(f[ctx.p], alpha)
     f[1] = ctx.add(f[1], beta)
@@ -217,6 +219,7 @@ def shape_pprs(ctx: FieldContext, m: int, b: int, budget: int = pp.DEFAULT_BUDGE
     and beta are each hit's coefficients at p and 1. One array instead
     of a list of coefficient tuples keeps a run's shapes small enough
     to hold."""
+    _require_fp2(ctx)
     pp.require_budget(ctx.q**2, budget)
     p, q = ctx.p, ctx.q
     hits = pp._scan(ctx, gmb_poly(ctx, m, b), [monomial(p), monomial(1)])

@@ -411,7 +411,6 @@ def build_field(
     p: int,
     n: int = 1,
     modulus_override=None,
-    cap: int = DEFAULT_FIELD_CAP,
 ) -> FieldContext:
     """Construct F_{p^n} with deterministic modulus and primitive element.
 
@@ -424,8 +423,8 @@ def build_field(
     if not isinstance(n, int) or n < 1:
         raise NotIrreducibleError(f"extension degree n = {n} must be >= 1")
     q = p**n
-    if q > cap:
-        raise CapExceededError(f"q = {q} exceeds cap {cap}")
+    if q > DEFAULT_FIELD_CAP:
+        raise CapExceededError(f"q = {q} exceeds cap {DEFAULT_FIELD_CAP}")
     if modulus_override is not None:
         mod = tuple(int(c) % p for c in modulus_override)
         if len(mod) != n + 1 or mod[-1] != 1:

@@ -33,7 +33,6 @@ from .errors import (
 from .gf import FieldContext, prime_factors
 from .poly import (
     eval_table,
-    gmb_poly,
     is_monic,
     monomial,
     normalize,
@@ -224,14 +223,6 @@ def require_budget(total: int, budget: int) -> None:
 
 
 @dataclass(frozen=True)
-class FamilyShape:
-    """Candidates (x^p - b x)^m + alpha x^p + beta x over all (alpha, beta)."""
-
-    m: int
-    b: int
-
-
-@dataclass(frozen=True)
 class EnumReport:
     searched: int
     ppr_count: int
@@ -294,26 +285,21 @@ def enumerate_pprs(
     budget: int = DEFAULT_BUDGET,
 ) -> EnumReport:
     """Count (and up to LIST_LIMIT, list) the monic zero-fixing
-    permutations in a subspace or parametric shape.
+    permutations in a V[x] subspace.
 
     The domain size must fit the budget; nothing is silently truncated.
     """
     from .eigen import Subspace
 
-    if isinstance(domain, Subspace):
-        if domain.ambient != ctx.q - 2:
-            raise OutOfRangeError("subspace does not live over the monomial coordinates")
-        total = ctx.q**domain.dim
-        blocks = lambda: _monic_blocks(ctx, domain)
-    elif isinstance(domain, FamilyShape):
-        total = ctx.q**2
-        blocks = lambda: [(gmb_poly(ctx, domain.m, domain.b), [monomial(ctx.p), monomial(1)])]
-    else:
+    if not isinstance(domain, Subspace):
         raise OutOfRangeError(f"unsupported enumeration domain {type(domain).__name__}")
+    if domain.ambient != ctx.q - 2:
+        raise OutOfRangeError("subspace does not live over the monomial coordinates")
+    total = ctx.q**domain.dim
     require_budget(total, budget)
     count = 0
     found: list[tuple[int, ...]] | None = []
-    for offset, basis in blocks():
+    for offset, basis in _monic_blocks(ctx, domain):
         for f in _scan(ctx, offset, basis):
             count += 1
             if found is not None:

@@ -178,6 +178,17 @@ def test_reproduce_field_builds_each_operator_once(monkeypatch):
     assert set(calls) <= set(range(ctx.q))
 
 
+@pytest.mark.parametrize("p,n,suite_runs", [(2, 2, 0), (5, 1, 0), (5, 2, 1)])
+def test_reports_follow_the_claim_table(monkeypatch, p, n, suite_runs):
+    # one report per table row, in table order; the six appendix rows
+    # share one lemma suite, run only where it applies
+    calls = _count_calls(monkeypatch, fp2, "lemma_suite")
+    ids = [r.claim_id for r in _field_reports(p, n)]
+    assert ids == [claim_id for claim_id, *_ in claims._CLAIMS]
+    assert len(set(ids)) == len(ids)
+    assert sum(calls.values()) == suite_runs
+
+
 def test_reproduce_field_runs_one_degree_census(monkeypatch):
     calls = _count_calls(monkeypatch, pp, "degree_distribution")
     reports = reproduce_field(build_field(5, 1), RunConfig())

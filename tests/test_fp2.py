@@ -22,7 +22,7 @@ from ppshift.fp2 import (
     shape_pprs,
 )
 from ppshift.poly import compose, eval_table, poly_scale
-from ppshift.pp import FamilyShape, compositional_inverse, enumerate_pprs, is_permutation
+from ppshift.pp import compositional_inverse, is_permutation
 
 
 def test_family_b_values(field):
@@ -30,6 +30,16 @@ def test_family_b_values(field):
     assert family_b_values(f9) == [1, 2, 3, 6]
     with pytest.raises(OutOfRangeError):
         family_b_values(field(5, 1))
+
+
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_family_poly_and_shape_pprs_refuse_bad_input(request, make):
+    f25 = request.getfixturevalue(make)(5, 2)
+    for alpha, beta in ((99, 0), (-1, 0), (0, 99), (0, -1)):
+        with pytest.raises(OutOfRangeError):
+            family_poly(f25, 3, 1, alpha, beta)
+    with pytest.raises(OutOfRangeError):
+        shape_pprs(request.getfixturevalue(make)(3, 3), 2, 1)
 
 
 def test_derive_params_worked_instance(field):
@@ -168,12 +178,13 @@ def test_census_counts(field):
 @pytest.mark.parametrize("make", ["field", "zech_field"])
 def test_shape_pprs_match_the_listed_enumeration(request, make):
     ctx = request.getfixturevalue(make)(5, 2)
-    p, q = ctx.p, ctx.q
+    q = ctx.q
     for m in (2, 3, 4):
         for b in family_b_values(ctx):
             codes = shape_pprs(ctx, m, b)
-            listed = enumerate_pprs(ctx, FamilyShape(m, b)).ppr_list
-            assert [divmod(c, q) for c in codes] == sorted((f[p], f[1]) for f in listed)
+            listed = [(alpha, beta) for alpha in range(q) for beta in range(q)
+                      if is_permutation(ctx, family_poly(ctx, m, b, alpha, beta)).is_pp]
+            assert [divmod(c, q) for c in codes] == listed
             assert census(ctx, m, b, "full").full == len(codes)
     with pytest.raises(BudgetExceededError):
         shape_pprs(ctx, 3, 1, budget=q * q - 1)

@@ -19,6 +19,7 @@ from ppshift.fp2 import (
     derive_params,
     family_b_values,
     family_poly,
+    shape_pprs,
 )
 from ppshift.poly import (
     compose,
@@ -29,7 +30,6 @@ from ppshift.poly import (
     normalize,
 )
 from ppshift.pp import (
-    FamilyShape,
     _interpolant_coeffs,
     _scan,
     compositional_inverse,
@@ -328,6 +328,14 @@ def test_enumerate_budget(field):
         enumerate_pprs(f9, intersection_space(f9, 2), budget=100)
 
 
+def test_enumerate_takes_only_a_subspace(field):
+    f25 = field(5, 2)
+    with pytest.raises(OutOfRangeError, match="unsupported enumeration domain tuple"):
+        enumerate_pprs(f25, (3, 1))
+    with pytest.raises(OutOfRangeError, match="monomial coordinates"):
+        enumerate_pprs(f25, intersection_space(field(3, 2), 1))
+
+
 def test_enumerate_matches_brute_force(field):
     f9 = field(3, 2)
     space = kernel_power(f9, 1, 1)
@@ -415,21 +423,19 @@ def test_enumerate_a_subspace_without_x(field):
 
 def test_enumerate_family_shape(field):
     f25 = field(5, 2)
-    report = enumerate_pprs(f25, FamilyShape(m=3, b=1))
-    assert report.searched == 625
-    assert report.ppr_count == 180  # 5 * 4 * 9
+    assert len(shape_pprs(f25, 3, 1, budget=625)) == 180  # 5 * 4 * 9
 
 
 def _scanned_family(ctx, m, b):
-    """The sorted family members that is_permutation accepts, over all
-    (alpha, beta): the oracle for the shape scan."""
-    pprs = []
-    for alpha in range(ctx.q):
-        for beta in range(ctx.q):
-            f = family_poly(ctx, m, b, alpha, beta)
-            if is_permutation(ctx, f).is_pp:
-                pprs.append(tuple(f))
-    return sorted(pprs)
+    """The (alpha, beta), alpha outer and beta ascending, whose family
+    member is_permutation accepts: the oracle for the shape scan."""
+    return [(alpha, beta) for alpha in range(ctx.q) for beta in range(ctx.q)
+            if is_permutation(ctx, family_poly(ctx, m, b, alpha, beta)).is_pp]
+
+
+def _decoded(ctx, codes):
+    """shape_pprs' alpha * q + beta codes as (alpha, beta) pairs."""
+    return [divmod(code, ctx.q) for code in codes]
 
 
 def _family_cases(ctx, ms, ends_only=False):
@@ -443,20 +449,16 @@ def _family_cases(ctx, ms, ends_only=False):
 def test_family_shape_scan_matches_is_permutation(field, p, ms, ends_only):
     ctx = field(p, 2)
     for m, b in _family_cases(ctx, ms, ends_only):
-        report = enumerate_pprs(ctx, FamilyShape(m=m, b=b))
-        expected = _scanned_family(ctx, m, b)
-        assert report.searched == ctx.q**2
-        assert report.ppr_count == len(expected), (m, b)
-        assert list(report.ppr_list) == expected, (m, b)
+        codes = shape_pprs(ctx, m, b, budget=ctx.q**2)
+        assert _decoded(ctx, codes) == _scanned_family(ctx, m, b), (m, b)
 
 
 def test_family_shape_scan_without_flat_tables(field, zech_field):
     flat, zech = field(5, 2), zech_field(5, 2)
     for m, b in _family_cases(flat, (2, 3)):
-        assert enumerate_pprs(zech, FamilyShape(m, b)) == enumerate_pprs(flat, FamilyShape(m, b))
+        assert shape_pprs(zech, m, b) == shape_pprs(flat, m, b)
     for m, b in _family_cases(flat, (3,), ends_only=True):
-        report = enumerate_pprs(zech, FamilyShape(m, b))
-        assert list(report.ppr_list) == _scanned_family(flat, m, b)
+        assert _decoded(zech, shape_pprs(zech, m, b)) == _scanned_family(flat, m, b)
 
 
 def test_degree_distribution_f5_f3(field):
