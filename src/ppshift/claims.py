@@ -205,25 +205,34 @@ def _divisor_degrees(run: _FieldRun):
 
 
 def _hermite_agreement(run: _FieldRun):
+    """Hermite's criterion against direct bijectivity on V[x]. Each
+    candidate is evaluated once and both verdicts come from that one
+    table: pp._hermite_table and pp._invert. On F_5 and F_7 the tables
+    of all q^(q-2) members are pp._prefixes of the tables of x, ...,
+    x^(q-2), in the order of product(range(q), repeat=q-2), so a
+    disagreement is rebuilt from its coordinates."""
     ctx = run.ctx
     q = ctx.q
     if q > pp.HERMITE_MAX_Q:
         return "skipped", None, None, f"degree criterion is capped at q <= {pp.HERMITE_MAX_Q}"
+
+    def disagrees(table):
+        return pp._hermite_table(ctx, table) != (pp._invert(table)[1] is None)
+
     disagree = []
     if q in (5, 7):
-        checked = 0
-        for vec in product(range(q), repeat=q - 2):
-            f = normalize([0, *vec])
-            checked += 1
-            if pp.hermite_test(ctx, f) != pp.is_permutation(ctx, f).is_pp:
-                disagree.append(tuple(f))
-        note = f"exhaustive over V[x], {checked} polynomials"
+        rows = [eval_table(ctx, monomial(j)) for j in range(1, q - 1)]
+        tables = pp._prefixes(ctx, [0] * q, rows)
+        for vec, table in zip(product(range(q), repeat=q - 2), tables):
+            if disagrees(table):
+                disagree.append(tuple(normalize([0, *vec])))
+        note = f"exhaustive over V[x], {q ** (q - 2)} polynomials"
     else:
         rng = run.rng("hermite.agreement")
         checked = 1000 if q <= 9 else 150
         for _ in range(checked):
             f = normalize([0] + [rng.randrange(q) for _ in range(q - 2)])
-            if pp.hermite_test(ctx, f) != pp.is_permutation(ctx, f).is_pp:
+            if disagrees(eval_table(ctx, f)):
                 disagree.append(tuple(f))
         note = f"{checked} random V[x] polynomials (seeded)"
     status = "verified" if not disagree else "refuted"

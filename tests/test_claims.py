@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from ppshift import build_field, claims, eigen, fp2, pp
+from ppshift import build_field, claims, eigen, fp2, poly, pp
 from ppshift.claims import (
     CLAIM_ANCHORS,
     DEFAULT_ROSTER,
@@ -29,7 +29,7 @@ from ppshift.claims import (
 from ppshift.cli import emit_report
 from ppshift.errors import BudgetExceededError, NotAPermutationError
 from ppshift.fp2 import check_conditions, family_poly
-from ppshift.poly import eval_table, gmb_poly, hmd_d, monomial, poly_scale
+from ppshift.poly import eval_table, gmb_poly, hmd_d, monomial, normalize, poly_scale
 from ppshift.pp import HERMITE_MAX_Q, is_permutation
 
 STATUSES = {"verified", "refuted", "measured", "skipped"}
@@ -148,6 +148,53 @@ def test_hermite_agreement_skipped_past_its_cap():
     assert str(HERMITE_MAX_Q) in note
 
 
+def _plant_hermite_fault(monkeypatch, ctx, f):
+    """Flip pp._hermite_table's verdict on the value table of f alone."""
+    real, target = pp._hermite_table, eval_table(ctx, f)
+    monkeypatch.setattr(pp, "_hermite_table", lambda c, table: real(c, table) != (table == target))
+
+
+def test_hermite_agreement_names_a_planted_fault_on_f7(monkeypatch):
+    ctx = build_field(7, 1)
+    f = [0, 0, 3, 0, 0, 1]  # x^5 + 3x^2
+    _plant_hermite_fault(monkeypatch, ctx, f)
+    assert _hermite_agreement(_FieldRun(ctx, RunConfig())) == (
+        "refuted", "agreement", [tuple(f)], "exhaustive over V[x], 16807 polynomials"
+    )
+
+
+def test_hermite_agreement_names_a_planted_fault_on_a_sample(monkeypatch):
+    ctx = build_field(2, 3)
+    rng = _FieldRun(ctx, RunConfig()).rng("hermite.agreement")
+    drawn = [normalize([0] + [rng.randrange(8) for _ in range(6)]) for _ in range(1000)]
+    f = drawn[17]
+    assert drawn.count(f) == 1
+    _plant_hermite_fault(monkeypatch, ctx, f)
+    assert _hermite_agreement(_FieldRun(ctx, RunConfig())) == (
+        "refuted", "agreement", [tuple(f)], "1000 random V[x] polynomials (seeded)"
+    )
+
+
+def test_hermite_agreement_on_f7_evaluates_only_the_monomials(monkeypatch):
+    calls = []
+
+    def counted(ctx, f):
+        calls.append(list(f))
+        return eval_table(ctx, f)
+
+    for module in (claims, pp, poly):
+        monkeypatch.setattr(module, "eval_table", counted)
+
+    def refuse(*args):
+        raise AssertionError("the claim must read both verdicts from one table")
+
+    monkeypatch.setattr(pp, "is_permutation", refuse)
+    monkeypatch.setattr(pp, "hermite_test", refuse)
+    ctx = build_field(7, 1)
+    assert _hermite_agreement(_FieldRun(ctx, RunConfig()))[0] == "verified"
+    assert calls == [monomial(j) for j in range(1, 6)]
+
+
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3)])
 def test_field_run_kernels_match_the_public_route(field, p, n):
     ctx = field(p, n)
@@ -234,15 +281,21 @@ def test_vk_conjecture_covers_every_k_below_p():
     assert observed == {1: 3, 2: 10, 3: 29, 4: 66, 5: 123}
 
 
-def test_list_overflow_streams_extra_closure_and_skips_v1_shapes(monkeypatch):
-    # each F_25 shape holds 180 PPRs and V_1 holds 20, so a list limit of
-    # 5 sends enumerate_pprs down its unlisted path, as m = 7 does on F_169
+def test_list_limit_skips_v1_shapes_and_leaves_the_shape_scans_whole(monkeypatch):
+    # V_1 of F_25 holds 20 PPRs, so a list limit of 5 sends enumerate_pprs
+    # down its unlisted path, as m = 7 does on F_169; each shape holds 180
+    # PPRs, but fp2.shape_pprs keeps every hit whatever the limit, so
+    # sec5.extra_closure, which reads it, reports the same
     ctx = build_field(5, 2)
+    shapes = [(3, b) for b in fp2.family_b_values(ctx)]  # 3: the m coprime to p - 1
+    lengths = [len(fp2.shape_pprs(ctx, m, b)) for m, b in shapes]
+    assert min(lengths) > 5
     listed = _FieldRun(ctx, RunConfig())
     closure = _extra_closure(listed)
     assert closure[0] == "verified" and closure[3] == "600 unconditioned shape PPRs inverted"
     assert _v1_shapes(listed)[0] == "verified"
     monkeypatch.setattr(pp, "LIST_LIMIT", 5)
+    assert [len(fp2.shape_pprs(ctx, m, b)) for m, b in shapes] == lengths
     unlisted = _FieldRun(ctx, RunConfig())
     assert _extra_closure(unlisted) == closure
     assert _v1_shapes(unlisted) == (

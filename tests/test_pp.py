@@ -28,9 +28,15 @@ from ppshift.poly import (
     linearized_poly,
     monomial,
     normalize,
+    poly_mul,
+    reduce_poly,
+    require_poly,
 )
 from ppshift.pp import (
+    HERMITE_MAX_Q,
+    _hermite_table,
     _interpolant_coeffs,
+    _prefixes,
     _scan,
     compositional_inverse,
     degree_distribution,
@@ -126,6 +132,102 @@ def test_hermite_agreement_sampled(field, p, n):
     for _ in range(400):
         f = normalize([0] + [rng.randrange(ctx.q) for _ in range(ctx.q - 2)])
         assert hermite_test(ctx, f) == brute_is_pp(ctx, f)
+
+
+def slow_hermite_test(ctx, f):
+    """Hermite's criterion by expanding the reduced powers f^t mod
+    x^q - x one dense poly_mul at a time, O(q^3) per polynomial."""
+    require_poly(ctx, f)
+    q, p = ctx.q, ctx.p
+    if q <= 2:
+        raise OutOfRangeError("degree criterion needs q > 2")
+    if q > HERMITE_MAX_Q:
+        raise TooLargeFieldError(f"q = {q} exceeds the cost cap {HERMITE_MAX_Q}")
+    f = reduce_poly(ctx, f)
+    power = [1]
+    for t in range(1, q - 1):
+        power = poly_mul(ctx, power, f)
+        if t % p and len(power) - 1 > q - 2:
+            return False
+    power = poly_mul(ctx, power, f)
+    return len(power) == q and power[-1] == 1
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (2, 2), (5, 1)])
+def test_hermite_matches_the_power_loop_on_every_reduced_polynomial(field, p, n):
+    ctx = field(p, n)
+    hits = 0
+    for f in product(range(ctx.q), repeat=ctx.q):
+        f = normalize(f)
+        verdict = hermite_test(ctx, f)
+        assert verdict == slow_hermite_test(ctx, f), f
+        hits += verdict
+    # every permutation of F_q has exactly one reduced polynomial
+    assert hits == factorial(ctx.q)
+
+
+def test_hermite_matches_the_power_loop_on_all_of_v_f7(field):
+    f7 = field(7, 1)
+    hits = 0
+    for vec in product(range(7), repeat=5):
+        f = normalize([0, *vec])
+        verdict = hermite_test(f7, f)
+        assert verdict == slow_hermite_test(f7, f), f
+        hits += verdict
+    # every permutation fixing 0 has degree <= q-2, so it lies in V[x]
+    assert hits == factorial(6)
+
+
+def _hermite_inputs(ctx, rng):
+    """Zero, the nonzero constants, every x^e up to x^(q+2) (x^e for
+    gcd(e, q-1) = 1 permutes), x^(q-1), one dense permutation and
+    seeded random polynomials of degree up to 2q, past q."""
+    q = ctx.q
+    polys = [[], *([c] for c in range(1, q))]
+    polys += [monomial(e, c) for e in range(1, q + 3) for c in (1, q - 1)]
+    values = list(range(q))
+    rng.shuffle(values)
+    polys.append(interpolate_table(ctx, values))
+    for _ in range(40):
+        f = [rng.randrange(q) for _ in range(rng.randrange(1, 2 * q + 1))]
+        polys.append(f)
+        polys.append([0, *f[1:]])  # with the root x = 0
+    return polys
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)])
+def test_hermite_matches_the_power_loop_on_seeded_inputs(field, zech_field, p, n):
+    ctx, twin = field(p, n), zech_field(p, n)
+    polys = _hermite_inputs(ctx, random.Random(p * 100 + n))
+    verdicts = []
+    for f in polys:
+        verdict = hermite_test(ctx, f)
+        assert verdict == slow_hermite_test(ctx, f) == brute_is_pp(ctx, f), f
+        assert _hermite_table(twin, eval_table(twin, f)) == verdict, f
+        verdicts.append(verdict)
+    permuting = [e for e in range(1, ctx.q - 1) if gcd(e, ctx.q - 1) == 1]
+    assert all(hermite_test(ctx, monomial(e)) for e in permuting)
+    assert True in verdicts and False in verdicts
+
+
+def test_hermite_refuses_in_its_validation_order(field):
+    f2, f81 = field(2, 1), field(3, 4)
+    for test in (hermite_test, slow_hermite_test):
+        with pytest.raises(OutOfRangeError, match="not an element index"):
+            test(f81, [0, 99])  # the coefficient first, then the cap
+        with pytest.raises(OutOfRangeError, match="not an element index"):
+            test(f2, [0, 2])
+        with pytest.raises(OutOfRangeError, match="needs q > 2"):
+            test(f2, [0, 1])
+        with pytest.raises(TooLargeFieldError):
+            test(f81, [0, 1])
+
+
+def test_prefix_tables_follow_the_product_order(field):
+    f5 = field(5, 1)
+    rows = [eval_table(f5, monomial(j)) for j in range(1, 4)]
+    tables = list(_prefixes(f5, [0] * 5, rows))
+    assert tables == [eval_table(f5, [0, *vec]) for vec in product(range(5), repeat=3)]
 
 
 def test_interpolate_table_is_exact(field):
