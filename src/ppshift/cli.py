@@ -6,9 +6,14 @@ All numeric output is exact (element indices and integers); every JSON
 document carries "schema": 1 and output is byte-identical across runs
 for a fixed configuration.
 
+--format offers only what a subcommand renders: json everywhere, csv
+for enumerate, degree-dist, fp2 census|lemmas and reproduce, markdown
+for reproduce alone. The parser refuses any other value.
+
 Exit codes: 0 verdict computed (refutations are data, not failures),
 1 stdout closed before the output was written, 2 precondition
-violation, 3 enumeration budget exceeded, 64 usage.
+violation (reproduce --p 2 among them: V[x] is empty over F_2),
+3 enumeration budget exceeded, 64 usage (a refused --format too).
 """
 
 from __future__ import annotations
@@ -98,26 +103,28 @@ def _emit(text: str, args) -> None:
         print(text)
 
 
-def _emit_json(doc: dict, args) -> None:
-    _emit(json.dumps(doc, indent=2), args)
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
 
 
-# -- subcommand handlers --
+def _render(args, ctx: FieldContext, body: dict, table=None) -> str:
+    """A subcommand's output: body under the schema and field block as
+    JSON, or table's (header, rows) as CSV."""
+    if args.format == "csv":
+        return _csv(*table)
+    return json.dumps({"schema": 1, "field": _field_block(ctx), **body}, indent=2)
 
 
-def _check_format(args, allowed=("json",)) -> None:
-    if args.format not in allowed:
-        raise UsageError(
-            f"format {args.format!r} is not available here (choose from {', '.join(allowed)})"
-        )
+# -- subcommand handlers: each returns the text dispatch emits --
 
 
-def _cmd_field_info(args) -> int:
-    _check_format(args)
+def _cmd_field_info(args) -> str:
     ctx = _build_ctx(args)
-    doc = {
-        "schema": 1,
-        "field": _field_block(ctx),
+    return _render(args, ctx, {
         "modulus_str": " + ".join(
             f"{c}*t^{e}" for e, c in reversed(list(enumerate(ctx.modulus))) if c
         ),
@@ -125,92 +132,58 @@ def _cmd_field_info(args) -> int:
         "primitive_str": element_str(ctx, ctx.primitive),
         "lines": line_count(ctx),
         "line_representatives": [line.representative for line in line_decomposition(ctx)],
-    }
-    _emit_json(doc, args)
-    return EXIT_OK
+    })
 
 
-def _cmd_eigenspace(args) -> int:
-    _check_format(args)
+def _cmd_eigenspace(args) -> str:
     ctx = _build_ctx(args)
     space = eigen.kernel_power(ctx, args.r, args.k)
-    doc = {
-        "schema": 1,
-        "field": _field_block(ctx),
+    return _render(args, ctx, {
         "r": args.r,
         "k": args.k,
         "dim": space.dim,
         "basis": [format_poly(ctx, f) for f in space.polynomials()],
-    }
-    _emit_json(doc, args)
-    return EXIT_OK
+    })
 
 
-def _cmd_intersect(args) -> int:
-    _check_format(args)
+def _cmd_intersect(args) -> str:
     ctx = _build_ctx(args)
     generators = args.r if args.r else eigen.default_generators(ctx)
     space = eigen.intersection_space(ctx, args.k, generators)
-    doc = {
-        "schema": 1,
-        "field": _field_block(ctx),
+    return _render(args, ctx, {
         "generators": list(generators),
         "k": args.k,
         "dim": space.dim,
         "basis": [format_poly(ctx, f) for f in space.polynomials()],
-    }
-    _emit_json(doc, args)
-    return EXIT_OK
+    })
 
 
-def _cmd_is_pp(args) -> int:
-    _check_format(args)
+def _cmd_is_pp(args) -> str:
     ctx = _build_ctx(args)
     f = _read_poly(ctx, args)
     verdict = pp.is_permutation(ctx, f)
-    doc = {
-        "schema": 1,
-        "field": _field_block(ctx),
+    return _render(args, ctx, {
         "poly": format_poly(ctx, f),
         "is_pp": verdict.is_pp,
         "is_ppr": verdict.is_ppr,
         "witness": list(verdict.witness) if verdict.witness else None,
-    }
-    _emit_json(doc, args)
-    return EXIT_OK
+    })
 
 
-def _cmd_hermite(args) -> int:
-    _check_format(args)
+def _cmd_hermite(args) -> str:
     ctx = _build_ctx(args)
     f = _read_poly(ctx, args)
-    doc = {
-        "schema": 1,
-        "field": _field_block(ctx),
-        "poly": format_poly(ctx, f),
-        "hermite": pp.hermite_test(ctx, f),
-    }
-    _emit_json(doc, args)
-    return EXIT_OK
+    return _render(args, ctx, {"poly": format_poly(ctx, f), "hermite": pp.hermite_test(ctx, f)})
 
 
-def _cmd_invert(args) -> int:
-    _check_format(args)
+def _cmd_invert(args) -> str:
     ctx = _build_ctx(args)
     f = _read_poly(ctx, args)
     h = pp.compositional_inverse(ctx, f)
-    doc = {
-        "schema": 1,
-        "field": _field_block(ctx),
-        "poly": format_poly(ctx, f),
-        "inverse": format_poly(ctx, h),
-    }
-    _emit_json(doc, args)
-    return EXIT_OK
+    return _render(args, ctx, {"poly": format_poly(ctx, f), "inverse": format_poly(ctx, h)})
 
 
-def _cmd_enumerate(args) -> int:
-    _check_format(args, ("json", "csv"))
+def _cmd_enumerate(args) -> str:
     ctx = _build_ctx(args)
     if args.r is not None:
         space = eigen.kernel_power(ctx, args.r, args.k)
@@ -219,9 +192,7 @@ def _cmd_enumerate(args) -> int:
         space = eigen.intersection_space(ctx, args.k)
         space_desc = {"space": "vk", "k": args.k}
     report = pp.enumerate_pprs(ctx, space, budget=args.budget)
-    doc = {
-        "schema": 1,
-        "field": _field_block(ctx),
+    body = {
         **space_desc,
         "dim": space.dim,
         "searched": report.searched,
@@ -230,65 +201,43 @@ def _cmd_enumerate(args) -> int:
         if report.ppr_list is None
         else [format_poly(ctx, list(c)) for c in report.ppr_list],
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["p", "n", "space", "k", "r", "dim", "searched", "ppr_count"])
-        writer.writerow(
-            [ctx.p, ctx.n, space_desc["space"], args.k, args.r, space.dim,
-             report.searched, report.ppr_count]
-        )
-        _emit(buf.getvalue().rstrip("\n"), args)
-    else:
-        _emit_json(doc, args)
-    return EXIT_OK
+    header = ["p", "n", "space", "k", "r", "dim", "searched", "ppr_count"]
+    row = [ctx.p, ctx.n, space_desc["space"], args.k, args.r, space.dim,
+           report.searched, report.ppr_count]
+    return _render(args, ctx, body, (header, [row]))
 
 
-def _cmd_degree_dist(args) -> int:
-    _check_format(args, ("json", "csv"))
+def _cmd_degree_dist(args) -> str:
     ctx = _build_ctx(args)
     census = pp.degree_distribution(ctx, budget=args.budget)
-    doc = {
-        "schema": 1,
-        "field": _field_block(ctx),
-        "counts": {str(d): c for d, c in sorted(census.counts.items())},
+    counts = sorted(census.counts.items())
+    return _render(args, ctx, {
+        "counts": {str(d): c for d, c in counts},
         "total": census.total,
         "stage_violations": [list(v) for v in census.stage_violations],
-    }
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["degree", "ppr_count"])
-        for d, c in sorted(census.counts.items()):
-            writer.writerow([d, c])
-        _emit(buf.getvalue().rstrip("\n"), args)
-    else:
-        _emit_json(doc, args)
-    return EXIT_OK
+    }, (["degree", "ppr_count"], counts))
 
 
-def _cmd_fp2_verify(args) -> int:
-    _check_format(args)
+def _cmd_fp2_verify(args) -> str:
     ctx = _build_ctx(args)
-    doc = {"schema": 1, "field": _field_block(ctx), "m": args.m, "b": args.b}
+    body = {"m": args.m, "b": args.b}
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
             raise UsageError("--alpha and --beta come together")
         verdict = fp2.check_conditions(ctx, args.m, args.b, args.alpha, args.beta)
-        doc.update(
+        body.update(
             alpha=args.alpha, beta=args.beta,
             cond1=verdict.cond1, cond2=verdict.cond2, constructible=verdict.constructible,
         )
         if verdict.constructible:
             inst = fp2.derive_params(ctx, args.m, args.b, args.alpha, args.beta)
             f, h = fp2.build_pair(inst)
-            doc.update(
+            body.update(
                 gamma=inst.gamma, epsilon=inst.epsilon, delta=inst.delta, d=inst.d,
                 f=format_poly(ctx, f), h=format_poly(ctx, h),
                 inverse_verified=pp.is_compositional_inverse(ctx, f, h),
             )
-        _emit_json(doc, args)
-        return EXIT_OK
+        return _render(args, ctx, body)
     pairs = fp2.constructible_pairs(ctx, args.m, args.b)
     failures = []
     for alpha, beta in pairs:
@@ -296,18 +245,16 @@ def _cmd_fp2_verify(args) -> int:
         f, h = fp2.build_pair(inst)
         if not pp.is_permutation(ctx, f).is_ppr or not pp.is_compositional_inverse(ctx, f, h):
             failures.append([alpha, beta])
-    doc.update(
+    body.update(
         instances=len(pairs),
         expected_instances=ctx.p * (ctx.p - 1) ** 2,
         failures=failures,
         all_verified=not failures,
     )
-    _emit_json(doc, args)
-    return EXIT_OK
+    return _render(args, ctx, body)
 
 
-def _cmd_fp2_census(args) -> int:
-    _check_format(args, ("json", "csv"))
+def _cmd_fp2_census(args) -> str:
     ctx = _build_ctx(args)
     ms = [args.m] if args.m is not None else list(range(2, ctx.p))
     bs = [args.b] if args.b is not None else fp2.family_b_values(ctx)
@@ -319,26 +266,15 @@ def _cmd_fp2_census(args) -> int:
                 {"m": m, "b": b, "conditioned": report.conditioned,
                  "full": report.full, "excess": report.excess}
             )
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["p", "m", "b", "conditioned", "full", "excess"])
-        for e in entries:
-            writer.writerow([ctx.p, e["m"], e["b"], e["conditioned"], e["full"], e["excess"]])
-        _emit(buf.getvalue().rstrip("\n"), args)
-    else:
-        _emit_json(
-            {"schema": 1, "field": _field_block(ctx), "mode": args.mode, "entries": entries},
-            args,
-        )
-    return EXIT_OK
+    header = ["p", "m", "b", "conditioned", "full", "excess"]
+    rows = [[ctx.p, *(e[k] for k in header[1:])] for e in entries]
+    return _render(args, ctx, {"mode": args.mode, "entries": entries}, (header, rows))
 
 
-def _cmd_fp2_lemmas(args) -> int:
-    _check_format(args, ("json", "csv"))
+def _cmd_fp2_lemmas(args) -> str:
     ctx = _build_ctx(args)
     suite = fp2.lemma_suite(ctx)
-    rows = [
+    checks = [
         {
             "name": c.name,
             "statement": c.statement,
@@ -349,19 +285,9 @@ def _cmd_fp2_lemmas(args) -> int:
         }
         for c in suite.checks
     ]
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "checked", "skipped", "passed"])
-        for row in rows:
-            writer.writerow([row["name"], row["checked"], row["skipped"], row["passed"]])
-        _emit(buf.getvalue().rstrip("\n"), args)
-    else:
-        _emit_json(
-            {"schema": 1, "field": _field_block(ctx), "passed": suite.passed, "checks": rows},
-            args,
-        )
-    return EXIT_OK
+    header = ["name", "checked", "skipped", "passed"]
+    rows = [[c[k] for k in header] for c in checks]
+    return _render(args, ctx, {"passed": suite.passed, "checks": checks}, (header, rows))
 
 
 def emit_report(reports: list[ClaimReport], fmt: str) -> str:
@@ -387,15 +313,11 @@ def emit_report(reports: list[ClaimReport], fmt: str) -> str:
             indent=2,
         )
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["claim_id", "field", "status", "expected", "observed", "runtime", "note"])
-        for r in reports:
-            writer.writerow(
-                [r.claim_id, r.field, r.status, json.dumps(r.expected),
-                 json.dumps(r.observed), r.runtime, r.note]
-            )
-        return buf.getvalue().rstrip("\n")
+        return _csv(
+            ["claim_id", "field", "status", "expected", "observed", "runtime", "note"],
+            ([r.claim_id, r.field, r.status, json.dumps(r.expected),
+              json.dumps(r.observed), r.runtime, r.note] for r in reports),
+        )
     if fmt == "markdown":
         lines = ["# Claim report", ""]
         for section in SECTION_ORDER:
@@ -417,7 +339,7 @@ def emit_report(reports: list[ClaimReport], fmt: str) -> str:
     raise UsageError(f"unsupported format {fmt!r}")
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args) -> str:
     cfg = RunConfig(
         p=args.p,
         n=args.n if args.p is not None else None,
@@ -426,17 +348,15 @@ def _cmd_reproduce(args) -> int:
         seed=args.seed,
         timings=args.timings,
     )
-    reports = reproduce(cfg)
-    _emit(emit_report(reports, args.format), args)
-    return EXIT_OK
+    return emit_report(reproduce(cfg), args.format)
 
 
-def _add_common(parser, poly_arg=False, n_default=1) -> None:
+def _add_common(parser, poly_arg=False, n_default=1, formats=("json",)) -> None:
     parser.add_argument("--p", type=int, default=None, help="field characteristic (prime)")
     parser.add_argument("--n", type=int, default=n_default, help="extension degree")
     parser.add_argument("--modulus", default=None,
                         help="override modulus, comma-separated coefficients, degree 0 first")
-    parser.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
+    parser.add_argument("--format", choices=formats, default="json")
     parser.add_argument("--out", default=None, help="write the report to FILE")
     if poly_arg:
         parser.add_argument("poly", nargs="?", default=None,
@@ -482,7 +402,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_invert)
 
     sp = sub.add_parser("enumerate", help="count the PPRs inside V_k or one kernel")
-    _add_common(sp)
+    _add_common(sp, formats=("json", "csv"))
     _add_budget(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--r", type=int, default=None,
@@ -490,7 +410,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_enumerate)
 
     sp = sub.add_parser("degree-dist", help="degree census of prime-field PPRs")
-    _add_common(sp)
+    _add_common(sp, formats=("json", "csv"))
     _add_budget(sp)
     sp.set_defaults(handler=_cmd_degree_dist)
 
@@ -507,18 +427,18 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_fp2_verify)
 
     sp = fp2_sub.add_parser("census", help="count family permutations")
-    _add_common(sp, n_default=2)
+    _add_common(sp, n_default=2, formats=("json", "csv"))
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--mode", choices=("conditioned", "full"), default="conditioned")
     sp.set_defaults(handler=_cmd_fp2_census)
 
     sp = fp2_sub.add_parser("lemmas", help="run the identity suite")
-    _add_common(sp, n_default=2)
+    _add_common(sp, n_default=2, formats=("json", "csv"))
     sp.set_defaults(handler=_cmd_fp2_lemmas)
 
     sp = sub.add_parser("reproduce", help="claim-by-claim verification report")
-    _add_common(sp)
+    _add_common(sp, formats=("json", "csv", "markdown"))
     _add_budget(sp)
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sp.add_argument("--timings", action="store_true", help="include wall-clock runtimes")
@@ -534,7 +454,8 @@ def dispatch(argv) -> int:
         if not getattr(args, "handler", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        return args.handler(args)
+        _emit(args.handler(args), args)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

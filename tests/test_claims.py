@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from collections import Counter
+from itertools import product
 from math import gcd
 
 import pytest
@@ -13,6 +14,7 @@ from ppshift.claims import (
     SECTION_ORDER,
     _FieldRun,
     _coprime_count_exponents,
+    _divisor_degrees,
     _extra_closure,
     _first_appearance,
     _hermite_agreement,
@@ -22,7 +24,6 @@ from ppshift.claims import (
     _thm15_sweep,
     _v1_shapes,
     _vk_conjecture,
-    _inverse_keeps_shape,
     reproduce,
     reproduce_field,
 )
@@ -255,11 +256,47 @@ def test_conditioned_count_reads_the_theorem15_sweep(monkeypatch):
     assert by_id["sec5.conditioned_count"].observed == [80]
 
 
+@pytest.mark.parametrize("p, top", [(5, 3), (7, 5), (11, 5)])
+def test_divisor_degree_scan_matches_the_candidate_list(p, top):
+    # the oracle is the list cor2.divisor_degrees used to build per degree d;
+    # the scan must find the same permutations in the same order
+    ctx = build_field(p, 1)
+    hits = 0
+    for d in range(2, top + 1):
+        candidates = ([0, *mid, 1] for mid in product(range(p), repeat=d - 1))
+        oracle = [tuple(f) for f in candidates if is_permutation(ctx, f).is_pp]
+        assert list(pp._scan(ctx, monomial(d), [monomial(j) for j in range(1, d)])) == oracle
+        hits += len(oracle)
+    assert hits  # x^3 on F_5 and F_11, x^5 on F_7
+
+
+def test_divisor_degrees_refuses_over_budget_before_scanning(monkeypatch):
+    # F_13 has 13 + 13^2 + 13^3 + 13^5 = 373,672 candidates of degree 2, 3, 4, 6
+    ctx = build_field(13, 1)
+    real = pp._scan
+    monkeypatch.setattr(pp, "_scan", lambda *args: pytest.fail("scanned over budget"))
+    with pytest.raises(BudgetExceededError, match="373672 candidates exceed budget 373671"):
+        _divisor_degrees(_FieldRun(ctx, RunConfig(budget=373_671)))
+    monkeypatch.setattr(pp, "_scan", real)
+    assert _divisor_degrees(_FieldRun(ctx, RunConfig(budget=373_672))) == (
+        "verified", "no permutations", "no permutations",
+        "degrees [2, 3, 4, 6], 373672 candidates",
+    )
+
+
 def test_degree_census_uses_the_run_budget():
     # F_5 has 1 + 5 + 25 candidates of degree 1..3
     assert _first_appearance(_FieldRun(build_field(5, 1), RunConfig(budget=31)))[0] == "verified"
     with pytest.raises(BudgetExceededError):
         _first_appearance(_FieldRun(build_field(5, 1), RunConfig(budget=30)))
+
+
+def _inverse_keeps_shape(ctx, m, coeffs) -> bool:
+    """Whether the monic inverse of the shape PPR coeffs with exponent m
+    has the shape with exponent m^-1 mod p-1 (m itself for p <= 7)."""
+    inverse = pp.inverse_table(ctx, eval_table(ctx, list(coeffs)))
+    return claims._inverse_table_keeps_shape(
+        ctx, pow(m, -1, ctx.p - 1), inverse, claims._power_tables(ctx))
 
 
 def test_unconditioned_inverse_has_the_inverse_exponent():

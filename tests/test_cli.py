@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -222,11 +223,92 @@ def test_out_of_range_elements_exit_2(capsys, argv):
 
 
 def test_unsupported_format_is_usage_error(capsys):
-    code, _, err = run(capsys, "field-info", "--p", "5", "--format", "csv")
-    assert code == 64 and "format" in err
-    code, _, err = run(capsys, "enumerate", "--p", "3", "--n", "2", "--k", "1",
-                       "--format", "markdown")
-    assert code == 64
+    # --format offers only what the subcommand renders; the parser refuses the rest
+    for argv in [
+        ("field-info", "--p", "5", "--format", "csv"),
+        ("field-info", "--p", "5", "--format", "markdown"),
+        ("is-pp", "--p", "5", "--format", "csv", "1*x^3"),
+        ("enumerate", "--p", "3", "--n", "2", "--k", "1", "--format", "markdown"),
+        ("fp2", "verify", "--p", "3", "--m", "2", "--b", "1", "--format", "csv"),
+        ("fp2", "lemmas", "--p", "3", "--format", "markdown"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "") and "format" in err, argv
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (argv, exit code, sha256 of stdout) for fixed invocations: every subcommand
+# in each format it renders, plus usage and precondition refusals. A change to
+# rendering must keep every digest.
+GOLDEN = [
+    (("field-info", "--p", "3", "--n", "2"), 0,
+     "ebc2c6b2c16c687a1bde834f11394472765e1e2decfa96edcd5a781666d9f7eb"),
+    (("field-info", "--p", "2", "--n", "3", "--modulus", "1,0,1,1"), 0,
+     "0dcd44ba36f08f442c6c12f1e86f13bc2e6bd6c4f287b15a135124780b0a2f94"),
+    (("eigenspace", "--p", "5", "--n", "2", "--r", "1", "--k", "2"), 0,
+     "7ac876e1625143ba44b64a580754dc86f28b1e5c597df35153a3b25d983adf33"),
+    (("intersect", "--p", "3", "--n", "2", "--k", "1"), 0,
+     "2db0995aeb8c63c68ad1144cefe22ef9262fe32ae755688a6d24abc94c76d782"),
+    (("intersect", "--p", "3", "--n", "2", "--k", "1", "--r", "2", "--r", "3"), 0,
+     "ca2233997300a101034fde2c8e404dbaf0c7af1cf8f9802690f9f9ccd677d7f7"),
+    (("is-pp", "--p", "5", "1*x^3"), 0,
+     "0862203fe5917cbe5ad2b2b9f004818ebc7790dcac59d2266454dab1b00e9281"),
+    (("is-pp", "--p", "5", "1*x^2"), 0,
+     "2d5ff18600e7f2c52a99322bda7428aad2b14d925e65e7d5a1f187d285f62798"),
+    (("hermite", "--p", "7", "1*x^5"), 0,
+     "c66571c0b9613716e81afa0586dc025b1b6fd5d0d927eedbdb0428e123a5dc05"),
+    (("hermite", "--p", "7", "1*x^3"), 0,
+     "ec76fcd939adb2d000222e314a0e8eaf833dbb94566784520fcaa5abfa467482"),
+    (("invert", "--p", "5", "1*x^3"), 0,
+     "ba275622d8ee6db4f9ebe4a3fdb40b47b8924bab4dc147194e844b8bcdfb802d"),
+    (("invert", "--p", "3", "--n", "2", "1*x^5"), 0,
+     "91e30528c44b4706586750d1cdddffa76ec4619ae6d8d19b1a18d801d28b0d05"),
+    (("enumerate", "--p", "3", "--n", "2", "--k", "1"), 0,
+     "9b6cad8dd855e969873f3e03e4b6bdc7d79b14521843b123cf3ca0341cee9343"),
+    (("enumerate", "--p", "3", "--n", "2", "--k", "1", "--format", "csv"), 0,
+     "168f229919c8f20f8c797955b11593c024e859a2020e5052f9d39c2d120957c1"),
+    (("enumerate", "--p", "3", "--n", "2", "--k", "2", "--r", "1"), 0,
+     "7787e3d129c8e99aceb8d9e018903ed5a1cdbd9c18dd60b36fed3a1e9c13ac48"),
+    (("enumerate", "--p", "3", "--n", "2", "--k", "2", "--r", "1", "--format", "csv"), 0,
+     "4bd1bfe20703f0b79e7cd65d48ae223a809f58471334b2cf9d5d2f0444bb0171"),
+    (("degree-dist", "--p", "5"), 0,
+     "1b91a5de446afdca32e9a421feb04d0b60eaad14f06f4206002d5586cd585b2f"),
+    (("degree-dist", "--p", "7", "--format", "csv"), 0,
+     "769b8364697ac1d29afba03ec3aec8d8e0684ed66c67491f96a771837afb2fa5"),
+    (("fp2", "verify", "--p", "3", "--m", "2", "--b", "1"), 0,
+     "efdca7621c4732a8eeb3dd598879f5e101301675ac8abf3c8a22f815d1488954"),
+    (("fp2", "verify", "--p", "3", "--m", "2", "--b", "1", "--alpha", "3", "--beta", "7"), 0,
+     "3b40d0771db4fdf28be174df918b118accbd8a90971dd8652428d073485ce2c2"),
+    (("fp2", "verify", "--p", "3", "--m", "2", "--b", "1", "--alpha", "1", "--beta", "1"), 0,
+     "f6af62d81450aecf64c1930b7e6ed80f52add0031ef37c87aeb7639e2a3292c8"),
+    (("fp2", "census", "--p", "3"), 0,
+     "b4b901eace9dfbc9c3d57cb6eb37d3e516bbf3d64b5fba5a62bc31b9946604d3"),
+    (("fp2", "census", "--p", "3", "--format", "csv"), 0,
+     "66318a0222bf8a5f9ee3e371e3736f24ed60766c0f91ec952cc859698889c6a4"),
+    (("fp2", "census", "--p", "3", "--mode", "full", "--format", "csv"), 0,
+     "dc180583ceebee97f4b1d3305b0018338a27b1901a20dc7865d64b5bd3f70fec"),
+    (("fp2", "lemmas", "--p", "3"), 0,
+     "9a614d118e9c1063e154d5a93ca9193936d7882bf01a3b09e9baf9a935dd67cf"),
+    (("fp2", "lemmas", "--p", "3", "--format", "csv"), 0,
+     "daa19ddb0baf15ac166161821bfd7f13b4c010239797ed9dfb2a42d1e7d6b8b4"),
+    (("reproduce", "--p", "5", "--n", "2"), 0,
+     "cdf2e12cfa2656a714907a80aefdc213971d204f4a8085606bd769f804b88ab4"),
+    (("reproduce", "--p", "7", "--format", "csv"), 0,
+     "80983bf4723307e65104660c117c40deec3f8d953d1f27906f4b5c2968c15495"),
+    (("reproduce", "--p", "3", "--n", "2", "--format", "markdown"), 0,
+     "b01a398999d52f059e8c61f75e57e56e90896e403b27c14a37d1f5cf279e4ee9"),
+    (("eigenspace", "--k", "1", "--r", "1"), 64, EMPTY),
+    (("field-info", "--p", "4"), 2, EMPTY),
+    (("fp2", "verify", "--p", "3", "--m", "2", "--b", "1", "--alpha", "3"), 64, EMPTY),
+    (("reproduce", "--p", "2"), 2, EMPTY),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_golden_stdout_and_exit_code(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 def test_out_file(capsys, tmp_path):
@@ -261,6 +343,12 @@ def test_reproduce_markdown_sections(capsys):
     assert code == 0
     assert "## preliminaries" in out and "## shift-map" in out
     assert "degree.distribution" in out
+
+
+def test_reproduce_refuses_f2_with_one_message(capsys):
+    code, out, err = run(capsys, "reproduce", "--p", "2")
+    assert (code, out) == (2, "")
+    assert err == "precondition violation: V[x] is empty over F_2; reproduce needs q > 2\n"
 
 
 def test_reproduce_timings_flag(capsys):
