@@ -29,6 +29,7 @@ from .poly import (
     eval_table,
     from_coords,
     gmb_poly,
+    hmd_d,
     hmd_poly,
     linearized_coeffs,
     linearized_to_matrix,
@@ -758,6 +759,8 @@ def _thm15_sweep(ctx: FieldContext):
     bijectivity of f's table tell "not a PPR" from "inverse mismatch".
     f has the top and constant coefficients of (x^p - bx)^m, whose
     degree exceeds p, so it is monic and fixes 0 when that power does.
+    The parameters come from fp2._derive with d computed once per
+    (m, b): constructible_pairs yields only valid (alpha, beta).
     """
     inverse_bad, closure_bad = [], []
     instances = 0
@@ -773,11 +776,12 @@ def _thm15_sweep(ctx: FieldContext):
             monic = len(g) > ctx.p + 1 and g[-1] == 1 and g[0] == 0
             g_table = eval_table(ctx, g)
             hmd_table = eval_table(ctx, hmd_poly(ctx, m, b))
+            d = hmd_d(ctx, m, b)
             g_alpha = {}  # g + alpha x^p, shared by the betas of one alpha
             for alpha, beta in pairs:
                 instances += 1
                 tag = (m, b, alpha, beta)
-                inst = fp2.derive_params(ctx, m, b, alpha, beta)
+                inst = fp2._derive(ctx, m, b, d, alpha, beta)
                 if alpha not in g_alpha:
                     g_alpha = {alpha: ctx.axpy(g_table, alpha, frob)}
                 f = ctx.axpy(g_alpha[alpha], beta, points)

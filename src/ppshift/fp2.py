@@ -21,6 +21,7 @@ beta), and sweeps the identity suite backing the inverse formula.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -32,10 +33,10 @@ from .errors import (
 from . import pp
 from .gf import FieldContext, require_element, roots_of_unity
 from .poly import (
+    eval_table,
     gmb_poly,
     hmd_d,
     hmd_poly,
-    monomial,
     neg_one_pow,
     normalize,
     poly_add,
@@ -197,8 +198,8 @@ def census(ctx: FieldContext, m: int, b: int, mode: str = "conditioned") -> Cens
     """Count family permutations for one (m, b).
 
     conditioned counts the (alpha, beta) passing both conditions;
-    full brute-force-tests every (alpha, beta) in F_q^2 for bijectivity
-    and also reports the excess over the conditioned count.
+    full counts every (alpha, beta) in F_q^2 whose member permutes F_q
+    (shape_pprs) and also reports the excess over the conditioned count.
     """
     if mode not in ("conditioned", "full"):
         raise OutOfRangeError(f"unknown census mode {mode!r}")
@@ -213,17 +214,40 @@ def shape_pprs(ctx: FieldContext, m: int, b: int, budget: int = pp.DEFAULT_BUDGE
     """The (alpha, beta) of every PPR (x^p - bx)^m + alpha x^p + beta x,
     as alpha * q + beta, alpha outer and beta ascending.
 
-    One pp._scan of the q^2 candidates, which must fit the budget: the
-    offset (x^p - bx)^m plus span(x^p, x). The offset's terms sit at
-    degrees m + i(p-1), none of them p or 1 for 2 <= m <= p-1, so alpha
-    and beta are each hit's coefficients at p and 1. One array instead
-    of a list of coefficient tuples keeps a run's shapes small enough
-    to hold."""
+    For lambda in F_p^*, lambda^p = lambda, so
+
+        lambda^(-m) f(lambda x) = (x^p - bx)^m + lambda^(1-m) (alpha x^p + beta x),
+
+    and f permutes F_q iff the right side does, as x -> lambda x and the
+    factor lambda^(-m) are bijections. So the PPR set is closed under
+    (alpha, beta) -> mu (alpha, beta) for mu in H_m = {lambda^(1-m)}:
+    the subgroup of order h = (p-1)/gcd(m-1, p-1), generated by
+    g^((q-1)/h) for the primitive g. The scan tests every beta for
+    alpha = 0 and for one alpha = g^i, i < (q-1)/h, per coset of H_m,
+    all in one ctx.bijective_scalars pass, and expands each hit with
+    alpha != 0 into its h images. The budget still prices all q^2
+    candidates. One array instead of a list of pairs keeps a run's
+    shapes small enough to hold."""
     _require_fp2(ctx)
     pp.require_budget(ctx.q**2, budget)
     p, q = ctx.p, ctx.q
-    hits = pp._scan(ctx, gmb_poly(ctx, m, b), [monomial(p), monomial(1)])
-    return array("I", (f[p] * q + f[1] for f in hits))
+    q1 = q - 1
+    step = q1 * math.gcd(m - 1, p - 1) // (p - 1)  # (q-1)/h cosets
+    exp, log = ctx.exp_table, ctx.log_table
+    g_table = eval_table(ctx, gmb_poly(ctx, m, b))
+    prefixes = (ctx.axpy(g_table, alpha, ctx.frob_table) for alpha in [0, *exp[:step]])
+    scans = ctx.bijective_scalars(prefixes, range(q))
+    codes = next(scans)  # alpha = 0, a row H_m maps to itself: every beta tested
+    for i, hits in enumerate(scans):  # alpha = g^i
+        for beta in hits:
+            # mu alpha = g^e for e = i + j(q-1)/h, and then mu beta = beta g^(e-i)
+            if beta:
+                shift = log[beta] - i
+                codes.extend(exp[e % q1] * q + exp[(e + shift) % q1] for e in range(i, i + q1, step))
+            else:
+                codes.extend(exp[e % q1] * q for e in range(i, i + q1, step))
+    codes.sort()
+    return array("I", codes)
 
 
 # -- the identity suite backing the inverse formula --

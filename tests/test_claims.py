@@ -407,14 +407,11 @@ def test_extra_closure_planted_inverse_fault(request, monkeypatch, make, fault):
 
 def test_reproduce_field_scans_each_shape_once(monkeypatch):
     ctx = build_field(5, 2)
-    shape_basis = [monomial(ctx.p), monomial(1)]
-    calls = _count_calls(monkeypatch, pp, "_scan", key=lambda ctx, offset, basis: (
-        tuple(offset) if basis == shape_basis else None))
+    calls = _count_calls(monkeypatch, fp2, "shape_pprs", key=lambda ctx, m, b, **kw: (m, b))
     reports = reproduce_field(ctx, RunConfig())
     # sec5.v2_count reads m = 2; the coprime, half and closure claims m = 3
-    offsets = {tuple(gmb_poly(ctx, m, b)) for m in (2, 3) for b in fp2.family_b_values(ctx)}
-    calls.pop(None, None)
-    assert set(calls) == offsets and set(calls.values()) == {1}
+    shapes = {(m, b) for m in (2, 3) for b in fp2.family_b_values(ctx)}
+    assert set(calls) == shapes and set(calls.values()) == {1}
     by_id = {r.claim_id: r for r in reports}
     assert by_id["sec5.extra_closure"].note == "600 unconditioned shape PPRs inverted"
 
@@ -545,14 +542,23 @@ def test_thm15_sweep_matches_the_pairwise_route(request, p, n, make):
 
 
 def _plant_delta(monkeypatch, at, delta):
-    """derive_params with delta replaced by delta(inst) at instance at."""
-    derive = fp2.derive_params
+    """fp2._derive, which derive_params and the sweep share, with delta
+    replaced by delta(inst) at instance at."""
+    derive = fp2._derive
 
-    def planted(ctx, m, b, alpha, beta):
-        inst = derive(ctx, m, b, alpha, beta)
+    def planted(ctx, m, b, d, alpha, beta):
+        inst = derive(ctx, m, b, d, alpha, beta)
         return dataclasses.replace(inst, delta=delta(inst)) if (m, b, alpha, beta) == at else inst
 
-    monkeypatch.setattr(fp2, "derive_params", planted)
+    monkeypatch.setattr(fp2, "_derive", planted)
+
+
+def test_thm15_sweep_derives_without_revalidating(field, monkeypatch):
+    # constructible_pairs validated every (alpha, beta) the sweep reads
+    ctx = field(5, 2)
+    want = _thm15_sweep(ctx)
+    monkeypatch.setattr(fp2, "derive_params", None)
+    assert _thm15_sweep(ctx) == want
 
 
 @pytest.mark.parametrize("make", ["field", "zech_field"])

@@ -119,6 +119,17 @@ def test_degree_dist_csv(capsys):
     assert "3,5" in out
 
 
+@pytest.mark.parametrize("argv", [("degree-dist", "--p", "5"), ("reproduce", "--p", "5")])
+def test_csv_rows_end_in_crlf_on_stdout_and_out_file(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    target = tmp_path / "rows.csv"
+    assert code == 0 and run(capsys, *argv, "--format", "csv", "--out", str(target))[:2] == (0, "")
+    for text in (out, target.read_bytes().decode()):
+        rows = text.split("\r\n")
+        assert len(rows) > 2 and rows[-1] == ""  # the last row ends in \r\n too
+        assert not any("\n" in row or "\r" in row for row in rows)
+
+
 def test_fp2_verify_sweep(capsys):
     doc = run_json(capsys, "fp2", "verify", "--p", "3", "--n", "2", "--m", "2", "--b", "1")
     assert doc["instances"] == 12 == doc["expected_instances"]

@@ -1,6 +1,9 @@
+import math
+from array import array
+
 import pytest
 
-from ppshift import fp2
+from ppshift import build_field, fp2, pp
 from ppshift.errors import (
     BadExponentError,
     BudgetExceededError,
@@ -21,7 +24,7 @@ from ppshift.fp2 import (
     shape_parameters,
     shape_pprs,
 )
-from ppshift.poly import compose, eval_table, poly_scale
+from ppshift.poly import compose, eval_table, gmb_poly, monomial, poly_scale
 from ppshift.pp import compositional_inverse, is_permutation
 
 
@@ -189,6 +192,78 @@ def test_shape_pprs_match_the_listed_enumeration(request, make):
     with pytest.raises(BudgetExceededError):
         shape_pprs(ctx, 3, 1, budget=q * q - 1)
     assert len(shape_pprs(ctx, 3, 1, budget=q * q)) == 180
+
+
+def _scanned_shape(ctx, m, b):
+    """The q^2 route shape_pprs replaces: one pp._scan of every (alpha,
+    beta), each hit coded alpha * q + beta."""
+    p, q = ctx.p, ctx.q
+    hits = pp._scan(ctx, gmb_poly(ctx, m, b), [monomial(p), monomial(1)])
+    return array("I", (f[p] * q + f[1] for f in hits))
+
+
+def _scaling_group(ctx, m):
+    """H_m = {lambda^(1-m) : lambda in F_p^*}; F_p sits in F_q as 0 .. p-1."""
+    return sorted({ctx.pow(lam, (1 - m) % (ctx.p - 1)) for lam in range(1, ctx.p)})
+
+
+@pytest.mark.parametrize("make,p", [("field", 3), ("field", 5), ("field", 7),
+                                    ("zech_field", 5), ("zech_field", 7)])
+def test_shape_pprs_match_the_full_scan(request, make, p):
+    ctx = request.getfixturevalue(make)(p, 2)
+    for m in range(2, p):
+        for b in family_b_values(ctx):
+            assert shape_pprs(ctx, m, b) == _scanned_shape(ctx, m, b), (m, b)
+
+
+def test_shape_pprs_match_the_full_scan_f121(field):
+    ctx = field(11, 2)
+    bs = family_b_values(ctx)
+    for m in (2, 6):  # h = p - 1 and h = 2
+        for b in (bs[0], bs[-1]):
+            assert shape_pprs(ctx, m, b) == _scanned_shape(ctx, m, b), (m, b)
+
+
+def _scaled(ctx, codes, mu):
+    """The codes of mu (alpha, beta) for each alpha * q + beta in codes."""
+    q = ctx.q
+    return {ctx.mul(mu, c // q) * q + ctx.mul(mu, c % q) for c in codes}
+
+
+def test_shape_pprs_closed_under_scaling(field):
+    # scaling is injective, so the images equal the set iff each lies in it
+    ctx = field(7, 2)
+    for m in range(2, ctx.p):
+        group = _scaling_group(ctx, m)
+        assert len(group) == (ctx.p - 1) // math.gcd(m - 1, ctx.p - 1)
+        for b in family_b_values(ctx):
+            codes = shape_pprs(ctx, m, b)
+            for mu in group:
+                assert _scaled(ctx, codes, mu) == set(codes), (m, b, mu)
+    # the closure is H_m's, not all of F_p^*'s: at m = 4, H_m = {1, -1}
+    codes = shape_pprs(ctx, 4, 1)
+    assert _scaled(ctx, codes, 2) != set(codes)
+
+
+def test_shape_pprs_planted_dropped_hit(monkeypatch):
+    ctx = build_field(5, 2)
+    m, b = 2, family_b_values(ctx)[1]
+    want = _scanned_shape(ctx, m, b)
+    q = ctx.q
+    # the first scanned representative is alpha = g^0 = 1
+    beta = next(c % q for c in want if c // q == 1)
+    scalars = ctx.bijective_scalars
+
+    def planted(prefixes, w):
+        for k, hits in enumerate(scalars(prefixes, w)):
+            yield [c for c in hits if (k, c) != (1, beta)]
+
+    monkeypatch.setattr(ctx, "bijective_scalars", planted)
+    got = shape_pprs(ctx, m, b)
+    assert got != want
+    orbit = {mu * q + ctx.mul(mu, beta) for mu in _scaling_group(ctx, m)}
+    assert len(orbit) == ctx.p - 1  # h = p - 1 at m = 2
+    assert set(want) - set(got) == orbit and set(got) <= set(want)
 
 
 def test_census_invariant_under_b(field):
