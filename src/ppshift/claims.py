@@ -30,7 +30,6 @@ from .poly import (
     from_coords,
     gmb_poly,
     hmd_d,
-    hmd_poly,
     linearized_coeffs,
     linearized_to_matrix,
     matrix_to_linearized,
@@ -69,9 +68,9 @@ class _FieldRun:
     """Shared per-field state: context, claim list and one memo that
     keeps what several claims read (A_r, the kernels K_k of the unit
     shift, V_k, enumerations, the family shapes' PPRs, the degree
-    census, the Theorem 15 sweep, the lemma suite) from the first claim
-    that builds it to the end of the run. A kernel of A_r is rescaled
-    from K_k on each read and not held."""
+    census, the Theorem 15 sweep of each (m, b), the lemma suite) from
+    the first claim that builds it to the end of the run. A kernel of
+    A_r is rescaled from K_k on each read and not held."""
 
     def __init__(self, ctx: FieldContext, cfg: RunConfig):
         self.ctx = ctx
@@ -124,9 +123,12 @@ class _FieldRun:
         return self.memo(("shape", m, b), lambda: fp2.shape_pprs(
             self.ctx, m, b, budget=self.cfg.budget))
 
-    def shape_count(self, m: int, b: int) -> int:
-        """How many PPRs the shape holds: the length of its array."""
-        return len(self.shape(m, b))
+    def sweeps(self) -> dict:
+        """{(m, b): fp2.inverse_sweep(ctx, m, b)} over the family: each
+        pairs array is the conditioned set every claim loop reads."""
+        return self.memo("thm15", lambda: {
+            (m, b): fp2.inverse_sweep(self.ctx, m, b)
+            for m in range(2, self.ctx.p) for b in fp2.family_b_values(self.ctx)})
 
     def census(self) -> pp.DegreeCensus:
         return self.memo("census", lambda: pp.degree_distribution(self.ctx, self.cfg.budget))
@@ -693,7 +695,7 @@ def _v2_count(run: _FieldRun):
         return "skipped", None, None, "odd-characteristic quadratic extensions"
     p = ctx.p
     expected = p * (p + 1) * (p - 1) ** 2
-    via_census = sum(run.shape_count(2, b) for b in fp2.family_b_values(ctx))
+    via_census = sum(len(run.shape(2, b)) for b in fp2.family_b_values(ctx))
     observed = {"shape_census": via_census}
     if ctx.q <= 9:
         report = run.enumeration(run.vk(2))
@@ -745,94 +747,51 @@ def _fp2_applicable(ctx: FieldContext) -> bool:
     return ctx.n == 2 and ctx.p >= 3
 
 
-def _thm15_sweep(ctx: FieldContext):
-    """(instances, inverse failures, closure failures, {(m, b): number of
-    constructible pairs}) from one pass over every constructible
-    instance; both Theorem 15 claims and the conditioned count read it.
-
-    The pair f = (x^p - bx)^m + alpha x^p + beta x and h = delta
-    (x^p - dx)^m + gamma x^p + epsilon x is checked on tables: the two
-    binomial powers are evaluated once per (m, b), and each instance
-    adds its scaled x^p and x rows to them. Both polynomials are
-    reduced (degree mp < q), so h is the compositional inverse of f
-    exactly when h(f(x)) = x at every x; only on a mismatch does the
-    bijectivity of f's table tell "not a PPR" from "inverse mismatch".
-    f has the top and constant coefficients of (x^p - bx)^m, whose
-    degree exceeds p, so it is monic and fixes 0 when that power does.
-    The parameters come from fp2._derive with d computed once per
-    (m, b): constructible_pairs yields only valid (alpha, beta).
-    """
-    inverse_bad, closure_bad = [], []
-    instances = 0
-    counts = {}
-    points = list(range(ctx.q))
-    frob = ctx.frob_table  # x^p
-    zero = [0] * ctx.q
-    for m in range(2, ctx.p):
-        for b in fp2.family_b_values(ctx):
-            pairs = fp2.constructible_pairs(ctx, m, b)
-            counts[m, b] = len(pairs)
-            g = gmb_poly(ctx, m, b)
-            monic = len(g) > ctx.p + 1 and g[-1] == 1 and g[0] == 0
-            g_table = eval_table(ctx, g)
-            hmd_table = eval_table(ctx, hmd_poly(ctx, m, b))
-            d = hmd_d(ctx, m, b)
-            g_alpha = {}  # g + alpha x^p, shared by the betas of one alpha
-            for alpha, beta in pairs:
-                instances += 1
-                tag = (m, b, alpha, beta)
-                inst = fp2._derive(ctx, m, b, d, alpha, beta)
-                if alpha not in g_alpha:
-                    g_alpha = {alpha: ctx.axpy(g_table, alpha, frob)}
-                f = ctx.axpy(g_alpha[alpha], beta, points)
-                h = ctx.axpy(zero, inst.delta, hmd_table)
-                h = ctx.axpy(ctx.axpy(h, inst.gamma, frob), inst.epsilon, points)
-                if not monic:
-                    inverse_bad.append(("not a PPR", *tag))
-                elif [h[y] for y in f] != points:
-                    bijective = pp._invert(f)[0] is not None
-                    inverse_bad.append(("inverse mismatch" if bijective else "not a PPR", *tag))
-                if inst.delta == 0:
-                    closure_bad.append(("zero delta", *tag))
-                    continue
-                alpha2 = ctx.div(inst.gamma, inst.delta)
-                beta2 = ctx.div(inst.epsilon, inst.delta)
-                if not fp2.check_conditions(ctx, m, inst.d, alpha2, beta2).constructible:
-                    closure_bad.append(("inverse instance fails conditions", *tag))
-    return instances, inverse_bad, closure_bad, counts
+def _inverse_failures(run: _FieldRun) -> list[tuple]:
+    """The (tag, m, b, alpha, beta) of each failed parametric inverse."""
+    return [(tag, *mb, alpha, beta)
+            for mb, s in run.sweeps().items() for tag, alpha, beta in s.failures]
 
 
-def _thm15_inverse(run: _FieldRun):
-    if not _fp2_applicable(run.ctx):
-        return "skipped", None, None, "quadratic extensions with p >= 3"
-    instances, bad, _, _ = run.memo("thm15", lambda: _thm15_sweep(run.ctx))
-    status = "verified" if not bad else "refuted"
-    return status, "parametric inverse exact", bad[:3] or "parametric inverse exact", (
-        f"{instances} constructible instances swept"
-    )
+def _closure_failures(run: _FieldRun) -> list[tuple]:
+    """The (tag, m, b, alpha, beta) of each constructible instance whose
+    inverse instance (m, d, gamma/delta, epsilon/delta) is not in the
+    constructible pairs of (m, d)."""
+    ctx = run.ctx
+    q = ctx.q
+    bad = []
+    sweeps = run.sweeps()
+    for (m, b), s in sweeps.items():
+        targets = set(sweeps[m, hmd_d(ctx, m, b)].pairs)
+        for code, inverse in zip(s.pairs, s.inverses):
+            if inverse not in targets:  # nor is q * q, the code of delta = 0
+                tag = "zero delta" if inverse == q * q else "inverse instance fails conditions"
+                bad.append((tag, m, b, *divmod(code, q)))
+    return bad
 
 
-def _thm15_closure(run: _FieldRun):
-    if not _fp2_applicable(run.ctx):
-        return "skipped", None, None, "quadratic extensions with p >= 3"
-    instances, _, bad, _ = run.memo("thm15", lambda: _thm15_sweep(run.ctx))
-    status = "verified" if not bad else "refuted"
-    return status, "inverse stays in the family", bad[:3] or "inverse stays in the family", (
-        f"{instances} instances; inverse parameters (m, d, gamma/delta, epsilon/delta)"
-    )
+def _thm15(failures, holds: str, note: str):
+    """The check of one Theorem 15 claim: failures(run) over the run's
+    sweeps, and note with the number of instances swept."""
+
+    def check(run: _FieldRun):
+        if not _fp2_applicable(run.ctx):
+            return "skipped", None, None, "quadratic extensions with p >= 3"
+        bad = failures(run)
+        instances = sum(len(s.pairs) for s in run.sweeps().values())
+        return "verified" if not bad else "refuted", holds, bad[:3] or holds, note.format(instances)
+
+    return check
 
 
 def _conditioned_count(run: _FieldRun):
     ctx = run.ctx
     if not _fp2_applicable(ctx):
         return "skipped", None, None, "quadratic extensions with p >= 3"
-    p = ctx.p
-    expected = p * (p - 1) ** 2
-    counts = run.memo("thm15", lambda: _thm15_sweep(ctx))[3]
-    status = "verified" if all(got == expected for got in counts.values()) else "refuted"
-    return status, expected, sorted(set(counts.values())), (
-        f"all (m, b) pairs: {len(counts)} censuses"
-    )
+    expected = ctx.p * (ctx.p - 1) ** 2
+    counts = [len(s.pairs) for s in run.sweeps().values()]
+    status = "verified" if all(got == expected for got in counts) else "refuted"
+    return status, expected, sorted(set(counts)), f"all (m, b) pairs: {len(counts)} censuses"
 
 
 def _coprime_count_exponents(p: int) -> list[int]:
@@ -858,7 +817,7 @@ def _full_count_coprime(run: _FieldRun):
     ok = True
     for m in ms:
         for b in fp2.family_b_values(ctx):
-            got = run.shape_count(m, b)
+            got = len(run.shape(m, b))
             observed[f"m={m},b={b}"] = got
             ok = ok and got == expected
     status = "verified" if ok else "refuted"
@@ -873,7 +832,7 @@ def _full_count_half(run: _FieldRun):
     m = (p + 1) // 2
     if not 2 <= m <= p - 1:
         return "skipped", None, None, "m = (p+1)/2 outside [2, p-1]"
-    counts = sorted({run.shape_count(m, b) for b in fp2.family_b_values(ctx)})
+    counts = sorted({len(run.shape(m, b)) for b in fp2.family_b_values(ctx)})
     floor = p * (p - 1) * (2 * p - 1)
     if p > 5:
         status = "verified" if all(c > floor for c in counts) else "refuted"
@@ -921,10 +880,10 @@ def _power_tables(ctx: FieldContext):
 
 
 def _extra_closure(run: _FieldRun):
-    """The unconditioned shape PPRs, read from the run's shape scans,
-    invert into the shape with exponent m^-1 mod p-1. Each f is a table
-    of (x^p - bx)^m plus its alpha x^p and beta x rows, as in
-    _thm15_sweep; its inverse table is tested by
+    """The unconditioned shape PPRs, the run's shape scans less the
+    pairs of its sweeps, invert into the shape with exponent m^-1 mod
+    p-1. Each f is a table of (x^p - bx)^m plus its alpha x^p and beta x
+    rows, as in fp2.inverse_sweep; its inverse table is tested by
     _inverse_table_keeps_shape."""
     ctx = run.ctx
     if not _fp2_applicable(ctx) or ctx.p < 5:
@@ -940,11 +899,12 @@ def _extra_closure(run: _FieldRun):
         m_inv = pow(m, -1, p - 1)
         for b in fp2.family_b_values(ctx):
             g_alpha = {}  # g + alpha x^p, shared by the betas of one alpha
+            conditioned = set(run.sweeps()[m, b].pairs)
             for code in run.shape(m, b):
-                alpha, beta = divmod(code, q)
-                if fp2.check_conditions(ctx, m, b, alpha, beta).constructible:
+                if code in conditioned:
                     continue
                 total += 1
+                alpha, beta = divmod(code, q)
                 if alpha not in g_alpha:
                     g_alpha = {alpha: ctx.axpy(power_table(m, b), alpha, frob)}
                 inverse = pp.inverse_table(ctx, ctx.axpy(g_alpha[alpha], beta, points))
@@ -1025,9 +985,13 @@ _CLAIMS = (
     ("sec5.v2_count", "fp2", _v2_count, "V_2 holds p(p+1)(p-1)^2 non-linearized PPRs"),
     ("sec5.v3_offspan", "fp2", _v3_offspan,
      "no V_3 permutation uses the degree-4p basis vector"),
-    ("thm15.inverse", "fp2", _thm15_inverse,
+    ("thm15.inverse", "fp2",
+     _thm15(_inverse_failures, "parametric inverse exact", "{} constructible instances swept"),
      "parametric inverse agrees with the inverse table at every point"),
-    ("thm15.closure", "fp2", _thm15_closure, "the conditioned family closes under inversion"),
+    ("thm15.closure", "fp2",
+     _thm15(_closure_failures, "inverse stays in the family",
+            "{} instances; inverse parameters (m, d, gamma/delta, epsilon/delta)"),
+     "the conditioned family closes under inversion"),
     ("sec5.conditioned_count", "fp2", _conditioned_count, "p(p-1)^2 conditioned pairs per (m, b)"),
     ("sec5.full_count_coprime", "fp2", _full_count_coprime,
      "p(p-1)(2p-1) shape PPRs per b for coprime m != (p+1)/2"),

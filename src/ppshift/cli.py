@@ -238,19 +238,10 @@ def _cmd_fp2_verify(args) -> str:
                 inverse_verified=pp.is_compositional_inverse(ctx, f, h),
             )
         return _render(args, ctx, body)
-    pairs = fp2.constructible_pairs(ctx, args.m, args.b)
-    failures = []
-    for alpha, beta in pairs:
-        inst = fp2.derive_params(ctx, args.m, args.b, alpha, beta)
-        f, h = fp2.build_pair(inst)
-        if not pp.is_permutation(ctx, f).is_ppr or not pp.is_compositional_inverse(ctx, f, h):
-            failures.append([alpha, beta])
-    body.update(
-        instances=len(pairs),
-        expected_instances=ctx.p * (ctx.p - 1) ** 2,
-        failures=failures,
-        all_verified=not failures,
-    )
+    sweep = fp2.inverse_sweep(ctx, args.m, args.b)
+    failures = [[alpha, beta] for _, alpha, beta in sweep.failures]
+    body.update(instances=len(sweep.pairs), expected_instances=ctx.p * (ctx.p - 1) ** 2,
+                failures=failures, all_verified=not failures)
     return _render(args, ctx, body)
 
 

@@ -425,28 +425,19 @@ def predicted_basis(ctx: FieldContext, variant: str, m: int | None = None, r: in
     p, n, q = ctx.p, ctx.n, ctx.q
     pn1 = p ** (n - 1)
     if variant == "lemma6":
-        basis = [monomial(p**k) for k in range(n)]
-        basis += [poly_pow(ctx, [0, ctx.neg(1)] + [0] * (p - 2) + [1], i)
-                  for i in range(2, pn1) if _not_p_power(ctx, i)]
-        return basis
+        return predicted_basis(ctx, "theorem11", r=1)
     if variant == "theorem11":
         if r is None or r == 0:
             raise OutOfRangeError("theorem11 needs a nonzero shift r")
-        b = ctx.pow(r, p - 1)
+        base_poly = [0, ctx.neg(ctx.pow(r, p - 1))] + [0] * (p - 2) + [1]  # x^p - bx
         basis = [monomial(p**k) for k in range(n)]
-        base_poly = [0] * (p + 1)
-        base_poly[1] = ctx.neg(b)
-        base_poly[p] = 1
         basis += [poly_pow(ctx, base_poly, i) for i in range(2, pn1) if _not_p_power(ctx, i)]
         return basis
     if variant == "theorem7":
         if m is None or not 1 <= m <= p:
             raise OutOfRangeError(f"theorem7 needs m in [1, {p}]")
-        base_poly = [0] * (p + 1)
-        base_poly[1] = ctx.neg(1)
-        base_poly[p] = 1
+        base_poly = [0, ctx.neg(1)] + [0] * (p - 2) + [1]  # x^p - x
         basis = []
-        power = [1]
         for i in range(1, pn1):
             power = poly_pow(ctx, base_poly, i)
             for j in range(m):

@@ -15,14 +15,17 @@ epsilon = beta^p / (beta^(p+1) - alpha^(p+1)) and
 delta = (-gamma d - epsilon) / (beta^p - alpha d)^m.
 
 This module derives the parameters, checks the two existence
-conditions, builds (f, h) pairs, enumerates censuses over (alpha,
-beta), and sweeps the identity suite backing the inverse formula.
+conditions, builds (f, h) pairs, sweeps the inverse formula over every
+constructible (alpha, beta) of one (m, b), enumerates censuses over
+(alpha, beta), and sweeps the identity suite backing the inverse
+formula.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import (
@@ -183,6 +186,54 @@ def constructible_pairs(ctx: FieldContext, m: int, b: int) -> list[tuple[int, in
         betas = sorted(ctx.sub(s, shift) for s in solutions)
         out.extend((alpha, beta) for beta in betas if ctx.pow(beta, p + 1) != alpha_norm)
     return out
+
+
+InverseSweep = namedtuple("InverseSweep", "pairs failures inverses")
+
+
+def inverse_sweep(ctx: FieldContext, m: int, b: int) -> InverseSweep:
+    """Theorem 15 on one (m, b): pairs holds the constructible (alpha,
+    beta) as alpha * q + beta, ascending; failures the (tag, alpha,
+    beta) of each pair whose parametric h is not the inverse of f; and
+    inverses each pair's inverse instance (m, d, gamma/delta,
+    epsilon/delta) as the code (gamma/delta) * q + epsilon/delta, or
+    q * q (no code) when delta = 0.
+
+    f and h are tables: the two binomial powers are evaluated once and
+    each instance adds its scaled x^p and x rows. Both are reduced
+    (degree mp < q), so h inverts f iff h(f(x)) = x at every x; f's
+    bijectivity is read only on a mismatch, to tell "not a PPR" from
+    "inverse mismatch". f is monic and fixes 0 when (x^p - bx)^m, of degree
+    above p, is and does. constructible_pairs validates (m, b) and
+    yields only valid (alpha, beta), so _derive checks nothing."""
+    pairs = constructible_pairs(ctx, m, b)
+    p, q = ctx.p, ctx.q
+    points = list(range(q))
+    frob = ctx.frob_table  # x^p
+    zero = [0] * q
+    g = gmb_poly(ctx, m, b)
+    monic = len(g) > p + 1 and g[-1] == 1 and g[0] == 0
+    g_table = eval_table(ctx, g)
+    d = hmd_d(ctx, m, b)
+    h_table = eval_table(ctx, gmb_poly(ctx, m, d))  # (x^p - dx)^m
+    failures = []
+    inverses = array("I")
+    g_alpha = {}  # g + alpha x^p, shared by the betas of one alpha
+    for alpha, beta in pairs:
+        inst = _derive(ctx, m, b, d, alpha, beta)
+        if alpha not in g_alpha:
+            g_alpha = {alpha: ctx.axpy(g_table, alpha, frob)}
+        f = ctx.axpy(g_alpha[alpha], beta, points)
+        h = ctx.axpy(zero, inst.delta, h_table)
+        h = ctx.axpy(ctx.axpy(h, inst.gamma, frob), inst.epsilon, points)
+        if not monic:
+            failures.append(("not a PPR", alpha, beta))
+        elif [h[y] for y in f] != points:
+            bijective = pp._invert(f)[0] is not None
+            failures.append(("inverse mismatch" if bijective else "not a PPR", alpha, beta))
+        inverses.append(ctx.div(inst.gamma, inst.delta) * q + ctx.div(inst.epsilon, inst.delta)
+                        if inst.delta else q * q)
+    return InverseSweep(array("I", [alpha * q + beta for alpha, beta in pairs]), failures, inverses)
 
 
 @dataclass(frozen=True)

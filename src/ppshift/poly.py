@@ -103,6 +103,7 @@ def poly_mul(ctx: FieldContext, f, g) -> list[int]:
 
 def poly_pow(ctx: FieldContext, f, e: int) -> list[int]:
     """f**e by repeated squaring, reduced after every multiplication."""
+    require_poly(ctx, f)
     if e < 0:
         raise OutOfRangeError("negative polynomial power")
     result = [1]
@@ -145,6 +146,8 @@ def eval_table(ctx: FieldContext, f) -> list[int]:
 
 def compose(ctx: FieldContext, f, g) -> list[int]:
     """f(g(x)) reduced mod x^q - x (Horner in g)."""
+    require_poly(ctx, f)
+    require_poly(ctx, g)
     acc: list[int] = []
     for c in reversed(f):
         acc = poly_mul(ctx, acc, g)
@@ -268,7 +271,7 @@ def linearized_to_matrix(ctx: FieldContext, d) -> tuple[tuple[int, ...], ...]:
     """
     n = ctx.n
     table = eval_table(ctx, linearized_poly(ctx, d))
-    cols = [ctx.digits(table[ctx._pows[j]]) for j in range(n)]
+    cols = [ctx.digits(table[ctx.p**j]) for j in range(n)]
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
@@ -285,9 +288,8 @@ def matrix_to_linearized(ctx: FieldContext, rows) -> list[int]:
         raise DimensionMismatchError("matrix must be n x n")
     aug = []
     for i in range(n):
-        basis_elem = ctx._pows[i]
         row = []
-        x = basis_elem
+        x = ctx.p**i  # t^i
         for _ in range(n):
             row.append(x)
             x = ctx.frobenius(x)

@@ -15,10 +15,11 @@ with multiplicity), which falls back to (q-1)^2 when q-1 is prime
 instead, O(q) per nonzero term: a reduced polynomial equals the
 interpolant of a table iff it agrees with the table at every point.
 
-Every enumeration is an affine scan of offset + span(basis): a
-subspace's monic members (one scan per top degree), the F_{p^2} family
-shapes, the degree census and, with an empty offset, all polynomials of
-degree <= q-2, all through FieldContext.bijective_scalars.
+Every enumeration here is an affine scan of offset + span(basis): a
+subspace's monic members (one scan per top degree), the degree census
+and, with an empty offset, all polynomials of degree <= q-2, all
+through FieldContext.bijective_scalars, which fp2.shape_pprs calls
+directly for the F_{p^2} family shapes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
+    DimensionMismatchError,
     NotAPermutationError,
     OutOfRangeError,
     TooLargeFieldError,
@@ -179,6 +181,14 @@ def _dft(ctx: FieldContext, seq, stride: int) -> list[int]:
     return out
 
 
+def _require_table(ctx: FieldContext, table) -> None:
+    """Refuse anything but one element index per element of F_q: O(q),
+    once per public call, so that _invert and _dft index safely."""
+    if len(table) != ctx.q:
+        raise DimensionMismatchError(f"table of length {len(table)}, expected q = {ctx.q}")
+    require_poly(ctx, table)
+
+
 def interpolate_table(ctx: FieldContext, values) -> list[int]:
     """The unique polynomial of degree <= q-1 through (a, values[a]).
 
@@ -191,6 +201,7 @@ def interpolate_table(ctx: FieldContext, values) -> list[int]:
     O((q-1) * sum of the prime factors of q-1) operations, counted with
     multiplicity; when q-1 is prime (F_128, F_8192) that is (q-1)^2.
     """
+    _require_table(ctx, values)
     q = ctx.q
     exp = ctx.exp_table
     s = _dft(ctx, [values[exp[i]] for i in range(q - 1)], 1)
@@ -218,6 +229,7 @@ def _interpolant_coeffs(ctx: FieldContext, values, degrees) -> list[int]:
 
 def inverse_table(ctx: FieldContext, table) -> list[int]:
     """The table of the inverse permutation: inverse[table[x]] = x."""
+    _require_table(ctx, table)
     inverse, witness = _invert(table)
     if inverse is None:
         raise NotAPermutationError(f"not a permutation: collides at {witness[0]} and {witness[1]}")

@@ -21,7 +21,6 @@ from ppshift.claims import (
     _identity_powers,
     _operator_order,
     _operator_power,
-    _thm15_sweep,
     _v1_shapes,
     _vk_conjecture,
     reproduce,
@@ -243,6 +242,17 @@ def test_reproduce_field_runs_one_degree_census(monkeypatch):
     assert sum(calls.values()) == 1
     by_id = {r.claim_id: r.status for r in reports}
     for claim_id in ("def1.orbit_identity", "cor3.first_appearance", "degree.distribution"):
+        assert by_id[claim_id] == "verified"
+
+
+def test_reproduce_field_checks_no_conditions_per_instance(monkeypatch):
+    # the conditioned set of each (m, b) is its sweep's pairs array
+    calls = _count_calls(monkeypatch, fp2, "check_conditions")
+    reports = reproduce_field(build_field(5, 2), RunConfig())
+    assert not calls
+    by_id = {r.claim_id: r.status for r in reports}
+    for claim_id in ("thm15.inverse", "thm15.closure", "sec5.conditioned_count",
+                     "sec5.extra_closure"):
         assert by_id[claim_id] == "verified"
 
 
@@ -533,10 +543,20 @@ def _pairwise_thm15_sweep(ctx):
     return instances, inverse_bad, closure_bad, counts
 
 
+def _claims_thm15_sweep(ctx):
+    """The claims' Theorem 15 data in the oracle's shape, from one field
+    run's fp2.inverse_sweep of each (m, b): (instances, inverse
+    failures, closure failures, {(m, b): number of pairs})."""
+    run = _FieldRun(ctx, RunConfig())
+    counts = {mb: len(s.pairs) for mb, s in run.sweeps().items()}
+    return (sum(counts.values()), claims._inverse_failures(run), claims._closure_failures(run),
+            counts)
+
+
 @pytest.mark.parametrize("p,n,make", [(5, 2, "field"), (7, 2, "field"), (5, 2, "zech_field")])
 def test_thm15_sweep_matches_the_pairwise_route(request, p, n, make):
     ctx = request.getfixturevalue(make)(p, n)
-    got = _thm15_sweep(ctx)
+    got = _claims_thm15_sweep(ctx)
     assert got == _pairwise_thm15_sweep(ctx)
     assert got[1:3] == ([], [])
 
@@ -556,9 +576,9 @@ def _plant_delta(monkeypatch, at, delta):
 def test_thm15_sweep_derives_without_revalidating(field, monkeypatch):
     # constructible_pairs validated every (alpha, beta) the sweep reads
     ctx = field(5, 2)
-    want = _thm15_sweep(ctx)
+    want = _claims_thm15_sweep(ctx)
     monkeypatch.setattr(fp2, "derive_params", None)
-    assert _thm15_sweep(ctx) == want
+    assert _claims_thm15_sweep(ctx) == want
 
 
 @pytest.mark.parametrize("make", ["field", "zech_field"])
@@ -567,13 +587,29 @@ def test_thm15_sweep_planted_delta(request, monkeypatch, make):
     b = fp2.family_b_values(ctx)[1]
     at = (3, b, *fp2.constructible_pairs(ctx, 3, b)[5])
     _plant_delta(monkeypatch, at, lambda inst: ctx.add(inst.delta, 1))
-    wrong = _thm15_sweep(ctx)
+    wrong = _claims_thm15_sweep(ctx)
     assert wrong == _pairwise_thm15_sweep(ctx)
     assert wrong[1] == [("inverse mismatch", *at)]
     _plant_delta(monkeypatch, at, lambda inst: 0)
-    zero = _thm15_sweep(ctx)
+    zero = _claims_thm15_sweep(ctx)
     assert zero == _pairwise_thm15_sweep(ctx)
     assert zero[1] == [("inverse mismatch", *at)] and zero[2] == [("zero delta", *at)]
+
+
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_thm15_closure_names_an_inverse_instance_off_the_conditions(request, monkeypatch, make):
+    # delta times the primitive element, which is not in F_p, moves the
+    # inverse instance's (beta + d alpha)^(p-1) off the second condition
+    ctx = request.getfixturevalue(make)(5, 2)
+    b = fp2.family_b_values(ctx)[3]
+    at = (2, b, *fp2.constructible_pairs(ctx, 2, b)[7])
+    _plant_delta(monkeypatch, at, lambda inst: ctx.mul(inst.delta, ctx.primitive))
+    got = _claims_thm15_sweep(ctx)
+    assert got == _pairwise_thm15_sweep(ctx)
+    assert got[2] == [("inverse instance fails conditions", *at)]
+    closure = next(check for claim_id, _, check, _ in claims._CLAIMS if claim_id == "thm15.closure")
+    status, _, observed, _ = closure(_FieldRun(ctx, RunConfig()))
+    assert (status, observed) == ("refuted", [("inverse instance fails conditions", *at)])
 
 
 def test_thm15_sweep_tags_a_non_permutation(monkeypatch):
@@ -592,6 +628,6 @@ def test_thm15_sweep_tags_a_non_permutation(monkeypatch):
     monkeypatch.setattr(fp2, "check_conditions",
                         lambda *args: fp2.ConditionVerdict(True, True) if args[1:] == (m, b, *extra)
                         else verdict(*args))
-    got = _thm15_sweep(ctx)
+    got = _claims_thm15_sweep(ctx)
     assert got == _pairwise_thm15_sweep(ctx)
     assert got[1] == [("not a PPR", m, b, *extra)]

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import ppshift
+from ppshift import fp2, gf, pp
 from ppshift.cli import build_parser, dispatch, element_str
+from test_claims import _plant_delta
 
 
 def run(capsys, *argv):
@@ -134,6 +136,40 @@ def test_fp2_verify_sweep(capsys):
     doc = run_json(capsys, "fp2", "verify", "--p", "3", "--n", "2", "--m", "2", "--b", "1")
     assert doc["instances"] == 12 == doc["expected_instances"]
     assert doc["all_verified"] and doc["failures"] == []
+
+
+def _polynomial_verify_failures(ctx, m, b):
+    """fp2 verify's sweep by polynomials: build_pair per instance, then
+    is_permutation and is_compositional_inverse."""
+    failures = []
+    for alpha, beta in fp2.constructible_pairs(ctx, m, b):
+        f, h = fp2.build_pair(fp2.derive_params(ctx, m, b, alpha, beta))
+        if not pp.is_permutation(ctx, f).is_ppr or not pp.is_compositional_inverse(ctx, f, h):
+            failures.append([alpha, beta])
+    return failures
+
+
+@pytest.mark.parametrize("p, make", [(5, "field"), (7, "field"), (5, "zech_field")])
+def test_fp2_verify_sweep_matches_the_polynomial_loop(capsys, monkeypatch, request, p, make):
+    ctx = request.getfixturevalue(make)(p, 2)
+    if ctx.add_table is None:
+        monkeypatch.setattr(gf, "FLAT_TABLE_LIMIT", 0)  # the CLI builds the Zech field too
+    for m in range(2, p):
+        for b in fp2.family_b_values(ctx):
+            doc = run_json(capsys, "fp2", "verify", "--p", str(p), "--m", str(m), "--b", str(b))
+            failures = _polynomial_verify_failures(ctx, m, b)
+            assert (doc["failures"], doc["all_verified"]) == (failures, not failures), (m, b)
+            assert doc["instances"] == doc["expected_instances"] == p * (p - 1) ** 2
+
+
+def test_fp2_verify_sweep_reports_a_planted_delta(capsys, monkeypatch, field):
+    ctx = field(5, 2)
+    b = fp2.family_b_values(ctx)[1]
+    alpha, beta = fp2.constructible_pairs(ctx, 3, b)[4]
+    _plant_delta(monkeypatch, (3, b, alpha, beta), lambda inst: ctx.add(inst.delta, 1))
+    doc = run_json(capsys, "fp2", "verify", "--p", "5", "--m", "3", "--b", str(b))
+    assert (doc["failures"], doc["all_verified"]) == ([[alpha, beta]], False)
+    assert _polynomial_verify_failures(ctx, 3, b) == [[alpha, beta]]
 
 
 def test_fp2_verify_single(capsys):

@@ -6,9 +6,10 @@ from math import factorial, gcd
 import pytest
 
 from ppshift.claims import DEFAULT_ROSTER
-from ppshift.eigen import intersection_space, kernel_power, span_of_polys
+from ppshift.eigen import apply_shift, intersection_space, kernel_power, span_of_polys
 from ppshift.errors import (
     BudgetExceededError,
+    DimensionMismatchError,
     NotAPermutationError,
     OutOfRangeError,
     TooLargeFieldError,
@@ -29,6 +30,7 @@ from ppshift.poly import (
     monomial,
     normalize,
     poly_mul,
+    poly_pow,
     reduce_poly,
     require_poly,
 )
@@ -600,6 +602,24 @@ def test_entry_points_refuse_non_element_coefficients(field, f):
     for call in calls:
         with pytest.raises(OutOfRangeError, match="not an element index of F_49"):
             call()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda ctx: inverse_table(ctx, [0, 1]), DimensionMismatchError),
+    (lambda ctx: interpolate_table(ctx, [0, 1, 2, 3, 4, 0, 0]), DimensionMismatchError),
+    (lambda ctx: inverse_table(ctx, [0, 1, 2, 3, 9]), OutOfRangeError),
+    (lambda ctx: interpolate_table(ctx, [0, 1, 2, 3, 9]), OutOfRangeError),
+    (lambda ctx: inverse_table(ctx, [0, 1, 2, 3, -1]), OutOfRangeError),
+    (lambda ctx: poly_pow(ctx, [0, 9], 2), OutOfRangeError),
+    (lambda ctx: compose(ctx, [0, 9], [0, 1]), OutOfRangeError),
+    (lambda ctx: compose(ctx, [0, 1], [0, 9]), OutOfRangeError),
+    (lambda ctx: apply_shift(ctx, 1, [0, 9]), OutOfRangeError),
+], ids=["inverse short", "interpolate long", "inverse 9", "interpolate 9", "inverse -1",
+        "poly_pow", "compose outer", "compose inner", "apply_shift"])
+def test_table_and_coefficient_entry_points_refuse_malformed_input(field, call, error):
+    # F_5: a table has 5 entries, each an element index below 5
+    with pytest.raises(error):
+        call(field(5, 1))
 
 
 def test_degree_distribution_preconditions(field):
