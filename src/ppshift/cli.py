@@ -14,6 +14,8 @@ Exit codes: 0 verdict computed (refutations are data, not failures),
 1 stdout closed before the output was written, 2 precondition
 violation (reproduce --p 2 among them: V[x] is empty over F_2),
 3 enumeration budget exceeded, 64 usage (a refused --format too).
+reproduce never exits 3: it reports a claim over the budget as skipped,
+with the budget message as the note, and runs the other claims.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ delta = (-gamma d - epsilon) / (beta^p - alpha d)^m.
 This module derives the parameters, checks the two existence
 conditions, builds (f, h) pairs, sweeps the inverse formula over every
 constructible (alpha, beta) of one (m, b), enumerates censuses over
-(alpha, beta), and sweeps the identity suite backing the inverse
-formula.
+(alpha, beta), and checks the identity suite backing the inverse
+formula (appendix lemmas 20-25) in three passes: lemma 21 over (alpha,
+beta), one walk over (m, b, alpha, beta) for lemmas 22-24, and lemmas
+20 and 25 over (m, b).
 """
 
 from __future__ import annotations
@@ -328,13 +330,24 @@ class LemmaSuiteReport:
 
 def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     """Check the six identities behind the inverse formula over their
-    full hypothesis ranges; counterexamples are reported verbatim.
+    full hypothesis ranges; counterexamples are reported verbatim, in
+    ascending order of their parameters.
 
-    The per-instance loops read x^p, x^(p+1) and x^(p-1) from tables
-    built once per call, divide through the log/exp tables (zero kept
-    as a special case), and take what depends only on (m, b) or on
-    alpha out of the beta loop. Additions by a fixed element are read
-    from ctx.add_row.
+    Three passes:
+    1. lemma 21 over every (alpha, beta), keeping the gamma and epsilon
+       it computes in one row per alpha;
+    2. one walk over (m, b, alpha, beta) for lemma 22. An instance is
+       constructible exactly when lemma 22's direct form holds and the
+       norms differ, so lemmas 23 and 24 run there, on
+       delta = (-gamma d - epsilon)/(beta^p - alpha d)^m from the kept
+       rows; a zero denominator leaves delta undefined and counts
+       against both;
+    3. lemmas 20 and 25, one loop over (m, b).
+
+    The loops read x^p, x^(p+1) and x^(p-1) from tables built once per
+    call, divide through the log/exp tables (zero kept as a special
+    case), and take what depends only on (m, b) or on alpha out of the
+    beta loop. Additions by a fixed element are read from ctx.add_row.
     """
     _require_fp2(ctx)
     p, q = ctx.p, ctx.q
@@ -346,36 +359,28 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     norm = [ctx.pow(x, p + 1) for x in range(q)]  # x^(p+1)
     pm1 = [ctx.pow(x, p - 1) for x in range(q)]  # x^(p-1)
     add, sub, mul = ctx.add, ctx.sub, ctx.mul
-    checks = []
 
-    bad, n_checked = [], 0
-    for m in ms:
-        for b in bs:
-            g = gmb_poly(ctx, m, b)
-            lhs = poly_pow(ctx, g, p)
-            rhs = poly_scale(ctx, ctx.mul(neg_one_pow(ctx, m), ctx.pow(b, m * p)), g)
-            n_checked += 1
-            if lhs != rhs:
-                bad.append((m, b))
-    checks.append(
-        LemmaCheck("lemma20", "g^p = (-1)^m b^(mp) g", n_checked, 0, tuple(bad))
-    )
-
-    # parameter identities for every (alpha, beta) with distinct norms
-    bad, n_checked, n_skipped = [], 0, 0
+    # parameter identities for every (alpha, beta) with distinct norms;
+    # gammas[alpha][beta] and epsilons[alpha][beta] feed delta below
+    bad21, n21, skipped21 = [], 0, 0
+    gammas, epsilons = [], []
     for alpha in range(q):
         alpha_norm, alpha_p = norm[alpha], frob[alpha]
         log_minus_alpha = log[neg[alpha]]
+        gamma_row, epsilon_row = [0] * q, [0] * q
+        gammas.append(gamma_row)
+        epsilons.append(epsilon_row)
         for beta in range(q):
             norm_gap = sub(norm[beta], alpha_norm)
             if norm_gap == 0:
-                n_skipped += 1
+                skipped21 += 1
                 continue
-            n_checked += 1
+            n21 += 1
             beta_p = frob[beta]
             log_gap = log[norm_gap]
             gamma = exp[(log_minus_alpha - log_gap) % q1] if alpha else 0
             epsilon = exp[(log[beta_p] - log_gap) % q1] if beta else 0
+            gamma_row[beta], epsilon_row[beta] = gamma, epsilon
             ok = (
                 frob[norm_gap] == norm_gap
                 and add(mul(gamma, beta_p), mul(alpha, epsilon)) == 0
@@ -384,124 +389,96 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
                 and add(mul(alpha, frob[gamma]), mul(beta, epsilon)) == 1
             )
             if not ok:
-                bad.append((alpha, beta))
-    checks.append(
-        LemmaCheck(
-            "lemma21",
-            "beta^(p+1) - alpha^(p+1) in F_p; gamma beta^p + alpha epsilon = 0;"
-            " gamma alpha^p + beta epsilon = 1; alpha epsilon^p + beta gamma = 0;"
-            " alpha gamma^p + beta epsilon = 1",
-            n_checked,
-            n_skipped,
-            tuple(bad),
-        )
-    )
+                bad21.append((alpha, beta))
 
-    # the two forms of the second condition agree when both are defined;
-    # both right sides are nonzero, so the ratio form compares logs
-    bad, n_checked, n_skipped = [], 0, 0
+    # lemma 22: the two forms of the second condition agree when both
+    # are defined; both right sides are nonzero, so the ratio form
+    # compares logs. Lemmas 23 and 24 on the constructible instances:
+    # the closed form delta = -(beta + b alpha)^(m-1) / (beta^(p+1) -
+    # alpha^(p+1))^m -- the leading minus follows from gamma*d + epsilon
+    # = 1/(beta + b alpha) -- and its Frobenius twist
+    bad22, bad23, bad24, n22, skipped22, n23 = [], [], [], 0, 0, 0
     for m in ms:
         for b in bs:
             sign = neg_one_pow(ctx, m)
             rhs_direct = mul(sign, ctx.pow(b, m * p - 1))
             log_rhs_ratio = log[mul(sign, ctx.pow(b, m * p))]
+            b_m2 = ctx.pow(b, m * m)
+            d = hmd_d(ctx, m, b)
             b_beta_p = [mul(b, y) for y in frob]  # b beta^p
             for alpha in range(q):
-                alpha_norm = norm[alpha]
+                alpha_norm, alpha_d = norm[alpha], mul(alpha, d)
+                gamma_row, epsilon_row = gammas[alpha], epsilons[alpha]
                 base_row = ctx.add_row(mul(b, alpha))  # beta + b alpha
                 num_row = ctx.add_row(frob[alpha])  # y + alpha^p
                 for beta, base, beta_norm, num_index in zip(range(q), base_row, norm, b_beta_p):
                     if base == 0 or alpha_norm == beta_norm:
-                        n_skipped += 1
+                        skipped22 += 1
                         continue
-                    n_checked += 1
+                    n22 += 1
                     direct = pm1[base] == rhs_direct
                     ratio_num = num_row[num_index]
                     ratio = ratio_num != 0 and (log[ratio_num] - log[base]) % q1 == log_rhs_ratio
                     if direct != ratio:
-                        bad.append((m, b, alpha, beta))
-    checks.append(
+                        bad22.append((m, b, alpha, beta))
+                    if not direct:
+                        continue
+                    n23 += 1
+                    denom = sub(frob[beta], alpha_d)
+                    if denom == 0:  # delta undefined; not so on a constructible instance
+                        bad23.append((m, b, alpha, beta))
+                        bad24.append((m, b, alpha, beta))
+                        continue
+                    num = add(mul(gamma_row[beta], d), epsilon_row[beta])  # -(-gamma d - epsilon)
+                    delta = neg[exp[(log[num] - m * log[denom]) % q1]] if num else 0
+                    log_gap = log[sub(beta_norm, alpha_norm)]
+                    if delta != neg[exp[((m - 1) * log[base] - m * log_gap) % q1]]:
+                        bad23.append((m, b, alpha, beta))
+                    # b^(m^2) delta^p = b delta: the ((-1)^m b^(mp-1))^(m-1)
+                    # twist of delta kills the sign because m(m-1) is even
+                    if mul(b_m2, frob[delta]) != mul(b, delta):
+                        bad24.append((m, b, alpha, beta))
+
+    # g^p = (-1)^m b^(mp) g, and h^p = b^(m^2) h as reduced polynomials:
+    # h's prefactor is (-1)^m d^(mp) = (-1)^m (-1)^m b^(m^2) = b^(m^2)
+    bad20, bad25 = [], []
+    for m in ms:
+        for b in bs:
+            g = gmb_poly(ctx, m, b)
+            g_scale = mul(neg_one_pow(ctx, m), ctx.pow(b, m * p))
+            if poly_pow(ctx, g, p) != poly_scale(ctx, g_scale, g):
+                bad20.append((m, b))
+            h = hmd_poly(ctx, m, b)
+            if poly_pow(ctx, h, p) != poly_scale(ctx, ctx.pow(b, m * m), h):
+                bad25.append((m, b))
+    n_mb = len(ms) * len(bs)
+
+    return LemmaSuiteReport(checks=(
+        LemmaCheck("lemma20", "g^p = (-1)^m b^(mp) g", n_mb, 0, tuple(bad20)),
+        LemmaCheck(
+            "lemma21",
+            "beta^(p+1) - alpha^(p+1) in F_p; gamma beta^p + alpha epsilon = 0;"
+            " gamma alpha^p + beta epsilon = 1; alpha epsilon^p + beta gamma = 0;"
+            " alpha gamma^p + beta epsilon = 1",
+            n21,
+            skipped21,
+            tuple(bad21),
+        ),
         LemmaCheck(
             "lemma22",
             "(beta + b alpha)^(p-1) = (-1)^m b^(mp-1) iff"
             " (b beta^p + alpha^p)/(beta + alpha b) = (-1)^m b^(mp)",
-            n_checked,
-            n_skipped,
-            tuple(bad),
-        )
-    )
-
-    # closed form of delta, and its Frobenius twist, on constructible
-    # instances; note delta = -(beta + b alpha)^(m-1) / (beta^(p+1) -
-    # alpha^(p+1))^m -- the leading minus follows from gamma*d + epsilon
-    # = 1/(beta + b alpha)
-    bad23, bad24, n_checked = [], [], 0
-    for m in ms:
-        for b in bs:
-            b_m2 = ctx.pow(b, m * m)
-            d = hmd_d(ctx, m, b)
-            for alpha, beta in constructible_pairs(ctx, m, b):
-                inst = _derive(ctx, m, b, d, alpha, beta)
-                n_checked += 1
-                # _derive refused a zero norm gap
-                base = add(beta, mul(b, alpha))
-                log_gap = log[sub(norm[beta], norm[alpha])]
-                closed = neg[exp[((m - 1) * log[base] - m * log_gap) % q1]] if base else 0
-                if inst.delta != closed:
-                    bad23.append((m, b, alpha, beta))
-                # b^(m^2) delta^p = b delta: the ((-1)^m b^(mp-1))^(m-1)
-                # twist of delta kills the sign because m(m-1) is even
-                if mul(b_m2, frob[inst.delta]) != mul(b, inst.delta):
-                    bad24.append((m, b, alpha, beta))
-    checks.append(
+            n22,
+            skipped22,
+            tuple(bad22),
+        ),
         LemmaCheck(
             "lemma23",
             "delta = -(beta + b alpha)^(m-1) / (beta^(p+1) - alpha^(p+1))^m",
-            n_checked,
+            n23,
             0,
             tuple(bad23),
-        )
-    )
-    checks.append(
-        LemmaCheck("lemma24", "b^(m^2) delta^p = b delta", n_checked, 0, tuple(bad24))
-    )
-
-    # h^p = b^(m^2) h as reduced polynomials: the prefactor is
-    # (-1)^m d^(mp) = (-1)^m (-1)^m b^(m^2) = b^(m^2)
-    bad, n_checked = [], 0
-    for m in ms:
-        for b in bs:
-            h = hmd_poly(ctx, m, b)
-            lhs = poly_pow(ctx, h, p)
-            rhs = poly_scale(ctx, ctx.pow(b, m * m), h)
-            n_checked += 1
-            if lhs != rhs:
-                bad.append((m, b))
-    checks.append(LemmaCheck("lemma25", "h^p = b^(m^2) h", n_checked, 0, tuple(bad)))
-
-    return LemmaSuiteReport(checks=tuple(checks))
-
-
-# -- inverse-closure helpers --
-
-
-def shape_parameters(ctx: FieldContext, f) -> tuple[int, int, int, int] | None:
-    """Recover (m, b, alpha, beta) if the monic polynomial f matches the
-    family shape for some (p+1)-th root b, else None."""
-    _require_fp2(ctx)
-    p = ctx.p
-    deg = len(f) - 1
-    if deg <= 0 or deg % p or f[-1] != 1:
-        return None
-    m = deg // p
-    if not 2 <= m <= p - 1:
-        return None
-    # coefficient at degree mp - (p-1) is -m * b
-    c = f[m * p - (p - 1)] if m * p - (p - 1) < len(f) else 0
-    b = ctx.div(ctx.neg(c), m % p) if m % p else None
-    if b is None or b == 0 or ctx.pow(b, p + 1) != 1:
-        return None
-    g = gmb_poly(ctx, m, b)
-    alpha = ctx.sub(f[p] if p < len(f) else 0, g[p])
-    beta = ctx.sub(f[1] if 1 < len(f) else 0, g[1])
-    return (m, b, alpha, beta) if family_poly(ctx, m, b, alpha, beta) == normalize(list(f)) else None
+        ),
+        LemmaCheck("lemma24", "b^(m^2) delta^p = b delta", n23, 0, tuple(bad24)),
+        LemmaCheck("lemma25", "h^p = b^(m^2) h", n_mb, 0, tuple(bad25)),
+    ))

@@ -3,6 +3,7 @@ import json
 from collections import Counter
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +32,7 @@ from ppshift.errors import BudgetExceededError, NotAPermutationError
 from ppshift.fp2 import check_conditions, family_poly
 from ppshift.poly import eval_table, gmb_poly, hmd_d, monomial, normalize, poly_scale
 from ppshift.pp import HERMITE_MAX_Q, is_permutation
+from test_fp2 import shape_parameters
 
 STATUSES = {"verified", "refuted", "measured", "skipped"}
 
@@ -202,7 +204,23 @@ def test_field_run_kernels_match_the_public_route(field, p, n):
     for r in range(1, ctx.q):
         for k in range(1, ctx.p + 1):
             assert run.kernel(r, k) == eigen.kernel_power(ctx, r, k), (r, k)
-            assert run.kernel_dim(r, k) == eigen.kernel_dim(ctx, r, k), (r, k)
+            assert run.unit_kernel(k).dim == eigen.kernel_dim(ctx, r, k), (r, k)
+
+
+def test_kernel_dims_lists_a_mismatch_at_every_shift(monkeypatch):
+    # one K_k read per k; a wrong dimension is named at each r
+    run = _FieldRun(build_field(3, 2), RunConfig())
+    reads = []
+    real = run.unit_kernel
+
+    def planted(k):
+        reads.append(k)
+        return SimpleNamespace(dim=99) if k == 2 else real(k)
+
+    monkeypatch.setattr(run, "unit_kernel", planted)
+    status, _, observed, _ = claims._kernel_dims(run)
+    assert reads == [1, 2, 3]
+    assert (status, observed) == ("refuted", [(1, 2, 99), (2, 2, 99), (3, 2, 99)])
 
 
 def _count_calls(monkeypatch, module, name, key=lambda *a, **kw: None):
@@ -257,10 +275,11 @@ def test_reproduce_field_checks_no_conditions_per_instance(monkeypatch):
 
 
 def test_conditioned_count_reads_the_theorem15_sweep(monkeypatch):
-    # each (m, b) pair list is built by the sweep and by the lemma suite only
+    # each (m, b) pair list is built once, by the sweep: the lemma suite
+    # meets the constructible instances inside its lemma 22 walk
     calls = _count_calls(monkeypatch, fp2, "constructible_pairs", key=lambda ctx, m, b: (m, b))
     reports = reproduce_field(build_field(5, 2), RunConfig())
-    assert calls and set(calls.values()) == {2}
+    assert len(calls) == 3 * 6 and set(calls.values()) == {1}
     by_id = {r.claim_id: r for r in reports}
     assert by_id["sec5.conditioned_count"].status == "verified"
     assert by_id["sec5.conditioned_count"].observed == [80]
@@ -292,6 +311,17 @@ def test_divisor_degrees_refuses_over_budget_before_scanning(monkeypatch):
         "verified", "no permutations", "no permutations",
         "degrees [2, 3, 4, 6], 373672 candidates",
     )
+
+
+def test_a_claim_over_budget_is_skipped_and_the_rest_run():
+    # V_2 over F_9 has 9^5 candidates; every other claim stays under 100
+    default = _field_reports(3, 2)
+    tight = _field_reports(3, 2, budget=100)
+    changed = [(a.claim_id, b.status, b.expected, b.observed, b.note)
+               for a, b in zip(default, tight) if a != b]
+    assert changed == [("sec5.v2_count", "skipped", None, None,
+                        "59049 candidates exceed budget 100")]
+    assert len(tight) == len(default)
 
 
 def test_degree_census_uses_the_run_budget():
@@ -359,12 +389,12 @@ def _rescanned_extra_closure(ctx):
     for m in (m for m in range(2, p) if gcd(m, p - 1) == 1):
         for b in fp2.family_b_values(ctx):
             for coeffs in pp._scan(ctx, gmb_poly(ctx, m, b), [monomial(p), monomial(1)]):
-                _, _, alpha, beta = fp2.shape_parameters(ctx, list(coeffs))
+                _, _, alpha, beta = shape_parameters(ctx, list(coeffs))
                 if check_conditions(ctx, m, b, alpha, beta).constructible:
                     continue
                 total += 1
                 inverse = pp.compositional_inverse(ctx, list(coeffs))
-                back = fp2.shape_parameters(ctx, poly_scale(ctx, ctx.inv(inverse[-1]), inverse))
+                back = shape_parameters(ctx, poly_scale(ctx, ctx.inv(inverse[-1]), inverse))
                 if back is None or back[0] != pow(m, -1, p - 1):
                     bad.append((m, b, alpha, beta))
     status = "verified" if not bad else "refuted"
@@ -571,6 +601,14 @@ def _plant_delta(monkeypatch, at, delta):
         return dataclasses.replace(inst, delta=delta(inst)) if (m, b, alpha, beta) == at else inst
 
     monkeypatch.setattr(fp2, "_derive", planted)
+
+
+def test_reproduce_field_derives_each_instance_once(monkeypatch):
+    # F_25: 3 exponents, 6 roots b and 80 constructible pairs each
+    calls = _count_calls(monkeypatch, fp2, "_derive", key=lambda ctx, m, b, d, alpha, beta: (
+        m, b, alpha, beta))
+    reproduce_field(build_field(5, 2), RunConfig())
+    assert sum(calls.values()) == len(calls) == 1440
 
 
 def test_thm15_sweep_derives_without_revalidating(field, monkeypatch):

@@ -114,6 +114,18 @@ def test_degree_dist_budget(capsys):
     assert code == 64 and "unrecognized arguments" in err
 
 
+def test_reproduce_reports_over_budget_claims_as_skipped(capsys):
+    # the degree census of F_13 needs 1.5e11 candidates; the rest of the field runs
+    doc = run_json(capsys, "reproduce", "--p", "13")
+    by_id = {c["claim_id"]: c for c in doc["claims"]}
+    note = "149346699503 candidates exceed budget 10000000"
+    over = [claim_id for claim_id, c in by_id.items() if c["note"] == note]
+    assert over == ["cor3.first_appearance", "degree.distribution"]
+    assert all(by_id[claim_id]["status"] == "skipped" for claim_id in over)
+    assert by_id["cor2.divisor_degrees"]["status"] == "verified"
+    assert not [c for c in doc["claims"] if c["status"] == "refuted"]
+
+
 def test_degree_dist_csv(capsys):
     code, out, err = run(capsys, "degree-dist", "--p", "5", "--format", "csv")
     assert code == 0

@@ -21,10 +21,19 @@ from ppshift.fp2 import (
     family_b_values,
     family_poly,
     lemma_suite,
-    shape_parameters,
     shape_pprs,
 )
-from ppshift.poly import compose, eval_table, gmb_poly, monomial, poly_scale
+from ppshift.poly import (
+    compose,
+    gmb_poly,
+    hmd_d,
+    hmd_poly,
+    monomial,
+    neg_one_pow,
+    normalize,
+    poly_pow,
+    poly_scale,
+)
 from ppshift.pp import compositional_inverse, is_permutation
 
 
@@ -307,20 +316,156 @@ def test_lemma_suite_pinned_counts(field, p):
 
 
 def test_lemma_suite_validates_once_per_exponent_and_root(field, monkeypatch):
-    # the lemma23/24 loop runs derive_params' arithmetic with d computed
-    # per (m, b); only constructible_pairs checks (m, b), once each
+    # the constructible instances are met inside lemma 22's walk, so the
+    # suite neither lists them nor derives their parameters; (m, b) is
+    # validated only by gmb_poly and hmd_poly in the lemma 20/25 loop
     ctx = field(5, 2)
-    calls = []
-    monkeypatch.setattr(fp2, "require_mb", lambda *args: calls.append(args[1:]))
-    monkeypatch.setattr(fp2, "derive_params", None)
+    for name in ("constructible_pairs", "require_mb", "_derive", "derive_params"):
+        monkeypatch.setattr(fp2, name, lambda *args, name=name: pytest.fail(f"called {name}"))
     assert lemma_suite(ctx).passed
-    pairs = [(m, b) for m in range(2, 5) for b in family_b_values(ctx)]
-    assert sorted(calls) == sorted(pairs)
 
 
 def test_lemma_suite_without_flat_tables(field, zech_field):
     for p in (3, 5):
         assert lemma_suite(zech_field(p, 2)) == lemma_suite(field(p, 2))
+
+
+def five_loop_lemma_suite(ctx):
+    """The identity suite as five loops, lemma 23/24 over a second
+    listing of the constructible set with fp2._derive per instance:
+    the oracle for lemma_suite's three passes."""
+    p, q = ctx.p, ctx.q
+    q1 = q - 1
+    bs = family_b_values(ctx)
+    ms = range(2, p)
+    exp, log, neg = ctx.exp_table, ctx.log_table, ctx.neg_table
+    frob = ctx.frob_table
+    norm = [ctx.pow(x, p + 1) for x in range(q)]
+    pm1 = [ctx.pow(x, p - 1) for x in range(q)]
+    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+    checks = []
+
+    bad = []
+    for m in ms:
+        for b in bs:
+            g = gmb_poly(ctx, m, b)
+            scale = mul(neg_one_pow(ctx, m), ctx.pow(b, m * p))
+            if poly_pow(ctx, g, p) != poly_scale(ctx, scale, g):
+                bad.append((m, b))
+    checks.append(fp2.LemmaCheck("lemma20", "g^p = (-1)^m b^(mp) g", len(ms) * len(bs), 0,
+                                 tuple(bad)))
+
+    bad, n_checked, n_skipped = [], 0, 0
+    for alpha in range(q):
+        for beta in range(q):
+            norm_gap = sub(norm[beta], norm[alpha])
+            if norm_gap == 0:
+                n_skipped += 1
+                continue
+            n_checked += 1
+            gamma = ctx.div(neg[alpha], norm_gap)
+            epsilon = ctx.div(frob[beta], norm_gap)
+            ok = (
+                frob[norm_gap] == norm_gap
+                and add(mul(gamma, frob[beta]), mul(alpha, epsilon)) == 0
+                and add(mul(gamma, frob[alpha]), mul(beta, epsilon)) == 1
+                and add(mul(alpha, frob[epsilon]), mul(beta, gamma)) == 0
+                and add(mul(alpha, frob[gamma]), mul(beta, epsilon)) == 1
+            )
+            if not ok:
+                bad.append((alpha, beta))
+    checks.append(fp2.LemmaCheck(
+        "lemma21",
+        "beta^(p+1) - alpha^(p+1) in F_p; gamma beta^p + alpha epsilon = 0;"
+        " gamma alpha^p + beta epsilon = 1; alpha epsilon^p + beta gamma = 0;"
+        " alpha gamma^p + beta epsilon = 1",
+        n_checked, n_skipped, tuple(bad)))
+
+    bad, n_checked, n_skipped = [], 0, 0
+    for m in ms:
+        for b in bs:
+            sign = neg_one_pow(ctx, m)
+            rhs_direct = mul(sign, ctx.pow(b, m * p - 1))
+            rhs_ratio = mul(sign, ctx.pow(b, m * p))
+            for alpha in range(q):
+                for beta in range(q):
+                    base = add(beta, mul(b, alpha))
+                    if base == 0 or norm[alpha] == norm[beta]:
+                        n_skipped += 1
+                        continue
+                    n_checked += 1
+                    direct = pm1[base] == rhs_direct
+                    ratio = ctx.div(add(mul(b, frob[beta]), frob[alpha]), base) == rhs_ratio
+                    if direct != ratio:
+                        bad.append((m, b, alpha, beta))
+    checks.append(fp2.LemmaCheck(
+        "lemma22",
+        "(beta + b alpha)^(p-1) = (-1)^m b^(mp-1) iff"
+        " (b beta^p + alpha^p)/(beta + alpha b) = (-1)^m b^(mp)",
+        n_checked, n_skipped, tuple(bad)))
+
+    bad23, bad24, n_checked = [], [], 0
+    for m in ms:
+        for b in bs:
+            d = hmd_d(ctx, m, b)
+            for alpha, beta in constructible_pairs(ctx, m, b):
+                inst = fp2._derive(ctx, m, b, d, alpha, beta)
+                n_checked += 1
+                base = add(beta, mul(b, alpha))
+                closed = ctx.neg(ctx.div(ctx.pow(base, m - 1),
+                                         ctx.pow(sub(norm[beta], norm[alpha]), m)))
+                if inst.delta != closed:
+                    bad23.append((m, b, alpha, beta))
+                if mul(ctx.pow(b, m * m), frob[inst.delta]) != mul(b, inst.delta):
+                    bad24.append((m, b, alpha, beta))
+    checks.append(fp2.LemmaCheck(
+        "lemma23", "delta = -(beta + b alpha)^(m-1) / (beta^(p+1) - alpha^(p+1))^m",
+        n_checked, 0, tuple(bad23)))
+    checks.append(fp2.LemmaCheck("lemma24", "b^(m^2) delta^p = b delta", n_checked, 0,
+                                 tuple(bad24)))
+
+    bad = []
+    for m in ms:
+        for b in bs:
+            h = hmd_poly(ctx, m, b)
+            if poly_pow(ctx, h, p) != poly_scale(ctx, ctx.pow(b, m * m), h):
+                bad.append((m, b))
+    checks.append(fp2.LemmaCheck("lemma25", "h^p = b^(m^2) h", len(ms) * len(bs), 0, tuple(bad)))
+    return fp2.LemmaSuiteReport(checks=tuple(checks))
+
+
+@pytest.mark.parametrize("make,p", [("field", 3), ("field", 5), ("field", 7),
+                                    ("zech_field", 5), ("zech_field", 7)])
+def test_lemma_suite_matches_the_five_loop_oracle(request, make, p):
+    ctx = request.getfixturevalue(make)(p, 2)
+    assert lemma_suite(ctx) == five_loop_lemma_suite(ctx)
+
+
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_lemma_suite_planted_wrong_d(request, monkeypatch, make):
+    # d enters delta only: lemma 23 names the instances it breaks, and
+    # a d that zeroes one instance's beta^p - alpha d leaves its delta
+    # undefined, which counts against lemmas 23 and 24 instead of raising
+    ctx = request.getfixturevalue(make)(5, 2)
+    b = family_b_values(ctx)[2]
+    at = (3, b, *constructible_pairs(ctx, 3, b)[9])
+    alpha, beta = at[2:]
+    assert alpha
+    real_d = hmd_d(ctx, 3, b)
+    wrong = {"d": ctx.mul(real_d, ctx.primitive)}
+    monkeypatch.setattr(fp2, "hmd_d", lambda ctx, m, bb: wrong["d"] if (m, bb) == (3, b)
+                        else hmd_d(ctx, m, bb))
+    checks = {c.name: c for c in lemma_suite(ctx).checks}
+    assert checks["lemma21"].passed and checks["lemma22"].passed
+    assert checks["lemma20"].passed and checks["lemma25"].passed
+    named = checks["lemma23"].counterexamples
+    assert named and {x[:2] for x in named} == {(3, b)}
+    pairs = constructible_pairs(ctx, 3, b)
+    assert all(x[2:] in pairs for x in named)
+    wrong["d"] = ctx.div(ctx.frobenius(beta), alpha)  # beta^p - alpha d = 0 at at
+    checks = {c.name: c for c in lemma_suite(ctx).checks}
+    assert at in checks["lemma23"].counterexamples and at in checks["lemma24"].counterexamples
+    assert checks["lemma23"].checked == checks["lemma24"].checked == 1440
 
 
 def test_inverse_instance_stays_constructible(field):
@@ -335,6 +480,28 @@ def test_inverse_instance_stays_constructible(field):
             assert poly_scale(f9, f9.inv(inst.delta), h) == family_poly(
                 f9, 2, inst.d, alpha2, beta2
             )
+
+
+def shape_parameters(ctx, f):
+    """(m, b, alpha, beta) if the monic polynomial f is
+    (x^p - bx)^m + alpha x^p + beta x for some (p+1)-th root b, else
+    None: the oracle that reads the family shape off coefficients."""
+    p = ctx.p
+    deg = len(f) - 1
+    if deg <= 0 or deg % p or f[-1] != 1:
+        return None
+    m = deg // p
+    if not 2 <= m <= p - 1:
+        return None
+    # coefficient at degree mp - (p-1) is -m * b
+    c = f[m * p - (p - 1)] if m * p - (p - 1) < len(f) else 0
+    b = ctx.div(ctx.neg(c), m % p) if m % p else None
+    if b is None or b == 0 or ctx.pow(b, p + 1) != 1:
+        return None
+    g = gmb_poly(ctx, m, b)
+    alpha = ctx.sub(f[p] if p < len(f) else 0, g[p])
+    beta = ctx.sub(f[1] if 1 < len(f) else 0, g[1])
+    return (m, b, alpha, beta) if family_poly(ctx, m, b, alpha, beta) == normalize(list(f)) else None
 
 
 def test_shape_parameters_roundtrip(field):
