@@ -12,8 +12,9 @@ degree n (coefficients compared from degree 0 upward, with an override
 hook for cross-checking), and the primitive element is the smallest
 index of multiplicative order q - 1. Multiplication and division run
 on discrete exp/log tables; fields up to FLAT_TABLE_LIMIT additionally
-get flat q*q add/mul tables, and larger fields add through a table of
-q - 1 Zech logarithms.
+get flat add/mul tables, stored as q rows of q entries each
+(add_table[x][y] = x + y, mul_table[c][v] = c * v), and larger fields
+add through a table of q - 1 Zech logarithms.
 
 Kernels elsewhere do not see that choice. Besides the scalar
 operations, the context offers five vector operations: axpy (acc +
@@ -21,12 +22,14 @@ c * vec), axpy_at (the same over the (column, value) pairs of a sparse
 row, in place), add_powers (acc + g^e for a row given by its exponents
 e), add_row ([c + y for y in F_q]) and bijective_scalars (the c for
 which a + c * w permutes F_q, each candidate stopped at its first
-collision). Each has a flat branch that indexes the tables and a Zech
-branch that stays in the log domain, with no method call per entry, so
-every kernel runs one code path.
+collision). Each has a flat branch that indexes the rows, with no index
+arithmetic and no zero test (mul_table[c][0] = 0 and add_table[a][0] =
+a), and a Zech branch that stays in the log domain, with no method call
+per entry, so every kernel runs one code path.
 
 Contexts are immutable after construction and safe to share between
-threads; every operation is a pure read.
+threads; every operation is a pure read. The flat tables are tuples of
+row tuples, and add_row hands out a fresh list.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import (
 
 DEFAULT_FIELD_CAP = 1 << 16
 
-# Largest q for which the flat q*q operation tables are built.
+# Largest q for which the flat add/mul tables (q rows of q entries) are built.
 FLAT_TABLE_LIMIT = 512
 
 
@@ -154,21 +157,20 @@ class FieldContext:
         self.frob_table = [self.pow(x, p) for x in range(q)]
 
         if q <= FLAT_TABLE_LIMIT:
-            add_t = [0] * (q * q)
+            # row x holds x + y; entries y < x repeat column x of the rows above
+            add_rows = []
             for x in range(q):
-                base = x * q
-                for y in range(x, q):
-                    s = self._add_digits(x, y)
-                    add_t[base + y] = s
-                    add_t[y * q + x] = s
-            mul_t = [0] * (q * q)
-            for x in range(1, q):
-                lx = log[x]
-                base = x * q
-                for y in range(1, q):
-                    mul_t[base + y] = exp[(lx + log[y]) % (q - 1)]
-            self.add_table = add_t
-            self.mul_table = mul_t
+                add_rows.append(
+                    tuple(add_rows[y][x] for y in range(x))
+                    + tuple(self._add_digits(x, y) for y in range(x, q))
+                )
+            self.add_table = tuple(add_rows)
+            # row 0 and column 0 are zero; elsewhere c * v = g^(log c + log v)
+            logs, q1 = log[1:], q - 1
+            mul_rows = [(0,) * q]
+            for lc in logs:
+                mul_rows.append((0, *(exp[(lc + lv) % q1] for lv in logs)))
+            self.mul_table = tuple(mul_rows)
             self.zech_table = None
         else:
             self.add_table = None
@@ -240,7 +242,7 @@ class FieldContext:
     def add(self, x: int, y: int) -> int:
         t = self.add_table
         if t is not None:
-            return t[x * self.q + y]
+            return t[x][y]
         if not x:
             return y
         if not y:
@@ -254,7 +256,7 @@ class FieldContext:
     def sub(self, x: int, y: int) -> int:
         t = self.add_table
         if t is not None:
-            return t[x * self.q + self.neg_table[y]]
+            return t[x][self.neg_table[y]]
         return self.add(x, self.neg_table[y])
 
     def neg(self, x: int) -> int:
@@ -263,7 +265,7 @@ class FieldContext:
     def mul(self, x: int, y: int) -> int:
         t = self.mul_table
         if t is not None:
-            return t[x * self.q + y]
+            return t[x][y]
         if x == 0 or y == 0:
             return 0
         return self.exp_table[(self.log_table[x] + self.log_table[y]) % (self.q - 1)]
@@ -288,7 +290,7 @@ class FieldContext:
             return 1 if e == 0 else 0
         return self.exp_table[(self.log_table[x] * e) % (self.q - 1)]
 
-    # -- vector operations: a flat branch and a Zech branch each --
+    # -- vector operations: a flat branch on the table rows and a Zech branch each --
 
     def axpy(self, acc, c: int, vec) -> list[int]:
         """acc + c * vec, entrywise, for rows of equal length."""
@@ -297,21 +299,17 @@ class FieldContext:
             out = list(acc)
             self.axpy_at(out, c, [(j, v) for j, v in enumerate(vec) if v])
             return out
-        q = self.q
-        mt = self.mul_table
-        cq = c * q
-        return [at[a * q + mt[cq + v]] if v else a for a, v in zip(acc, vec)]
+        mrow = self.mul_table[c]
+        return [at[a][mrow[v]] for a, v in zip(acc, vec)]
 
     def axpy_at(self, row: list[int], c: int, pairs) -> None:
         """row[j] += c * v in place for each (j, v) of a sparse row; every
         v is nonzero."""
         at = self.add_table
         if at is not None:
-            q = self.q
-            mt = self.mul_table
-            cq = c * q
+            mrow = self.mul_table[c]
             for j, v in pairs:
-                row[j] = at[row[j] * q + mt[cq + v]]
+                row[j] = at[mrow[v]][row[j]]
             return
         if not c:
             return
@@ -339,14 +337,13 @@ class FieldContext:
             out = list(acc)
             self.axpy_at(out, 1, [(j, exp[e % q1]) for j, e in enumerate(logs)])
             return out
-        q = self.q
-        return [at[a * q + exp[e % q1]] for a, e in zip(acc, logs)]
+        return [at[a][exp[e % q1]] for a, e in zip(acc, logs)]
 
     def add_row(self, c: int) -> list[int]:
         """[c + y for y in F_q]."""
         at = self.add_table
         if at is not None:
-            return at[c * self.q : (c + 1) * self.q]
+            return list(at[c])
         return self.axpy(range(self.q), c, [1] * self.q)
 
     def bijective_scalars(self, prefixes, w):
@@ -358,15 +355,14 @@ class FieldContext:
         tick = 0
         at = self.add_table
         if at is not None:
-            mt = self.mul_table
-            multiples = [[mt[c * q + v] for v in w] for c in range(q)]
+            multiples = [[mrow[v] for v in w] for mrow in self.mul_table]
             for a in prefixes:
-                offsets = [v * q for v in a]
+                rows = [at[v] for v in a]
                 hits = []
                 for c, cw in enumerate(multiples):
                     tick += 1
-                    for off, y in zip(offsets, cw):
-                        s = at[off + y]
+                    for row, y in zip(rows, cw):
+                        s = row[y]
                         if stamp[s] == tick:
                             break
                         stamp[s] = tick

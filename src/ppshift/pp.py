@@ -230,6 +230,11 @@ def _interpolant_coeffs(ctx: FieldContext, values, degrees) -> list[int]:
 def inverse_table(ctx: FieldContext, table) -> list[int]:
     """The table of the inverse permutation: inverse[table[x]] = x."""
     _require_table(ctx, table)
+    return _inverse(table)
+
+
+def _inverse(table) -> list[int]:
+    """inverse_table's body, for tables that are valid by construction."""
     inverse, witness = _invert(table)
     if inverse is None:
         raise NotAPermutationError(f"not a permutation: collides at {witness[0]} and {witness[1]}")
@@ -237,8 +242,9 @@ def inverse_table(ctx: FieldContext, table) -> list[int]:
 
 
 def compositional_inverse(ctx: FieldContext, f) -> list[int]:
-    """The unique reduced h with h(f(x)) = f(h(x)) = x."""
-    return interpolate_table(ctx, inverse_table(ctx, eval_table(ctx, f)))
+    """The unique reduced h with h(f(x)) = f(h(x)) = x. eval_table
+    checks f, so its table goes to _inverse unchecked."""
+    return interpolate_table(ctx, _inverse(eval_table(ctx, f)))
 
 
 def is_compositional_inverse(ctx: FieldContext, f, h) -> bool:

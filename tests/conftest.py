@@ -20,7 +20,7 @@ def field():
 
 @pytest.fixture(scope="session")
 def zech_field():
-    """Field factory without the flat q*q tables, so that small fields
+    """Field factory without the flat add/mul rows, so that small fields
     take the Zech-log route of fields above FLAT_TABLE_LIMIT."""
     from ppshift import gf
 

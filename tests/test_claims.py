@@ -431,15 +431,15 @@ def test_extra_closure_planted_inverse_fault(request, monkeypatch, make, fault):
               if is_permutation(ctx, family_poly(ctx, 3, b, alpha, beta)).is_pp
               and not check_conditions(ctx, 3, b, alpha, beta).constructible)
     planted_table = eval_table(ctx, family_poly(ctx, *at))
-    inverse_table = pp.inverse_table
+    inverse_body = pp._inverse  # behind inverse_table and compositional_inverse alike
 
-    def planted(ctx, table):
-        inverse = inverse_table(ctx, table)
+    def planted(table):
+        inverse = inverse_body(table)
         if list(table) == planted_table:
             fault(ctx, inverse)
         return inverse
 
-    monkeypatch.setattr(pp, "inverse_table", planted)
+    monkeypatch.setattr(pp, "_inverse", planted)
     status, _, observed, _ = _extra_closure(_FieldRun(ctx, RunConfig()))
     assert (status, observed) == ("refuted", [at])
     assert _rescanned_extra_closure(ctx)[:2] == ("refuted", [at])

@@ -235,6 +235,8 @@ def test_flat_fields_have_no_zech_table(field):
         pytest.param("zech_field", 3, 3, None, id="zech-F27"),
         # above FLAT_TABLE_LIMIT: sampled scalars
         pytest.param("field", 5, 4, 40, id="zech-F625"),
+        # the largest flat field: sampled scalars
+        pytest.param("field", 2, 9, 40, id="flat-F512"),
     ],
 )
 def test_vector_operations_match_scalar(request, make, p, n, samples):
@@ -268,6 +270,7 @@ def test_vector_operations_match_scalar(request, make, p, n, samples):
     [
         pytest.param("field", 3, 2, id="flat-F9"),
         pytest.param("field", 5, 2, id="flat-F25"),
+        pytest.param("field", 7, 2, id="flat-F49"),
         pytest.param("zech_field", 3, 2, id="zech-F9"),
         pytest.param("zech_field", 5, 2, id="zech-F25"),
         pytest.param("zech_field", 7, 2, id="zech-F49"),
@@ -289,6 +292,17 @@ def test_bijective_scalars_match_a_set_count(request, make, p, n):
                 for a in prefixes]
         assert got == want
     assert any(hits for hits in want)
+
+
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_add_row_hands_out_a_fresh_list(request, make):
+    ctx = request.getfixturevalue(make)(5, 2)
+    for c in (0, 1, 7):
+        want = [ctx.add(c, y) for y in range(ctx.q)]
+        row = ctx.add_row(c)
+        row[:] = [0] * ctx.q
+        assert [ctx.add(c, y) for y in range(ctx.q)] == want, c
+        assert ctx.add_row(c) == want, c
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 4),

@@ -343,6 +343,26 @@ def test_inverse_examples(field):
         compositional_inverse(f5, monomial(2))
 
 
+def test_compositional_inverse_skips_the_inverse_table_check(field, monkeypatch):
+    # eval_table checks f, so its table is valid by construction
+    from ppshift import pp
+
+    ctx = field(7, 2)
+    calls = []
+    require_table = pp._require_table
+    monkeypatch.setattr(pp, "_require_table", lambda *a: calls.append(a) or require_table(*a))
+    f = monomial(5)  # gcd(5, 48) = 1: a permutation of F_49
+    h = compositional_inverse(ctx, f)
+    assert len(calls) == 1  # interpolate_table's, on the inverse
+    assert h == monomial(29)  # 5 * 29 = 1 mod 48
+    assert interpolate_table(ctx, inverse_table(ctx, eval_table(ctx, f))) == h
+    assert len(calls) == 3  # the public entries keep their checks
+    with pytest.raises(NotAPermutationError):
+        compositional_inverse(ctx, monomial(2))
+    with pytest.raises(OutOfRangeError):
+        compositional_inverse(ctx, [0, 49])
+
+
 def test_inverse_table(field):
     f5 = field(5, 1)
     assert inverse_table(f5, [0, 1, 3, 2, 4]) == [0, 1, 3, 2, 4]
