@@ -129,13 +129,18 @@ class _FieldRun:
     def census(self) -> pp.DegreeCensus:
         return self.memo("census", lambda: pp.degree_distribution(self.ctx, self.cfg.budget))
 
-    def run(self, claim_id: str, check) -> None:
-        """Run one claim and keep its report. A claim over the run's
-        budget is reported as skipped, with the budget message as its
-        note, and the claims after it still run."""
+    def run(self, claim_id: str, check, domain=None) -> None:
+        """Run one claim and keep its report. A claim whose domain, a
+        (predicate on the context, note) pair, excludes the field is
+        reported as skipped with that note and its check is not called;
+        a claim over the run's budget is reported as skipped with the
+        budget message. Either way the claims after it still run."""
         started = time.perf_counter()
         try:
-            status, expected, observed, note = check(self)
+            if domain is not None and not domain[0](self.ctx):
+                status, expected, observed, note = "skipped", None, None, domain[1]
+            else:
+                status, expected, observed, note = check(self)
         except BudgetExceededError as exc:
             status, expected, observed, note = "skipped", None, None, str(exc)
         self.reports.append(ClaimReport(
@@ -153,6 +158,14 @@ def _sample_pairs(rng: random.Random, q: int, count: int):
     return [(rng.randrange(q), rng.randrange(q)) for _ in range(count)]
 
 
+def _verdict(bad, holds, note: str, shown: int | None = 3):
+    """The report of a claim whose evidence is its failures bad: verified
+    when there are none, and then observed reads holds; otherwise the
+    first shown of them (all when shown is None)."""
+    return ("verified" if not bad else "refuted", holds,
+            (bad if shown is None else bad[:shown]) or holds, note)
+
+
 # -- preliminaries --
 
 
@@ -164,8 +177,7 @@ def _frobenius_additivity(run: _FieldRun):
         for y in range(ctx.q)
         if ctx.frobenius(ctx.add(x, y)) != ctx.add(ctx.frobenius(x), ctx.frobenius(y))
     ]
-    status = "verified" if not bad else "refuted"
-    return status, "additive", bad[:3] or "additive", f"exhaustive over {ctx.q}^2 pairs"
+    return _verdict(bad, "additive", f"exhaustive over {ctx.q}^2 pairs")
 
 
 def _max_degree(run: _FieldRun):
@@ -179,10 +191,8 @@ def _max_degree(run: _FieldRun):
         h = pp.interpolate_table(ctx, values)
         if len(h) - 1 > ctx.q - 2:
             bad.append(tuple(h))
-    status = "verified" if not bad else "refuted"
-    return status, f"degree <= {ctx.q - 2}", bad[:2] or f"degree <= {ctx.q - 2}", (
-        f"{samples} random permutations interpolated (seeded)"
-    )
+    return _verdict(bad, f"degree <= {ctx.q - 2}",
+                    f"{samples} random permutations interpolated (seeded)", shown=2)
 
 
 def _divisor_degrees(run: _FieldRun):
@@ -209,9 +219,8 @@ def _divisor_degrees(run: _FieldRun):
                 f = normalize(f)
                 if pp.is_permutation(ctx, f).is_pp:
                     bad.append(tuple(f))
-    status = "verified" if not bad else "refuted"
     note = f"degrees {divisors}, {checked} candidates" + ("" if ctx.n == 1 else " (sampled)")
-    return status, "no permutations", bad[:2] or "no permutations", note
+    return _verdict(bad, "no permutations", note, shown=2)
 
 
 def _hermite_agreement(run: _FieldRun):
@@ -223,8 +232,6 @@ def _hermite_agreement(run: _FieldRun):
     disagreement is rebuilt from its coordinates."""
     ctx = run.ctx
     q = ctx.q
-    if q > pp.HERMITE_MAX_Q:
-        return "skipped", None, None, f"degree criterion is capped at q <= {pp.HERMITE_MAX_Q}"
 
     def disagrees(table):
         return pp._hermite_table(ctx, table) != (pp._invert(table)[1] is None)
@@ -245,15 +252,12 @@ def _hermite_agreement(run: _FieldRun):
             if disagrees(eval_table(ctx, f)):
                 disagree.append(tuple(f))
         note = f"{checked} random V[x] polynomials (seeded)"
-    status = "verified" if not disagree else "refuted"
-    return status, "agreement", disagree[:2] or "agreement", note
+    return _verdict(disagree, "agreement", note, shown=2)
 
 
 def _orbit_identity(run: _FieldRun):
     ctx = run.ctx
     q = ctx.q
-    if ctx.n != 1 or q > 7:
-        return "skipped", None, None, "exhaustive count runs on F_5 and F_7 only"
     pp_count = sum(1 for _ in pp._scan(ctx, [], [monomial(j) for j in range(q - 1)]))
     ppr_total = run.census().total
     expected = q * (q - 1) * ppr_total
@@ -308,10 +312,7 @@ def _shift_order(run: _FieldRun, r: int) -> int | None:
 def _operator_power(run: _FieldRun):
     ctx = run.ctx
     bad = [r for r in range(1, ctx.q) if not _identity_powers(run, r)[-1]]
-    status = "verified" if not bad else "refuted"
-    return status, "identity at power p", bad or "identity at power p", (
-        f"all {ctx.q - 1} nonzero shifts"
-    )
+    return _verdict(bad, "identity at power p", f"all {ctx.q - 1} nonzero shifts", shown=None)
 
 
 def _operator_order(run: _FieldRun):
@@ -348,9 +349,8 @@ def _eigenvalue_only_one(run: _FieldRun):
             checked += 1
             if full == (lam == 1):
                 bad.append((r, lam))
-    status = "verified" if not bad else "refuted"
     note = f"{checked} (r, lambda) pairs" + ("" if ctx.q <= 27 else " (lambda sampled)")
-    return status, "singular only at 1", bad[:3] or "singular only at 1", note
+    return _verdict(bad, "singular only at 1", note)
 
 
 def _monomial_fixed(run: _FieldRun):
@@ -361,8 +361,7 @@ def _monomial_fixed(run: _FieldRun):
             mono = monomial(ctx.p**k)
             if eigen.apply_shift(ctx, r, mono) != mono:
                 bad.append((r, k))
-    status = "verified" if not bad else "refuted"
-    return status, "fixed", bad[:3] or "fixed", f"all shifts, k < {ctx.n}"
+    return _verdict(bad, "fixed", f"all shifts, k < {ctx.n}")
 
 
 def _fixed_degrees(run: _FieldRun):
@@ -382,8 +381,7 @@ def _kernel_dims(run: _FieldRun):
     expected = {k: min(k * ctx.p ** (ctx.n - 1), ctx.q - 2) for k in range(1, ctx.p + 1)}
     got = {k: run.unit_kernel(k).dim for k in expected}
     bad = [(r, k, got[k]) for r in range(1, ctx.q) for k in expected if got[k] != expected[k]]
-    status = "verified" if not bad else "refuted"
-    return status, expected, bad[:3] or expected, f"all nonzero shifts, k = 1..{ctx.p}"
+    return _verdict(bad, expected, f"all nonzero shifts, k = 1..{ctx.p}")
 
 
 def _kernel_chain(run: _FieldRun):
@@ -403,47 +401,30 @@ def _kernel_chain(run: _FieldRun):
     return status, "strictly growing chain", dims, "unit shift, full chain"
 
 
-def _thm7_basis(run: _FieldRun):
-    ctx = run.ctx
-    if ctx.n == 1:
-        return "skipped", None, None, "prime fields use the x..x^m basis claim"
-    bad = []
-    for m in range(1, ctx.p + 1):
-        predicted = eigen.span_of_polys(ctx, eigen.predicted_basis(ctx, "theorem7", m=m))
-        if predicted != run.kernel(1, m):
-            bad.append(m)
-    status = "verified" if not bad else "refuted"
-    return status, "span equality", bad or "span equality", f"m = 1..{ctx.p}"
+def _span_equality(run: _FieldRun, cases, note: str):
+    """span(basis) = ker((A_r - I)^k) for each (tag, basis, r, k) of
+    cases; every failure is named by its tag."""
+    bad = [tag for tag, basis, r, k in cases
+           if eigen.span_of_polys(run.ctx, basis) != run.kernel(r, k)]
+    return _verdict(bad, "span equality", note, shown=None)
 
 
-def _cor3_basis(run: _FieldRun):
-    ctx = run.ctx
-    if ctx.n != 1:
-        return "skipped", None, None, "applies to prime fields"
-    bad = []
-    for m in range(1, ctx.p + 1):
-        predicted = eigen.span_of_polys(ctx, eigen.predicted_basis(ctx, "corollary3", m=m))
-        if predicted != run.kernel(1, min(m, ctx.p)):
-            bad.append(m)
-    status = "verified" if not bad else "refuted"
-    return status, "span equality", bad or "span equality", f"m = 1..{ctx.p}"
+def _kernel_basis(kind: str):
+    """The check that predicted_basis(kind, m) spans ker((A_1 - I)^m)
+    for m = 1..p."""
+    return lambda run: _span_equality(run, (
+        (m, eigen.predicted_basis(run.ctx, kind, m=m), 1, m) for m in range(1, run.ctx.p + 1)
+    ), f"m = 1..{run.ctx.p}")
 
 
 def _first_appearance(run: _FieldRun):
-    ctx = run.ctx
-    if ctx.n != 1 or ctx.q < 5:
-        return "skipped", None, None, "prime fields with q >= 5"
     census = run.census()
-    status = "verified" if not census.stage_violations else "refuted"
-    return status, "stage = degree", list(census.stage_violations[:2]) or "stage = degree", (
-        f"{census.total} PPRs checked against the kernel chain"
-    )
+    return _verdict(list(census.stage_violations), "stage = degree",
+                    f"{census.total} PPRs checked against the kernel chain", shown=2)
 
 
 def _degree_distribution_claim(run: _FieldRun):
     ctx = run.ctx
-    if ctx.n != 1 or ctx.q < 5:
-        return "skipped", None, None, "prime fields with q >= 5"
     census = run.census()
     expected_total = math.factorial(ctx.q) // (ctx.q * (ctx.q - 1))
     status = "verified" if census.total == expected_total else "refuted"
@@ -468,9 +449,7 @@ def _matrix_action(run: _FieldRun):
             direct = coords(ctx, eigen.apply_shift(ctx, r, monomial(e)))
             if via_matrix != direct:
                 bad.append((r, e))
-    status = "verified" if not bad else "refuted"
-    note = f"{len(list(rs))} shifts x {ctx.q - 2} monomials"
-    return status, "columns agree", bad[:3] or "columns agree", note
+    return _verdict(bad, "columns agree", f"{len(list(rs))} shifts x {ctx.q - 2} monomials")
 
 
 def _additivity(run: _FieldRun):
@@ -485,8 +464,7 @@ def _additivity(run: _FieldRun):
     for r, s in pairs:
         if eigen.mat_mul(ctx, run.operator(r), run.operator(s)) != run.operator(ctx.add(r, s)):
             bad.append((r, s))
-    status = "verified" if not bad else "refuted"
-    return status, "A_r A_s = A_(r+s)", bad[:3] or "A_r A_s = A_(r+s)", note
+    return _verdict(bad, "A_r A_s = A_(r+s)", note)
 
 
 def _line_kernels(run: _FieldRun):
@@ -507,8 +485,7 @@ def _line_kernels(run: _FieldRun):
             bad.append(("kernel", line.representative))
     if len(lines) != line_count(ctx) or covered != set(range(1, ctx.q)):
         bad.append(("partition", len(lines)))
-    status = "verified" if not bad else "refuted"
-    return status, f"{line_count(ctx)} lines", bad[:3] or f"{len(lines)} lines", "all lines"
+    return _verdict(bad, f"{line_count(ctx)} lines", "all lines")
 
 
 def _kernel_invariance(run: _FieldRun):
@@ -529,8 +506,7 @@ def _kernel_invariance(run: _FieldRun):
                 checked += 1
                 if run.kernel(ctx.mul(i, r), k) != base:
                     bad.append((r, i, k))
-    status = "verified" if not bad else "refuted"
-    return status, "equal kernels", bad[:3] or "equal kernels", f"{note}; {checked} comparisons"
+    return _verdict(bad, "equal kernels", f"{note}; {checked} comparisons")
 
 
 def _v1_dim(run: _FieldRun):
@@ -568,10 +544,9 @@ def _v1_inverse_closure(run: _FieldRun):
         via_matrix = matrix_to_linearized(ctx, _fp_matrix_inverse(fp, linearized_to_matrix(ctx, src)))
         if via_matrix != d:
             bad.append(("route mismatch", coeffs))
-    status = "verified" if not bad else "refuted"
-    return status, "closed", bad[:2] or "closed", (
+    return _verdict(bad, "closed", (
         f"{len(report.ppr_list)} inverses interpolated and cross-checked via the matrix route"
-    )
+    ), shown=2)
 
 
 def _fp_matrix_inverse(fp: FieldContext, rows):
@@ -585,8 +560,6 @@ def _fp_matrix_inverse(fp: FieldContext, rows):
 
 def _alt_generators(run: _FieldRun):
     ctx = run.ctx
-    if ctx.n == 1:
-        return "skipped", None, None, "one generator suffices over prime fields"
     alt = _independent_set(ctx)
     kmax = min(ctx.p, 5 if ctx.n == 2 else 2)
     v1_equal = run.vk(1, alt) == run.vk(1)
@@ -621,39 +594,28 @@ def _independent_set(ctx: FieldContext) -> list[int]:
     return chosen
 
 
-def _vk_conjecture(run: _FieldRun):
-    ctx = run.ctx
-    if ctx.n < 3:
-        return "skipped", None, None, "the quadratic case is covered separately"
-    expected = {k: k**ctx.n + ctx.n - 1 for k in range(1, ctx.p)}
-    expected[ctx.p] = ctx.q - 2
-    observed = {k: run.vk(k).dim for k in expected}
-    status = "verified" if observed == expected else "refuted"
-    return status, expected, observed, "conjecture instance, not a proved statement"
+def _vk_dims(note: str):
+    """The check that dim V_k = k^n + n - 1 for k < p and V_p is all of
+    V[x], with note formatted by p: Lemma 19 at n = 2, where
+    k^n + n - 1 = k^2 + 1, and the conjecture past it."""
 
+    def check(run: _FieldRun):
+        ctx = run.ctx
+        expected = {k: k**ctx.n + ctx.n - 1 for k in range(1, ctx.p)}
+        expected[ctx.p] = ctx.q - 2
+        observed = {k: run.vk(k).dim for k in expected}
+        status = "verified" if observed == expected else "refuted"
+        return status, expected, observed, note.format(p=ctx.p)
 
-def _lemma19_dims(run: _FieldRun):
-    ctx = run.ctx
-    if ctx.n != 2:
-        return "skipped", None, None, "quadratic extensions only"
-    expected = {k: k * k + 1 for k in range(1, ctx.p)}
-    expected[ctx.p] = ctx.q - 2
-    observed = {k: run.vk(k).dim for k in expected}
-    status = "verified" if observed == expected else "refuted"
-    return status, expected, observed, f"k = 1..{ctx.p}"
+    return check
 
 
 def _thm11_line_eigenspaces(run: _FieldRun):
     ctx = run.ctx
-    bad = []
-    for line in line_decomposition(ctx):
-        predicted = eigen.span_of_polys(
-            ctx, eigen.predicted_basis(ctx, "theorem11", r=line.representative)
-        )
-        if predicted != run.kernel(line.representative, 1):
-            bad.append(line.representative)
-    status = "verified" if not bad else "refuted"
-    return status, "span equality", bad or "span equality", f"all {line_count(ctx)} lines"
+    reps = [line.representative for line in line_decomposition(ctx)]
+    return _span_equality(run, (
+        (r, eigen.predicted_basis(ctx, "theorem11", r=r), r, 1) for r in reps
+    ), f"all {line_count(ctx)} lines")
 
 
 # -- the quadratic family --
@@ -661,8 +623,6 @@ def _thm11_line_eigenspaces(run: _FieldRun):
 
 def _v1_shapes(run: _FieldRun):
     ctx = run.ctx
-    if ctx.n != 2 or ctx.p == 2:
-        return "skipped", None, None, "odd-characteristic quadratic extensions"
     report = run.enumeration(run.vk(1))
     roots = set(roots_of_unity(ctx, ctx.p + 1))
     expected = {(0, 1)}
@@ -681,8 +641,6 @@ def _v1_shapes(run: _FieldRun):
 
 def _v2_span(run: _FieldRun):
     ctx = run.ctx
-    if ctx.n != 2 or ctx.p == 2:
-        return "skipped", None, None, "odd-characteristic quadratic extensions"
     p = ctx.p
     mono = eigen.span_of_polys(ctx, [monomial(e) for e in (1, 2, p, p + 1, 2 * p)])
     got = run.vk(2)
@@ -692,8 +650,6 @@ def _v2_span(run: _FieldRun):
 
 def _v2_count(run: _FieldRun):
     ctx = run.ctx
-    if ctx.n != 2 or ctx.p == 2:
-        return "skipped", None, None, "odd-characteristic quadratic extensions"
     p = ctx.p
     expected = p * (p + 1) * (p - 1) ** 2
     via_census = sum(len(run.shape(2, b)) for b in fp2.family_b_values(ctx))
@@ -714,8 +670,6 @@ def _v2_count(run: _FieldRun):
 
 def _v3_offspan(run: _FieldRun):
     ctx = run.ctx
-    if ctx.n != 2 or ctx.p < 5:
-        return "skipped", None, None, "needs p >= 5 over a quadratic extension"
     v3 = run.vk(3)
     monomial_rows = []
     extra_rows = []
@@ -742,10 +696,6 @@ def _v3_offspan(run: _FieldRun):
         "samples": samples,
         "permutations_off_span": hits,
     }, "seeded sampling with a nonzero off-monomial component"
-
-
-def _fp2_applicable(ctx: FieldContext) -> bool:
-    return ctx.n == 2 and ctx.p >= 3
 
 
 def _inverse_failures(run: _FieldRun) -> list[tuple]:
@@ -776,19 +726,14 @@ def _thm15(failures, holds: str, note: str):
     sweeps, and note with the number of instances swept."""
 
     def check(run: _FieldRun):
-        if not _fp2_applicable(run.ctx):
-            return "skipped", None, None, "quadratic extensions with p >= 3"
-        bad = failures(run)
-        instances = sum(len(s.pairs) for s in run.sweeps().values())
-        return "verified" if not bad else "refuted", holds, bad[:3] or holds, note.format(instances)
+        return _verdict(failures(run), holds,
+                        note.format(sum(len(s.pairs) for s in run.sweeps().values())))
 
     return check
 
 
 def _conditioned_count(run: _FieldRun):
     ctx = run.ctx
-    if not _fp2_applicable(ctx):
-        return "skipped", None, None, "quadratic extensions with p >= 3"
     expected = ctx.p * (ctx.p - 1) ** 2
     counts = [len(s.pairs) for s in run.sweeps().values()]
     status = "verified" if all(got == expected for got in counts) else "refuted"
@@ -807,32 +752,20 @@ def _coprime_count_exponents(p: int) -> list[int]:
 
 def _full_count_coprime(run: _FieldRun):
     ctx = run.ctx
-    if not _fp2_applicable(ctx):
-        return "skipped", None, None, "quadratic extensions with p >= 3"
     p = ctx.p
     ms = _coprime_count_exponents(p)
     if not ms:
         return "skipped", None, None, f"no m in [2, {p - 1}] coprime to p - 1"
     expected = p * (p - 1) * (2 * p - 1)
-    observed = {}
-    ok = True
-    for m in ms:
-        for b in fp2.family_b_values(ctx):
-            got = len(run.shape(m, b))
-            observed[f"m={m},b={b}"] = got
-            ok = ok and got == expected
-    status = "verified" if ok else "refuted"
-    return status, expected, sorted(set(observed.values())), f"m in {ms}, every b"
+    counts = {len(run.shape(m, b)) for m in ms for b in fp2.family_b_values(ctx)}
+    status = "verified" if counts == {expected} else "refuted"
+    return status, expected, sorted(counts), f"m in {ms}, every b"
 
 
 def _full_count_half(run: _FieldRun):
     ctx = run.ctx
-    if not _fp2_applicable(ctx):
-        return "skipped", None, None, "quadratic extensions with p >= 3"
     p = ctx.p
-    m = (p + 1) // 2
-    if not 2 <= m <= p - 1:
-        return "skipped", None, None, "m = (p+1)/2 outside [2, p-1]"
+    m = (p + 1) // 2  # in [2, p - 1] for every odd p
     counts = sorted({len(run.shape(m, b)) for b in fp2.family_b_values(ctx)})
     floor = p * (p - 1) * (2 * p - 1)
     if p > 5:
@@ -888,8 +821,6 @@ def _extra_closure(run: _FieldRun):
     rows, as in fp2.inverse_sweep; its inverse table is tested by
     _inverse_table_keeps_shape."""
     ctx = run.ctx
-    if not _fp2_applicable(ctx) or ctx.p < 5:
-        return "skipped", None, None, "checked for p in {5, 7}"
     p, q = ctx.p, ctx.q
     ms = [m for m in range(2, p) if math.gcd(m, p - 1) == 1]
     frob = ctx.frob_table  # x^p
@@ -909,13 +840,11 @@ def _extra_closure(run: _FieldRun):
                 alpha, beta = divmod(code, q)
                 if alpha not in g_alpha:
                     g_alpha = {alpha: ctx.axpy(power_table(m, b), alpha, frob)}
-                inverse = pp.inverse_table(ctx, ctx.axpy(g_alpha[alpha], beta, points))
+                inverse = pp._inverse(ctx.axpy(g_alpha[alpha], beta, points))
                 if not _inverse_table_keeps_shape(ctx, m_inv, inverse, power_table):
                     bad.append((m, b, alpha, beta))
-    status = "verified" if not bad else "refuted"
-    return status, "inverse PPRs keep the shape and m", bad[:3] or (
-        "inverse PPRs keep the shape and m"
-    ), f"{total} unconditioned shape PPRs inverted"
+    return _verdict(bad, "inverse PPRs keep the shape and m",
+                    f"{total} unconditioned shape PPRs inverted")
 
 
 def _appendix(name: str):
@@ -923,8 +852,6 @@ def _appendix(name: str):
     runs once per field for all six appendix claims."""
 
     def check(run: _FieldRun):
-        if not _fp2_applicable(run.ctx):
-            return "skipped", None, None, "quadratic extensions with p >= 3"
         suite = run.memo("suite", lambda: fp2.lemma_suite(run.ctx))
         c = next(c for c in suite.checks if c.name == name)
         skipped = f", {c.skipped} skipped" if c.skipped else ""
@@ -935,8 +862,15 @@ def _appendix(name: str):
     return check
 
 
-# (claim id, report section, check, one-line statement) in run order, which the
-# report keeps: lemma19.vk_dims runs before thm11.line_eigenspace
+# The fields a claim is stated for, as (predicate on the context, skip note):
+# _FieldRun.run reports a field outside them as skipped with the note.
+_FP2 = (lambda ctx: ctx.n == 2 and ctx.p >= 3, "quadratic extensions with p >= 3")
+_ODD_QUADRATIC = (lambda ctx: ctx.n == 2 and ctx.p != 2, "odd-characteristic quadratic extensions")
+_PRIME5 = (lambda ctx: ctx.n == 1 and ctx.q >= 5, "prime fields with q >= 5")
+
+# (claim id, report section, check, one-line statement[, domain]) in run
+# order, which the report keeps: lemma19.vk_dims runs before
+# thm11.line_eigenspace
 _CLAIMS = (
     ("prop2.frobenius_additivity", "preliminaries", _frobenius_additivity,
      "x -> x^p is additive"),
@@ -944,8 +878,11 @@ _CLAIMS = (
     ("cor2.divisor_degrees", "preliminaries", _divisor_degrees,
      "no permutation of degree d > 1 dividing q-1"),
     ("hermite.agreement", "preliminaries", _hermite_agreement,
-     "power-degree criterion agrees with direct bijectivity"),
-    ("def1.orbit_identity", "preliminaries", _orbit_identity, "#PP = q(q-1) * #PPR"),
+     "power-degree criterion agrees with direct bijectivity",
+     (lambda ctx: ctx.q <= pp.HERMITE_MAX_Q,
+      f"degree criterion is capped at q <= {pp.HERMITE_MAX_Q}")),
+    ("def1.orbit_identity", "preliminaries", _orbit_identity, "#PP = q(q-1) * #PPR",
+     (lambda ctx: ctx.n == 1 and ctx.q <= 7, "exhaustive count runs on F_5 and F_7 only")),
     ("lemma1.operator_power", "shift-map", _operator_power, "(A_r)^p = I for every nonzero r"),
     ("lemma1.operator_order", "shift-map", _operator_order,
      "the cyclic order of every nonzero shift is p"),
@@ -958,13 +895,16 @@ _CLAIMS = (
     ("sec3.kernel_dims", "shift-map", _kernel_dims, "dim ker(A_r - I)^k = min(k p^(n-1), q-2)"),
     ("lemma5.kernel_chain", "shift-map", _kernel_chain,
      "kernel chain strictly grows until saturation"),
-    ("thm7.kernel_basis", "shift-map", _thm7_basis, "explicit spanning set of ker(A-I)^m"),
-    ("cor3.prime_kernel_basis", "shift-map", _cor3_basis,
-     "ker(A-I)^m = span(x..x^m) over prime fields"),
+    ("thm7.kernel_basis", "shift-map", _kernel_basis("theorem7"),
+     "explicit spanning set of ker(A-I)^m",
+     (lambda ctx: ctx.n != 1, "prime fields use the x..x^m basis claim")),
+    ("cor3.prime_kernel_basis", "shift-map", _kernel_basis("corollary3"),
+     "ker(A-I)^m = span(x..x^m) over prime fields",
+     (lambda ctx: ctx.n == 1, "applies to prime fields")),
     ("cor3.first_appearance", "shift-map", _first_appearance,
-     "prime-field PPRs first appear at stage = degree"),
+     "prime-field PPRs first appear at stage = degree", _PRIME5),
     ("degree.distribution", "shift-map", _degree_distribution_claim,
-     "degree census of prime-field PPRs"),
+     "degree census of prime-field PPRs", _PRIME5),
     ("eq1.matrix_action", "shift-family", _matrix_action,
      "operator matrix agrees with direct substitution"),
     ("lemma9.additivity", "shift-family", _additivity, "A_r A_s = A_(r+s)"),
@@ -977,40 +917,51 @@ _CLAIMS = (
     ("lemma13.inverse_closure", "shift-family", _v1_inverse_closure,
      "V_1 permutations close under inversion"),
     ("eq3.alt_generators", "shift-family", _alt_generators,
-     "V_k is stable under the generator choice"),
-    ("vk.dim.conjecture", "shift-family", _vk_conjecture, "dim V_k = k^n + n - 1"),
-    ("lemma19.vk_dims", "fp2", _lemma19_dims, "dim V_k = k^2 + 1 over quadratic fields"),
+     "V_k is stable under the generator choice",
+     (lambda ctx: ctx.n != 1, "one generator suffices over prime fields")),
+    ("vk.dim.conjecture", "shift-family", _vk_dims("conjecture instance, not a proved statement"),
+     "dim V_k = k^n + n - 1",
+     (lambda ctx: ctx.n >= 3, "the quadratic case is covered separately")),
+    ("lemma19.vk_dims", "fp2", _vk_dims("k = 1..{p}"), "dim V_k = k^2 + 1 over quadratic fields",
+     (lambda ctx: ctx.n == 2, "quadratic extensions only")),
     ("thm11.line_eigenspace", "shift-family", _thm11_line_eigenspaces,
      "eigenspace of A_r from the line of r"),
-    ("sec5.v1_shapes", "fp2", _v1_shapes, "V_1 PPRs are x and the nonsingular x^p - rx"),
-    ("sec5.v2_span", "fp2", _v2_span, "V_2 = span(x, x^2, x^p, x^(p+1), x^(2p))"),
-    ("sec5.v2_count", "fp2", _v2_count, "V_2 holds p(p+1)(p-1)^2 non-linearized PPRs"),
+    ("sec5.v1_shapes", "fp2", _v1_shapes, "V_1 PPRs are x and the nonsingular x^p - rx",
+     _ODD_QUADRATIC),
+    ("sec5.v2_span", "fp2", _v2_span, "V_2 = span(x, x^2, x^p, x^(p+1), x^(2p))", _ODD_QUADRATIC),
+    ("sec5.v2_count", "fp2", _v2_count, "V_2 holds p(p+1)(p-1)^2 non-linearized PPRs",
+     _ODD_QUADRATIC),
     ("sec5.v3_offspan", "fp2", _v3_offspan,
-     "no V_3 permutation uses the degree-4p basis vector"),
+     "no V_3 permutation uses the degree-4p basis vector",
+     (lambda ctx: ctx.n == 2 and ctx.p >= 5, "needs p >= 5 over a quadratic extension")),
     ("thm15.inverse", "fp2",
      _thm15(_inverse_failures, "parametric inverse exact", "{} constructible instances swept"),
-     "parametric inverse agrees with the inverse table at every point"),
+     "parametric inverse agrees with the inverse table at every point", _FP2),
     ("thm15.closure", "fp2",
      _thm15(_closure_failures, "inverse stays in the family",
             "{} instances; inverse parameters (m, d, gamma/delta, epsilon/delta)"),
-     "the conditioned family closes under inversion"),
-    ("sec5.conditioned_count", "fp2", _conditioned_count, "p(p-1)^2 conditioned pairs per (m, b)"),
+     "the conditioned family closes under inversion", _FP2),
+    ("sec5.conditioned_count", "fp2", _conditioned_count, "p(p-1)^2 conditioned pairs per (m, b)",
+     _FP2),
     ("sec5.full_count_coprime", "fp2", _full_count_coprime,
-     "p(p-1)(2p-1) shape PPRs per b for coprime m != (p+1)/2"),
-    ("sec5.full_count_half", "fp2", _full_count_half, "shape census at m = (p+1)/2"),
+     "p(p-1)(2p-1) shape PPRs per b for coprime m != (p+1)/2", _FP2),
+    ("sec5.full_count_half", "fp2", _full_count_half, "shape census at m = (p+1)/2", _FP2),
+    # the note understates the domain, every p >= 5; mending it moves the report
     ("sec5.extra_closure", "fp2", _extra_closure,
-     "unconditioned shape PPRs close under inversion"),
-    ("appendix.lemma20", "appendix", _appendix("lemma20"), "g^p identity"),
-    ("appendix.lemma21", "appendix", _appendix("lemma21"), "gamma/epsilon parameter identities"),
+     "unconditioned shape PPRs close under inversion",
+     (lambda ctx: ctx.n == 2 and ctx.p >= 5, "checked for p in {5, 7}")),
+    ("appendix.lemma20", "appendix", _appendix("lemma20"), "g^p identity", _FP2),
+    ("appendix.lemma21", "appendix", _appendix("lemma21"), "gamma/epsilon parameter identities",
+     _FP2),
     ("appendix.lemma22", "appendix", _appendix("lemma22"),
-     "the two condition forms are equivalent"),
-    ("appendix.lemma23", "appendix", _appendix("lemma23"), "closed form of delta"),
-    ("appendix.lemma24", "appendix", _appendix("lemma24"), "Frobenius twist of delta"),
-    ("appendix.lemma25", "appendix", _appendix("lemma25"), "h^p identity"),
+     "the two condition forms are equivalent", _FP2),
+    ("appendix.lemma23", "appendix", _appendix("lemma23"), "closed form of delta", _FP2),
+    ("appendix.lemma24", "appendix", _appendix("lemma24"), "Frobenius twist of delta", _FP2),
+    ("appendix.lemma25", "appendix", _appendix("lemma25"), "h^p identity", _FP2),
 )
 
 # claim id -> (report section, statement)
-CLAIM_ANCHORS = {claim_id: (section, statement) for claim_id, section, _, statement in _CLAIMS}
+CLAIM_ANCHORS = {claim_id: (section, statement) for claim_id, section, _, statement, *_ in _CLAIMS}
 
 
 def reproduce_field(ctx: FieldContext, cfg: RunConfig) -> list[ClaimReport]:
@@ -1019,8 +970,8 @@ def reproduce_field(ctx: FieldContext, cfg: RunConfig) -> list[ClaimReport]:
     if ctx.q == 2:
         raise OutOfRangeError("V[x] is empty over F_2; reproduce needs q > 2")
     run = _FieldRun(ctx, cfg)
-    for claim_id, _, check, _ in _CLAIMS:
-        run.run(claim_id, check)
+    for claim_id, _, check, _, *domain in _CLAIMS:
+        run.run(claim_id, check, *domain)
     return run.reports
 
 

@@ -23,7 +23,6 @@ from ppshift.claims import (
     _operator_order,
     _operator_power,
     _v1_shapes,
-    _vk_conjecture,
     reproduce,
     reproduce_field,
 )
@@ -39,6 +38,11 @@ STATUSES = {"verified", "refuted", "measured", "skipped"}
 
 def _field_reports(p, n, **cfg_kwargs):
     return reproduce_field(build_field(p, n), RunConfig(**cfg_kwargs))
+
+
+def _row(claim_id):
+    """The _CLAIMS row of claim_id."""
+    return next(row for row in claims._CLAIMS if row[0] == claim_id)
 
 
 def test_registry_sections_are_known():
@@ -145,9 +149,37 @@ def test_hermite_agreement_skipped_past_its_cap():
     # report that as a skip instead of letting the refusal end the run
     ctx = build_field(3, 4)
     assert ctx.q > HERMITE_MAX_Q
-    status, expected, observed, note = _hermite_agreement(_FieldRun(ctx, RunConfig()))
-    assert (status, expected, observed) == ("skipped", None, None)
-    assert str(HERMITE_MAX_Q) in note
+    report = next(r for r in reproduce_field(ctx, RunConfig()) if r.claim_id == "hermite.agreement")
+    assert (report.status, report.expected, report.observed) == ("skipped", None, None)
+    assert str(HERMITE_MAX_Q) in report.note
+
+
+DOMAIN_FIELDS = [(3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("p,n", DOMAIN_FIELDS, ids=[f"F_{p}^{n}" for p, n in DOMAIN_FIELDS])
+def test_domain_column_decides_each_skip(p, n):
+    # a row with a domain reports its note exactly when the field is
+    # outside it, and its check runs otherwise
+    ctx = build_field(p, n)
+    by_id = {r.claim_id: r for r in reproduce_field(ctx, RunConfig())}
+    rows = [row for row in claims._CLAIMS if len(row) == 5]
+    assert rows
+    for claim_id, _, _, _, (applies, note) in rows:
+        report = by_id[claim_id]
+        outside = (report.status, report.expected, report.observed, report.note) == (
+            "skipped", None, None, note)
+        assert outside == (not applies(ctx)), claim_id
+
+
+def test_a_false_domain_skips_before_the_check_runs():
+    def check(run):
+        raise AssertionError("the check of a field outside the domain ran")
+
+    run = _FieldRun(build_field(3, 2), RunConfig())
+    run.run("planted", check, (lambda ctx: False, "outside"))
+    assert [(r.claim_id, r.status, r.expected, r.observed, r.note) for r in run.reports] == [
+        ("planted", "skipped", None, None, "outside")]
 
 
 def _plant_hermite_fault(monkeypatch, ctx, f):
@@ -353,7 +385,8 @@ def test_unconditioned_inverse_has_the_inverse_exponent():
 
 def test_vk_conjecture_covers_every_k_below_p():
     # F_125: dim V_k = k^3 + 2 for k = 1..4, and V_5 is everything
-    status, expected, observed, _ = _vk_conjecture(_FieldRun(build_field(5, 3), RunConfig()))
+    check = _row("vk.dim.conjecture")[2]
+    status, expected, observed, _ = check(_FieldRun(build_field(5, 3), RunConfig()))
     assert status == "verified"
     assert observed == {1: 3, 2: 10, 3: 29, 4: 66, 5: 123}
 
@@ -399,6 +432,16 @@ def _rescanned_extra_closure(ctx):
                     bad.append((m, b, alpha, beta))
     status = "verified" if not bad else "refuted"
     return status, bad, total
+
+
+def test_extra_closure_inverts_without_revalidating_tables(monkeypatch):
+    # every table it inverts is a shape PPR's, built by ctx.axpy
+    def refuse(ctx, table):
+        raise AssertionError("a table valid by construction was re-checked")
+
+    monkeypatch.setattr(pp, "_require_table", refuse)
+    status, _, _, note = _extra_closure(_FieldRun(build_field(5, 2), RunConfig()))
+    assert (status, note) == ("verified", "600 unconditioned shape PPRs inverted")
 
 
 @pytest.mark.parametrize("p,n,make", [(5, 2, "field"), (7, 2, "field"), (5, 2, "zech_field")])
@@ -645,7 +688,7 @@ def test_thm15_closure_names_an_inverse_instance_off_the_conditions(request, mon
     got = _claims_thm15_sweep(ctx)
     assert got == _pairwise_thm15_sweep(ctx)
     assert got[2] == [("inverse instance fails conditions", *at)]
-    closure = next(check for claim_id, _, check, _ in claims._CLAIMS if claim_id == "thm15.closure")
+    closure = _row("thm15.closure")[2]
     status, _, observed, _ = closure(_FieldRun(ctx, RunConfig()))
     assert (status, observed) == ("refuted", [("inverse instance fails conditions", *at)])
 

@@ -357,6 +357,14 @@ GOLDEN = [
      "80983bf4723307e65104660c117c40deec3f8d953d1f27906f4b5c2968c15495"),
     (("reproduce", "--p", "3", "--n", "2", "--format", "markdown"), 0,
      "b01a398999d52f059e8c61f75e57e56e90896e403b27c14a37d1f5cf279e4ee9"),
+    # skip notes the default roster never reaches: F_81's Hermite cap and
+    # lemma13 budget skips, F_11's census budget skips, a prime field below 5
+    (("reproduce", "--p", "3", "--n", "4"), 0,
+     "64553826deecf1e852e9de648e8366f013d8f6acbc5ab6419cd6db484354d993"),
+    (("reproduce", "--p", "11"), 0,
+     "f8946328e4aa87b7e7d9fdf27a9a168b66c42912392ab99b62136675d0efe651"),
+    (("reproduce", "--p", "3"), 0,
+     "6c432be991d152ca5b9a92236b189c587d582daba444da4c990a49795d75ac41"),
     (("eigenspace", "--k", "1", "--r", "1"), 64, EMPTY),
     (("field-info", "--p", "4"), 2, EMPTY),
     (("fp2", "verify", "--p", "3", "--m", "2", "--b", "1", "--alpha", "3"), 64, EMPTY),
