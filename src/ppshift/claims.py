@@ -28,8 +28,6 @@ from .poly import (
     coords,
     eval_table,
     from_coords,
-    gmb_poly,
-    hmd_d,
     linearized_coeffs,
     linearized_to_matrix,
     matrix_to_linearized,
@@ -258,6 +256,7 @@ def _hermite_agreement(run: _FieldRun):
 def _orbit_identity(run: _FieldRun):
     ctx = run.ctx
     q = ctx.q
+    pp.require_budget(q ** (q - 1), run.cfg.budget)
     pp_count = sum(1 for _ in pp._scan(ctx, [], [monomial(j) for j in range(q - 1)]))
     ppr_total = run.census().total
     expected = q * (q - 1) * ppr_total
@@ -704,23 +703,6 @@ def _inverse_failures(run: _FieldRun) -> list[tuple]:
             for mb, s in run.sweeps().items() for tag, alpha, beta in s.failures]
 
 
-def _closure_failures(run: _FieldRun) -> list[tuple]:
-    """The (tag, m, b, alpha, beta) of each constructible instance whose
-    inverse instance (m, d, gamma/delta, epsilon/delta) is not in the
-    constructible pairs of (m, d)."""
-    ctx = run.ctx
-    q = ctx.q
-    bad = []
-    sweeps = run.sweeps()
-    for (m, b), s in sweeps.items():
-        targets = set(sweeps[m, hmd_d(ctx, m, b)].pairs)
-        for code, inverse in zip(s.pairs, s.inverses):
-            if inverse not in targets:  # nor is q * q, the code of delta = 0
-                tag = "zero delta" if inverse == q * q else "inverse instance fails conditions"
-                bad.append((tag, m, b, *divmod(code, q)))
-    return bad
-
-
 def _thm15(failures, holds: str, note: str):
     """The check of one Theorem 15 claim: failures(run) over the run's
     sweeps, and note with the number of instances swept."""
@@ -777,74 +759,16 @@ def _full_count_half(run: _FieldRun):
     return "measured", None, counts, note
 
 
-def _inverse_table_keeps_shape(ctx: FieldContext, m_inv: int, inverse, power_table) -> bool:
-    """Whether the inverse table is that of
-    c (x^p - b'x)^m' + alpha' x^p + beta' x with c != 0 and
-    b'^(p+1) = 1, m' = m_inv; power_table(m', b') is the table of
-    (x^p - b'x)^m'.
-
-    Four coefficients of the reduced interpolant h of the table, each
-    one O(q) power sum, fix the candidate. (x^p - b'x)^m' has its terms
-    at degrees m' + i(p-1), 0 <= i <= m', with coefficient -m' b' at
-    i = m' - 1, and none at p or 1 when 2 <= m' <= p-2. So if h has
-    the shape, c is its coefficient at m'p, -m' c b' the one at
-    m'p - (p-1) (m' < p is a unit), and alpha', beta' those at p and
-    1: the candidate built from them is h, and the tables agree.
-    Conversely the candidate has degree m'p <= (p-2)p < q-1, so it is
-    a reduced polynomial, and when its table equals the inverse table
-    at every point it is h by uniqueness of the interpolant. The
-    verdict is therefore that of scaling h monic and matching its
-    coefficients against the family shape with exponent m', with no
-    interpolation."""
-    p = ctx.p
-    lead, low, alpha, beta = pp._interpolant_coeffs(
-        ctx, inverse, (m_inv * p, m_inv * p - (p - 1), p, 1))
-    if not lead:
-        return False
-    b = ctx.div(ctx.neg(low), ctx.mul(lead, m_inv))
-    if not b or ctx.pow(b, p + 1) != 1:
-        return False
-    predicted = ctx.axpy([0] * ctx.q, lead, power_table(m_inv, b))
-    predicted = ctx.axpy(ctx.axpy(predicted, alpha, ctx.frob_table), beta, range(ctx.q))
-    return predicted == inverse
-
-
-def _power_tables(ctx: FieldContext):
-    """(m, b) -> the table of (x^p - bx)^m, each evaluated once."""
-    return functools.cache(lambda m, b: eval_table(ctx, gmb_poly(ctx, m, b)))
-
-
 def _extra_closure(run: _FieldRun):
     """The unconditioned shape PPRs, the run's shape scans less the
     pairs of its sweeps, invert into the shape with exponent m^-1 mod
-    p-1. Each f is a table of (x^p - bx)^m plus its alpha x^p and beta x
-    rows, as in fp2.inverse_sweep; its inverse table is tested by
-    _inverse_table_keeps_shape."""
+    p-1 (fp2.shape_closure)."""
     ctx = run.ctx
-    p, q = ctx.p, ctx.q
-    ms = [m for m in range(2, p) if math.gcd(m, p - 1) == 1]
-    frob = ctx.frob_table  # x^p
-    points = range(q)
-    power_table = _power_tables(ctx)
-    bad = []
-    total = 0
-    for m in ms:
-        m_inv = pow(m, -1, p - 1)
-        for b in fp2.family_b_values(ctx):
-            g_alpha = {}  # g + alpha x^p, shared by the betas of one alpha
-            conditioned = set(run.sweeps()[m, b].pairs)
-            for code in run.shape(m, b):
-                if code in conditioned:
-                    continue
-                total += 1
-                alpha, beta = divmod(code, q)
-                if alpha not in g_alpha:
-                    g_alpha = {alpha: ctx.axpy(power_table(m, b), alpha, frob)}
-                inverse = pp._inverse(ctx.axpy(g_alpha[alpha], beta, points))
-                if not _inverse_table_keeps_shape(ctx, m_inv, inverse, power_table):
-                    bad.append((m, b, alpha, beta))
-    return _verdict(bad, "inverse PPRs keep the shape and m",
-                    f"{total} unconditioned shape PPRs inverted")
+    shapes = {(m, b): sorted(set(run.shape(m, b)).difference(run.sweeps()[m, b].pairs))
+              for m in range(2, ctx.p) if math.gcd(m, ctx.p - 1) == 1
+              for b in fp2.family_b_values(ctx)}
+    return _verdict(fp2.shape_closure(ctx, shapes), "inverse PPRs keep the shape and m",
+                    f"{sum(map(len, shapes.values()))} unconditioned shape PPRs inverted")
 
 
 def _appendix(name: str):
@@ -938,7 +862,8 @@ _CLAIMS = (
      _thm15(_inverse_failures, "parametric inverse exact", "{} constructible instances swept"),
      "parametric inverse agrees with the inverse table at every point", _FP2),
     ("thm15.closure", "fp2",
-     _thm15(_closure_failures, "inverse stays in the family",
+     _thm15(lambda run: fp2.closure_failures(run.ctx, run.sweeps()),
+            "inverse stays in the family",
             "{} instances; inverse parameters (m, d, gamma/delta, epsilon/delta)"),
      "the conditioned family closes under inversion", _FP2),
     ("sec5.conditioned_count", "fp2", _conditioned_count, "p(p-1)^2 conditioned pairs per (m, b)",

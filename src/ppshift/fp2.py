@@ -15,16 +15,18 @@ epsilon = beta^p / (beta^(p+1) - alpha^(p+1)) and
 delta = (-gamma d - epsilon) / (beta^p - alpha d)^m.
 
 This module derives the parameters, checks the two existence
-conditions, builds (f, h) pairs, sweeps the inverse formula over every
-constructible (alpha, beta) of one (m, b), enumerates censuses over
-(alpha, beta), and checks the identity suite backing the inverse
-formula (appendix lemmas 20-25) in three passes: lemma 21 over (alpha,
-beta), one walk over (m, b, alpha, beta) for lemmas 22-24, and lemmas
-20 and 25 over (m, b).
+conditions, builds (f, h) pairs, sweeps the inverse formula and its
+closure over the constructible (alpha, beta), enumerates censuses,
+tests that unconditioned shape PPRs invert into the shape, and checks
+the identity suite behind the inverse formula (appendix lemmas 20-25).
+It alone builds, walks and decodes member tables: (alpha, beta) travels
+as the code alpha * q + beta, and c P + alpha x^p + beta x is built by
+_members (c = 1, over codes) or _member (one instance).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from collections import namedtuple
@@ -190,6 +192,24 @@ def constructible_pairs(ctx: FieldContext, m: int, b: int) -> list[tuple[int, in
     return out
 
 
+def _members(ctx: FieldContext, table, codes):
+    """(alpha, beta, the table of P + alpha x^p + beta x) for each code
+    alpha * q + beta in codes, given P's table. The P + alpha x^p row is
+    built when alpha changes: once per alpha for ascending codes."""
+    row_alpha = row = None
+    for code in codes:
+        alpha, beta = divmod(code, ctx.q)
+        if alpha != row_alpha:
+            row_alpha, row = alpha, ctx.axpy(table, alpha, ctx.frob_table)
+        yield alpha, beta, ctx.axpy(row, beta, range(ctx.q))
+
+
+def _member(ctx: FieldContext, c: int, table, alpha: int, beta: int) -> list[int]:
+    """The table of c P + alpha x^p + beta x, given P's table."""
+    scaled = ctx.axpy([0] * ctx.q, c, table)
+    return ctx.axpy(ctx.axpy(scaled, alpha, ctx.frob_table), beta, range(ctx.q))
+
+
 InverseSweep = namedtuple("InverseSweep", "pairs failures inverses")
 
 
@@ -201,33 +221,24 @@ def inverse_sweep(ctx: FieldContext, m: int, b: int) -> InverseSweep:
     epsilon/delta) as the code (gamma/delta) * q + epsilon/delta, or
     q * q (no code) when delta = 0.
 
-    f and h are tables: the two binomial powers are evaluated once and
-    each instance adds its scaled x^p and x rows. Both are reduced
+    f and h are tables: the two binomial powers are evaluated once, f
+    comes from _members and h from _member. Both are reduced
     (degree mp < q), so h inverts f iff h(f(x)) = x at every x; f's
     bijectivity is read only on a mismatch, to tell "not a PPR" from
     "inverse mismatch". f is monic and fixes 0 when (x^p - bx)^m, of degree
     above p, is and does. constructible_pairs validates (m, b) and
     yields only valid (alpha, beta), so _derive checks nothing."""
-    pairs = constructible_pairs(ctx, m, b)
     p, q = ctx.p, ctx.q
+    pairs = array("I", [alpha * q + beta for alpha, beta in constructible_pairs(ctx, m, b)])
     points = list(range(q))
-    frob = ctx.frob_table  # x^p
-    zero = [0] * q
     g = gmb_poly(ctx, m, b)
     monic = len(g) > p + 1 and g[-1] == 1 and g[0] == 0
-    g_table = eval_table(ctx, g)
     d = hmd_d(ctx, m, b)
     h_table = eval_table(ctx, gmb_poly(ctx, m, d))  # (x^p - dx)^m
-    failures = []
-    inverses = array("I")
-    g_alpha = {}  # g + alpha x^p, shared by the betas of one alpha
-    for alpha, beta in pairs:
+    failures, inverses = [], array("I")
+    for alpha, beta, f in _members(ctx, eval_table(ctx, g), pairs):
         inst = _derive(ctx, m, b, d, alpha, beta)
-        if alpha not in g_alpha:
-            g_alpha = {alpha: ctx.axpy(g_table, alpha, frob)}
-        f = ctx.axpy(g_alpha[alpha], beta, points)
-        h = ctx.axpy(zero, inst.delta, h_table)
-        h = ctx.axpy(ctx.axpy(h, inst.gamma, frob), inst.epsilon, points)
+        h = _member(ctx, inst.delta, h_table, inst.gamma, inst.epsilon)
         if not monic:
             failures.append(("not a PPR", alpha, beta))
         elif [h[y] for y in f] != points:
@@ -235,7 +246,22 @@ def inverse_sweep(ctx: FieldContext, m: int, b: int) -> InverseSweep:
             failures.append(("inverse mismatch" if bijective else "not a PPR", alpha, beta))
         inverses.append(ctx.div(inst.gamma, inst.delta) * q + ctx.div(inst.epsilon, inst.delta)
                         if inst.delta else q * q)
-    return InverseSweep(array("I", [alpha * q + beta for alpha, beta in pairs]), failures, inverses)
+    return InverseSweep(pairs, failures, inverses)
+
+
+def closure_failures(ctx: FieldContext, sweeps) -> list[tuple]:
+    """The (tag, m, b, alpha, beta) of each instance of sweeps = {(m, b):
+    inverse_sweep(ctx, m, b)}, every (m, b) of the family, whose inverse
+    instance (m, d, gamma/delta, epsilon/delta) is not a pair of (m, d)."""
+    q = ctx.q
+    bad = []
+    for (m, b), s in sweeps.items():
+        targets = set(sweeps[m, hmd_d(ctx, m, b)].pairs)
+        for code, inverse in zip(s.pairs, s.inverses):
+            if inverse not in targets:  # nor is q * q, the code of delta = 0
+                tag = "zero delta" if inverse == q * q else "inverse instance fails conditions"
+                bad.append((tag, m, b, *divmod(code, q)))
+    return bad
 
 
 @dataclass(frozen=True)
@@ -303,6 +329,60 @@ def shape_pprs(ctx: FieldContext, m: int, b: int, budget: int = pp.DEFAULT_BUDGE
     return array("I", codes)
 
 
+def _power_tables(ctx: FieldContext):
+    """(m, b) -> the table of (x^p - bx)^m, each evaluated once."""
+    return functools.cache(lambda m, b: eval_table(ctx, gmb_poly(ctx, m, b)))
+
+
+def _inverse_table_keeps_shape(ctx: FieldContext, m_inv: int, inverse, power_table) -> bool:
+    """Whether the inverse table is that of
+    c (x^p - b'x)^m' + alpha' x^p + beta' x with c != 0 and
+    b'^(p+1) = 1, m' = m_inv; power_table(m', b') is the table of
+    (x^p - b'x)^m'.
+
+    Four coefficients of the reduced interpolant h of the table, each
+    one O(q) power sum, fix the candidate. (x^p - b'x)^m' has its terms
+    at degrees m' + i(p-1), 0 <= i <= m', with coefficient -m' b' at
+    i = m' - 1, and none at p or 1 when 2 <= m' <= p-2. So if h has
+    the shape, c is its coefficient at m'p, -m' c b' the one at
+    m'p - (p-1) (m' < p is a unit), and alpha', beta' those at p and
+    1: the candidate built from them is h, and the tables agree.
+    Conversely the candidate has degree m'p <= (p-2)p < q-1, so it is
+    a reduced polynomial, and when its table equals the inverse table
+    at every point it is h by uniqueness of the interpolant. The
+    verdict is therefore that of scaling h monic and matching its
+    coefficients against the family shape with exponent m', with no
+    interpolation."""
+    p = ctx.p
+    lead, low, alpha, beta = pp._interpolant_coeffs(
+        ctx, inverse, (m_inv * p, m_inv * p - (p - 1), p, 1))
+    b = ctx.div(ctx.neg(low), ctx.mul(lead, m_inv)) if lead else 0  # 0: no candidate
+    return (b != 0 and ctx.pow(b, p + 1) == 1
+            and _member(ctx, lead, power_table(m_inv, b), alpha, beta) == inverse)
+
+
+def shape_closure(ctx: FieldContext, shapes) -> list[tuple]:
+    """The (m, b, alpha, beta) of each PPR (x^p - bx)^m + alpha x^p +
+    beta x whose inverse leaves the shape with exponent m^-1 mod p-1,
+    for shapes = {(m, b): list or array of PPR codes alpha * q + beta},
+    m coprime to p - 1. _members builds each PPR's table,
+    _inverse_table_keeps_shape tests its inverse, and one cache serves
+    the call: each (x^p - b'x)^m' table is evaluated once, for an f or
+    for an inverse."""
+    _require_fp2(ctx)
+    p, q = ctx.p, ctx.q
+    power_table = _power_tables(ctx)
+    bad = []
+    for (m, b), codes in shapes.items():
+        if math.gcd(m, p - 1) != 1 or not all(0 <= code < q * q for code in codes):
+            raise OutOfRangeError(f"m = {m} not coprime to {p - 1}, or a code not below {q * q}")
+        m_inv = pow(m, -1, p - 1)
+        for alpha, beta, f in _members(ctx, power_table(m, b), codes):
+            if not _inverse_table_keeps_shape(ctx, m_inv, pp._inverse(f), power_table):
+                bad.append((m, b, alpha, beta))
+    return bad
+
+
 # -- the identity suite backing the inverse formula --
 
 
@@ -334,14 +414,14 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     ascending order of their parameters.
 
     Three passes:
-    1. lemma 21 over every (alpha, beta), keeping the gamma and epsilon
-       it computes in one row per alpha;
+    1. lemma 21 over every (alpha, beta), keeping nothing;
     2. one walk over (m, b, alpha, beta) for lemma 22. An instance is
        constructible exactly when lemma 22's direct form holds and the
-       norms differ, so lemmas 23 and 24 run there, on
-       delta = (-gamma d - epsilon)/(beta^p - alpha d)^m from the kept
-       rows; a zero denominator leaves delta undefined and counts
-       against both;
+       norms differ, so lemmas 23 and 24 run there, on delta =
+       (-gamma d - epsilon)/(beta^p - alpha d)^m = -1/(gap (beta^p -
+       alpha d)^(m-1)), gap = beta^(p+1) - alpha^(p+1), since gamma d +
+       epsilon = (beta^p - alpha d)/gap; a zero denominator leaves
+       delta undefined and counts against both;
     3. lemmas 20 and 25, one loop over (m, b).
 
     The loops read x^p, x^(p+1) and x^(p-1) from tables built once per
@@ -360,16 +440,11 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     pm1 = [ctx.pow(x, p - 1) for x in range(q)]  # x^(p-1)
     add, sub, mul = ctx.add, ctx.sub, ctx.mul
 
-    # parameter identities for every (alpha, beta) with distinct norms;
-    # gammas[alpha][beta] and epsilons[alpha][beta] feed delta below
+    # parameter identities for every (alpha, beta) with distinct norms
     bad21, n21, skipped21 = [], 0, 0
-    gammas, epsilons = [], []
     for alpha in range(q):
         alpha_norm, alpha_p = norm[alpha], frob[alpha]
         log_minus_alpha = log[neg[alpha]]
-        gamma_row, epsilon_row = [0] * q, [0] * q
-        gammas.append(gamma_row)
-        epsilons.append(epsilon_row)
         for beta in range(q):
             norm_gap = sub(norm[beta], alpha_norm)
             if norm_gap == 0:
@@ -380,7 +455,6 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
             log_gap = log[norm_gap]
             gamma = exp[(log_minus_alpha - log_gap) % q1] if alpha else 0
             epsilon = exp[(log[beta_p] - log_gap) % q1] if beta else 0
-            gamma_row[beta], epsilon_row[beta] = gamma, epsilon
             ok = (
                 frob[norm_gap] == norm_gap
                 and add(mul(gamma, beta_p), mul(alpha, epsilon)) == 0
@@ -408,7 +482,6 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
             b_beta_p = [mul(b, y) for y in frob]  # b beta^p
             for alpha in range(q):
                 alpha_norm, alpha_d = norm[alpha], mul(alpha, d)
-                gamma_row, epsilon_row = gammas[alpha], epsilons[alpha]
                 base_row = ctx.add_row(mul(b, alpha))  # beta + b alpha
                 num_row = ctx.add_row(frob[alpha])  # y + alpha^p
                 for beta, base, beta_norm, num_index in zip(range(q), base_row, norm, b_beta_p):
@@ -429,9 +502,8 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
                         bad23.append((m, b, alpha, beta))
                         bad24.append((m, b, alpha, beta))
                         continue
-                    num = add(mul(gamma_row[beta], d), epsilon_row[beta])  # -(-gamma d - epsilon)
-                    delta = neg[exp[(log[num] - m * log[denom]) % q1]] if num else 0
                     log_gap = log[sub(beta_norm, alpha_norm)]
+                    delta = neg[exp[(-log_gap - (m - 1) * log[denom]) % q1]]
                     if delta != neg[exp[((m - 1) * log[base] - m * log_gap) % q1]]:
                         bad23.append((m, b, alpha, beta))
                     # b^(m^2) delta^p = b delta: the ((-1)^m b^(mp-1))^(m-1)

@@ -363,12 +363,29 @@ def test_degree_census_uses_the_run_budget():
         _first_appearance(_FieldRun(build_field(5, 1), RunConfig(budget=30)))
 
 
+def test_orbit_identity_is_skipped_over_budget(monkeypatch):
+    # F_7: the scan covers all 7^6 = 117,649 polynomials of degree <= 5
+    claim_id, _, check, _, *domain = _row("def1.orbit_identity")
+
+    def report(budget):
+        run = _FieldRun(build_field(7), RunConfig(budget=budget))
+        run.run(claim_id, check, *domain)
+        return run.reports[-1]
+
+    scan = pp._scan
+    monkeypatch.setattr(pp, "_scan", lambda *args: pytest.fail("scanned over budget"))
+    over = report(117_648)
+    assert (over.status, over.note) == ("skipped", "117649 candidates exceed budget 117648")
+    monkeypatch.setattr(pp, "_scan", scan)
+    assert report(117_649).status == "verified"
+
+
 def _inverse_keeps_shape(ctx, m, coeffs) -> bool:
     """Whether the monic inverse of the shape PPR coeffs with exponent m
     has the shape with exponent m^-1 mod p-1 (m itself for p <= 7)."""
     inverse = pp.inverse_table(ctx, eval_table(ctx, list(coeffs)))
-    return claims._inverse_table_keeps_shape(
-        ctx, pow(m, -1, ctx.p - 1), inverse, claims._power_tables(ctx))
+    return fp2._inverse_table_keeps_shape(
+        ctx, pow(m, -1, ctx.p - 1), inverse, fp2._power_tables(ctx))
 
 
 def test_unconditioned_inverse_has_the_inverse_exponent():
@@ -619,11 +636,11 @@ def _pairwise_thm15_sweep(ctx):
 def _claims_thm15_sweep(ctx):
     """The claims' Theorem 15 data in the oracle's shape, from one field
     run's fp2.inverse_sweep of each (m, b): (instances, inverse
-    failures, closure failures, {(m, b): number of pairs})."""
+    failures, fp2.closure_failures, {(m, b): number of pairs})."""
     run = _FieldRun(ctx, RunConfig())
     counts = {mb: len(s.pairs) for mb, s in run.sweeps().items()}
-    return (sum(counts.values()), claims._inverse_failures(run), claims._closure_failures(run),
-            counts)
+    return (sum(counts.values()), claims._inverse_failures(run),
+            fp2.closure_failures(ctx, run.sweeps()), counts)
 
 
 @pytest.mark.parametrize("p,n,make", [(5, 2, "field"), (7, 2, "field"), (5, 2, "zech_field")])

@@ -1,5 +1,6 @@
 import math
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -273,6 +274,46 @@ def test_shape_pprs_planted_dropped_hit(monkeypatch):
     orbit = {mu * q + ctx.mul(mu, beta) for mu in _scaling_group(ctx, m)}
     assert len(orbit) == ctx.p - 1  # h = p - 1 at m = 2
     assert set(want) - set(got) == orbit and set(got) <= set(want)
+
+
+def _unconditioned_codes(ctx, m, b, count):
+    """The first count codes of shape PPRs of (m, b) off the conditions."""
+    return [code for code in shape_pprs(ctx, m, b)
+            if not check_conditions(ctx, m, b, *divmod(code, ctx.q)).constructible][:count]
+
+
+def test_shape_closure_evaluates_each_power_table_once(field, monkeypatch):
+    # F_121: m = 3 and its inverse exponent m = 7 in one call, so a table
+    # of (x^p - b'x)^7 serves m = 7's PPRs and m = 3's inverses alike
+    ctx = field(11, 2)
+    shapes = {(m, 1): _unconditioned_codes(ctx, m, 1, 12) for m in (3, 7)}
+    names = {tuple(gmb_poly(ctx, m, b)): (m, b) for m in (3, 7) for b in family_b_values(ctx)}
+    calls = Counter()
+    evaluate = fp2.eval_table
+
+    def counted(ctx, f):
+        calls[names[tuple(f)]] += 1
+        return evaluate(ctx, f)
+
+    monkeypatch.setattr(fp2, "eval_table", counted)
+    assert fp2.shape_closure(ctx, shapes) == []
+    assert set(calls.values()) == {1}
+    assert {(3, 1), (7, 1)} < set(calls)  # the f tables, met again as inverse tables
+
+
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_shape_closure_refuses_bad_input(request, make):
+    f25 = request.getfixturevalue(make)(5, 2)
+    codes = _unconditioned_codes(f25, 3, 1, 2)
+    assert fp2.shape_closure(f25, {(3, 1): codes}) == []
+    for shapes in ({(2, 1): codes},  # 2 is not coprime to p - 1 = 4
+                   {(3, 1): [*codes, 25 * 25]}):
+        with pytest.raises(OutOfRangeError):
+            fp2.shape_closure(f25, shapes)
+    with pytest.raises(BadExponentError):
+        fp2.shape_closure(f25, {(5, 1): codes})
+    with pytest.raises(OutOfRangeError):
+        fp2.shape_closure(request.getfixturevalue(make)(5, 1), {(3, 1): codes})
 
 
 def test_census_invariant_under_b(field):
