@@ -773,10 +773,11 @@ def _extra_closure(run: _FieldRun):
 
 def _appendix(name: str):
     """The check of appendix.<name>: its row of fp2.lemma_suite, which
-    runs once per field for all six appendix claims."""
+    runs once per field for all six appendix claims, under the run's
+    budget."""
 
     def check(run: _FieldRun):
-        suite = run.memo("suite", lambda: fp2.lemma_suite(run.ctx))
+        suite = run.memo("suite", lambda: fp2.lemma_suite(run.ctx, budget=run.cfg.budget))
         c = next(c for c in suite.checks if c.name == name)
         skipped = f", {c.skipped} skipped" if c.skipped else ""
         return ("verified" if c.passed else "refuted", c.statement,

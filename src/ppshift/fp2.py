@@ -21,7 +21,13 @@ tests that unconditioned shape PPRs invert into the shape, and checks
 the identity suite behind the inverse formula (appendix lemmas 20-25).
 It alone builds, walks and decodes member tables: (alpha, beta) travels
 as the code alpha * q + beta, and c P + alpha x^p + beta x is built by
-_members (c = 1, over codes) or _member (one instance).
+_members (c = 1, over codes) or _member (one instance). The shape PPRs
+of one (m, b) need no member table: f(x + k) = f(x) + M(k) on the
+kernel K of x^p - bx, M = alpha x^p + beta x (the elementary case of
+the criterion of Akbary, Ghioca and Wang for h(L(x)) + M(x)), so
+shape_pprs tests the q^2 members with q - 1 scans over F_p. The
+identity suite walks (b, alpha, beta) once for every m, and both walks
+are priced against a budget before they start.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .errors import (
     OutOfRangeError,
 )
 from . import pp
-from .gf import FieldContext, require_element, roots_of_unity
+from .gf import FieldContext, build_field, require_element, roots_of_unity
 from .poly import (
     eval_table,
     gmb_poly,
@@ -290,43 +296,64 @@ def census(ctx: FieldContext, m: int, b: int, mode: str = "conditioned") -> Cens
 
 
 def shape_pprs(ctx: FieldContext, m: int, b: int, budget: int = pp.DEFAULT_BUDGET) -> array:
-    """The (alpha, beta) of every PPR (x^p - bx)^m + alpha x^p + beta x,
+    """The (alpha, beta) of every PPR f = (x^p - bx)^m + alpha x^p + beta x,
     as alpha * q + beta, alpha outer and beta ascending.
 
-    For lambda in F_p^*, lambda^p = lambda, so
+    L = x^p - bx and M = alpha x^p + beta x are F_p-linear, and L has
+    the kernel K = F_p r with r^(p-1) = b, so f(x + k) = f(x) + M(k) for
+    k in K. t = r g (g primitive) is not in K, as t^(p-1) = b g^(p-1) !=
+    b, so every x is lambda t + mu r with lambda, mu in F_p, and with
+    u = M(r), w = M(t):
 
-        lambda^(-m) f(lambda x) = (x^p - bx)^m + lambda^(1-m) (alpha x^p + beta x),
+        f(lambda t + mu r) = L(t)^m lambda^m + lambda w + mu u.
 
-    and f permutes F_q iff the right side does, as x -> lambda x and the
-    factor lambda^(-m) are bijections. So the PPR set is closed under
-    (alpha, beta) -> mu (alpha, beta) for mu in H_m = {lambda^(1-m)}:
-    the subgroup of order h = (p-1)/gcd(m-1, p-1), generated by
-    g^((q-1)/h) for the primitive g. The scan tests every beta for
-    alpha = 0 and for one alpha = g^i, i < (q-1)/h, per coset of H_m,
-    all in one ctx.bijective_scalars pass, and expands each hit with
-    alpha != 0 into its h images. The budget still prices all q^2
-    candidates. One array instead of a list of pairs keeps a run's
-    shapes small enough to hold."""
+    For u = 0, f is constant on each coset of K. Otherwise f(x)/u =
+    z_lambda + mu with z_lambda = (L(lambda t)^m + lambda w)/u, and f
+    permutes F_q iff the p values z_lambda lie in distinct cosets of F_p.
+    In gf's encoding z = z_0 + z_1 p, F_p is {z_1 = 0}, so z // p is
+    z's coordinate modulo F_p, and it is F_p-linear. f therefore
+    permutes iff
+
+        lambda -> (L(lambda t)^m / u) // p + lambda ((w/u) // p)
+
+    permutes F_p. So each u in F_q^* takes one bijective_scalars pass
+    over the prime field, with that prefix and lambda -> lambda as the
+    scaled row; each hit c stands for the p values w = u (c p + e), e
+    in F_p. (u, w) is an F_q-linear image of (alpha, beta) whose
+    determinant r^p t - r t^p = r t (b - t^(p-1)) is not 0, so each
+    (u, w) decodes to one code through the fixed 2x2 inverse. The
+    budget still prices all q^2 candidates. One array instead of a list
+    of pairs keeps a run's shapes small enough to hold."""
     _require_fp2(ctx)
     pp.require_budget(ctx.q**2, budget)
     p, q = ctx.p, ctx.q
-    q1 = q - 1
-    step = q1 * math.gcd(m - 1, p - 1) // (p - 1)  # (q-1)/h cosets
-    exp, log = ctx.exp_table, ctx.log_table
+    mul, div, frob = ctx.mul, ctx.div, ctx.frob_table
     g_table = eval_table(ctx, gmb_poly(ctx, m, b))
-    prefixes = (ctx.axpy(g_table, alpha, ctx.frob_table) for alpha in [0, *exp[:step]])
-    scans = ctx.bijective_scalars(prefixes, range(q))
-    codes = next(scans)  # alpha = 0, a row H_m maps to itself: every beta tested
-    for i, hits in enumerate(scans):  # alpha = g^i
-        for beta in hits:
-            # mu alpha = g^e for e = i + j(q-1)/h, and then mu beta = beta g^(e-i)
-            if beta:
-                shift = log[beta] - i
-                codes.extend(exp[e % q1] * q + exp[(e + shift) % q1] for e in range(i, i + q1, step))
-            else:
-                codes.extend(exp[e % q1] * q for e in range(i, i + q1, step))
+    r = ctx.exp_table[ctx.log_table[b] // (p - 1)]  # b^(p+1) = 1: p - 1 divides log b
+    t = mul(r, ctx.primitive)
+    det = ctx.sub(mul(frob[r], t), mul(r, frob[t]))
+    # alpha = (t u - r w)/det and beta = (r^p w - t^p u)/det
+    alpha_u, alpha_w = div(t, det), div(ctx.neg(r), det)
+    beta_u, beta_w = div(ctx.neg(frob[t]), det), div(frob[r], det)
+    powers = [g_table[mul(lam, t)] for lam in range(p)]  # L(lambda t)^m
+    units = range(1, q)
+    prefixes = ([div(v, u) // p for v in powers] for u in units)
+    codes = []
+    for u, hits in zip(units, _prime_field(p).bijective_scalars(prefixes, range(p))):
+        ws = ctx.axpy([0] * (p * len(hits)), u, [c * p + e for c in hits for e in range(p)])
+        alphas = ctx.axpy([mul(alpha_u, u)] * len(ws), alpha_w, ws)
+        betas = ctx.axpy([mul(beta_u, u)] * len(ws), beta_w, ws)
+        codes.extend(alpha * q + beta for alpha, beta in zip(alphas, betas))
     codes.sort()
     return array("I", codes)
+
+
+@functools.cache
+def _prime_field(p: int) -> FieldContext:
+    """F_p, over which shape_pprs scans; its elements are the indices
+    0 .. p - 1 of F_{p^2} with the same arithmetic. One context per
+    prime, immutable, so the cache stays small and safe to share."""
+    return build_field(p)
 
 
 def _power_tables(ctx: FieldContext):
@@ -408,16 +435,21 @@ class LemmaSuiteReport:
         return all(c.passed for c in self.checks)
 
 
-def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
+def lemma_suite(ctx: FieldContext, budget: int = pp.DEFAULT_BUDGET) -> LemmaSuiteReport:
     """Check the six identities behind the inverse formula over their
     full hypothesis ranges; counterexamples are reported verbatim, in
-    ascending order of their parameters.
+    ascending order of their parameters. Lemma 22's (p + 1) q^2
+    instances are priced against budget before any walk starts.
 
     Three passes:
     1. lemma 21 over every (alpha, beta), keeping nothing;
-    2. one walk over (m, b, alpha, beta) for lemma 22. An instance is
-       constructible exactly when lemma 22's direct form holds and the
-       norms differ, so lemmas 23 and 24 run there, on delta =
+    2. one walk over (b, alpha, beta) for lemma 22 at every m at once:
+       neither of its left sides depends on m, so the m are grouped by
+       each right side once per b, and the lemma fails at the m in
+       exactly one of the two groups that an instance meets; each
+       instance counts once per m. An instance is constructible exactly
+       when lemma 22's direct form holds and the norms differ, so
+       lemmas 23 and 24 run at the m of the direct group, on delta =
        (-gamma d - epsilon)/(beta^p - alpha d)^m = -1/(gap (beta^p -
        alpha d)^(m-1)), gap = beta^(p+1) - alpha^(p+1), since gamma d +
        epsilon = (beta^p - alpha d)/gap; a zero denominator leaves
@@ -430,6 +462,7 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
     beta loop. Additions by a fixed element are read from ctx.add_row.
     """
     _require_fp2(ctx)
+    pp.require_budget((ctx.p + 1) * ctx.q**2, budget)
     p, q = ctx.p, ctx.q
     q1 = q - 1
     bs = family_b_values(ctx)
@@ -467,49 +500,61 @@ def lemma_suite(ctx: FieldContext) -> LemmaSuiteReport:
 
     # lemma 22: the two forms of the second condition agree when both
     # are defined; both right sides are nonzero, so the ratio form
-    # compares logs. Lemmas 23 and 24 on the constructible instances:
-    # the closed form delta = -(beta + b alpha)^(m-1) / (beta^(p+1) -
-    # alpha^(p+1))^m -- the leading minus follows from gamma*d + epsilon
-    # = 1/(beta + b alpha) -- and its Frobenius twist
+    # compares logs. Neither left side depends on m, so each b groups the
+    # m by each right side, and the lemma fails at the m of one group
+    # only. Lemmas 23 and 24 on the constructible instances, the m of the
+    # direct group: the closed form delta = -(beta + b alpha)^(m-1) /
+    # (beta^(p+1) - alpha^(p+1))^m -- the leading minus follows from
+    # gamma*d + epsilon = 1/(beta + b alpha) -- and its Frobenius twist
     bad22, bad23, bad24, n22, skipped22, n23 = [], [], [], 0, 0, 0
-    for m in ms:
-        for b in bs:
+    for b in bs:
+        by_direct, by_ratio = {}, {}  # right side -> its m, ascending
+        for m in ms:
             sign = neg_one_pow(ctx, m)
-            rhs_direct = mul(sign, ctx.pow(b, m * p - 1))
-            log_rhs_ratio = log[mul(sign, ctx.pow(b, m * p))]
-            b_m2 = ctx.pow(b, m * m)
-            d = hmd_d(ctx, m, b)
-            b_beta_p = [mul(b, y) for y in frob]  # b beta^p
-            for alpha in range(q):
-                alpha_norm, alpha_d = norm[alpha], mul(alpha, d)
-                base_row = ctx.add_row(mul(b, alpha))  # beta + b alpha
-                num_row = ctx.add_row(frob[alpha])  # y + alpha^p
-                for beta, base, beta_norm, num_index in zip(range(q), base_row, norm, b_beta_p):
-                    if base == 0 or alpha_norm == beta_norm:
-                        skipped22 += 1
-                        continue
-                    n22 += 1
-                    direct = pm1[base] == rhs_direct
-                    ratio_num = num_row[num_index]
-                    ratio = ratio_num != 0 and (log[ratio_num] - log[base]) % q1 == log_rhs_ratio
-                    if direct != ratio:
-                        bad22.append((m, b, alpha, beta))
-                    if not direct:
-                        continue
-                    n23 += 1
-                    denom = sub(frob[beta], alpha_d)
+            rhs = mul(sign, ctx.pow(b, m * p - 1))
+            by_direct[rhs] = by_direct.get(rhs, ()) + (m,)
+            rhs = log[mul(sign, ctx.pow(b, m * p))]
+            by_ratio[rhs] = by_ratio.get(rhs, ()) + (m,)
+        ds = {m: hmd_d(ctx, m, b) for m in ms}
+        b_m2 = {m: ctx.pow(b, m * m) for m in ms}
+        b_beta_p = [mul(b, y) for y in frob]  # b beta^p
+        for alpha in range(q):
+            alpha_norm = norm[alpha]
+            alpha_d = {m: mul(alpha, d) for m, d in ds.items()}
+            base_row = ctx.add_row(mul(b, alpha))  # beta + b alpha
+            num_row = ctx.add_row(frob[alpha])  # y + alpha^p
+            for beta, base, beta_norm, num_index in zip(range(q), base_row, norm, b_beta_p):
+                if base == 0 or alpha_norm == beta_norm:
+                    skipped22 += 1
+                    continue
+                n22 += 1
+                direct = by_direct.get(pm1[base], ())
+                ratio_num = num_row[num_index]
+                ratio = by_ratio.get((log[ratio_num] - log[base]) % q1, ()) if ratio_num else ()
+                if direct != ratio:
+                    bad22.extend((m, b, alpha, beta) for m in set(direct).symmetric_difference(ratio))
+                if not direct:
+                    continue
+                n23 += len(direct)
+                beta_p, log_gap = frob[beta], log[sub(beta_norm, alpha_norm)]
+                for m in direct:
+                    denom = sub(beta_p, alpha_d[m])
                     if denom == 0:  # delta undefined; not so on a constructible instance
                         bad23.append((m, b, alpha, beta))
                         bad24.append((m, b, alpha, beta))
                         continue
-                    log_gap = log[sub(beta_norm, alpha_norm)]
                     delta = neg[exp[(-log_gap - (m - 1) * log[denom]) % q1]]
                     if delta != neg[exp[((m - 1) * log[base] - m * log_gap) % q1]]:
                         bad23.append((m, b, alpha, beta))
                     # b^(m^2) delta^p = b delta: the ((-1)^m b^(mp-1))^(m-1)
                     # twist of delta kills the sign because m(m-1) is even
-                    if mul(b_m2, frob[delta]) != mul(b, delta):
+                    if mul(b_m2[m], frob[delta]) != mul(b, delta):
                         bad24.append((m, b, alpha, beta))
+    # every instance stands for its p - 2 exponents; b ascends, so sorting
+    # restores the (m, b, alpha, beta) order of a walk with m outermost
+    n22, skipped22 = n22 * len(ms), skipped22 * len(ms)
+    for bad in (bad22, bad23, bad24):
+        bad.sort()
 
     # g^p = (-1)^m b^(mp) g, and h^p = b^(m^2) h as reduced polynomials:
     # h's prefactor is (-1)^m d^(mp) = (-1)^m (-1)^m b^(m^2) = b^(m^2)

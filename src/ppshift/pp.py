@@ -19,7 +19,8 @@ Every enumeration here is an affine scan of offset + span(basis): a
 subspace's monic members (one scan per top degree), the degree census
 and, with an empty offset, all polynomials of degree <= q-2, all
 through FieldContext.bijective_scalars, which fp2.shape_pprs calls
-directly for the F_{p^2} family shapes.
+directly for the F_{p^2} family shapes, on the prime field F_p: there
+one scan per u in F_q^* decides p^2 members at once.
 """
 
 from __future__ import annotations

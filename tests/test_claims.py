@@ -346,14 +346,33 @@ def test_divisor_degrees_refuses_over_budget_before_scanning(monkeypatch):
 
 
 def test_a_claim_over_budget_is_skipped_and_the_rest_run():
-    # V_2 over F_9 has 9^5 candidates; every other claim stays under 100
+    # V_2 over F_9 has 9^5 candidates and the lemma suite (p + 1) q^2 =
+    # 324 instances, read once for the six appendix claims; every other
+    # claim stays under 100
     default = _field_reports(3, 2)
     tight = _field_reports(3, 2, budget=100)
     changed = [(a.claim_id, b.status, b.expected, b.observed, b.note)
                for a, b in zip(default, tight) if a != b]
     assert changed == [("sec5.v2_count", "skipped", None, None,
-                        "59049 candidates exceed budget 100")]
+                        "59049 candidates exceed budget 100")] + [
+        (f"appendix.lemma{i}", "skipped", None, None, "324 candidates exceed budget 100")
+        for i in range(20, 26)]
     assert len(tight) == len(default)
+
+
+def test_appendix_claims_read_the_suite_under_the_run_budget():
+    # F_25: the suite walks (p + 1) q^2 = 3750 instances
+    rows = [row for row in claims._CLAIMS if row[0].startswith("appendix.")]
+    assert len(rows) == 6
+
+    def reports(budget):
+        run = _FieldRun(build_field(5, 2), RunConfig(budget=budget))
+        for claim_id, _, check, _, *domain in rows:
+            run.run(claim_id, check, *domain)
+        return [(r.status, r.note) for r in run.reports]
+
+    assert reports(3749) == [("skipped", "3750 candidates exceed budget 3749")] * 6
+    assert {status for status, _ in reports(3750)} == {"verified"}
 
 
 def test_degree_census_uses_the_run_budget():

@@ -99,6 +99,13 @@ def test_enumerate_budget_exit(capsys):
     assert "budget" in err
 
 
+def test_fp2_lemmas_budget_exit(capsys):
+    # F_841: (p + 1) q^2 = 30 * 841^2 instances, refused before any walk
+    code, out, err = run(capsys, "fp2", "lemmas", "--p", "29", "--n", "2")
+    assert code == 3 and out == ""
+    assert "21218430 candidates exceed budget 10000000" in err
+
+
 def test_degree_dist(capsys):
     doc = run_json(capsys, "degree-dist", "--p", "5")
     assert doc["counts"] == {"1": 1, "2": 0, "3": 5}

@@ -234,6 +234,45 @@ def test_shape_pprs_match_the_full_scan_f121(field):
             assert shape_pprs(ctx, m, b) == _scanned_shape(ctx, m, b), (m, b)
 
 
+def test_shape_pprs_match_the_full_scan_f121_without_flat_tables(zech_field):
+    ctx = zech_field(11, 2)
+    bs = family_b_values(ctx)
+    for m in (2, 6):
+        for b in (bs[0], bs[-1]):
+            assert shape_pprs(ctx, m, b) == _scanned_shape(ctx, m, b), (m, b)
+
+
+def test_shape_pprs_match_the_full_scan_f169_at_half(field):
+    # m = 7 = (p + 1)/2, the exponent with the largest count
+    ctx = field(13, 2)
+    b = family_b_values(ctx)[-1]
+    codes = shape_pprs(ctx, 7, b)
+    assert len(codes) == 12012
+    assert codes == _scanned_shape(ctx, 7, b)
+
+
+def _shape_count(p, m):
+    """The count of shape PPRs of one (m, b) over F_{p^2}: the third row at
+    m = (p+1)/2, whatever gcd(m, p - 1), then the coprime and the
+    conditioned counts."""
+    if 2 * m == p + 1:
+        return p * (p - 1) * (p - 2) * (p + 1) // 2
+    if math.gcd(m, p - 1) == 1:
+        return p * (p - 1) * (2 * p - 1)
+    return p * (p - 1) ** 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_shape_counts_follow_the_three_row_table(field, p):
+    ctx = field(p, 2)
+    bs = family_b_values(ctx)
+    if p == 13:
+        bs = [bs[0], bs[-1]]
+    for m in range(2, p):
+        for b in bs:
+            assert len(shape_pprs(ctx, m, b)) == _shape_count(p, m), (m, b)
+
+
 def _scaled(ctx, codes, mu):
     """The codes of mu (alpha, beta) for each alpha * q + beta in codes."""
     q = ctx.q
@@ -255,25 +294,41 @@ def test_shape_pprs_closed_under_scaling(field):
     assert _scaled(ctx, codes, 2) != set(codes)
 
 
-def test_shape_pprs_planted_dropped_hit(monkeypatch):
+def test_shape_pprs_planted_dropped_fiber(monkeypatch):
+    # shape_pprs reads each code in the frame r = g^(log b / (p-1)), which
+    # spans the kernel of x^p - bx, and t = r g: u = M(r) and c = (M(t)/u)
+    # // p for M = alpha x^p + beta x. Its prime-field scans run for u =
+    # 1, 2, ... in turn, and dropping hit c from u's scan must lose the p
+    # codes of that fiber and nothing else
     ctx = build_field(5, 2)
+    p, q = ctx.p, ctx.q
     m, b = 2, family_b_values(ctx)[1]
-    want = _scanned_shape(ctx, m, b)
-    q = ctx.q
-    # the first scanned representative is alpha = g^0 = 1
-    beta = next(c % q for c in want if c // q == 1)
-    scalars = ctx.bijective_scalars
+    want = shape_pprs(ctx, m, b)
+    r = ctx.exp_table[ctx.log_table[b] // (p - 1)]
+    t = ctx.mul(r, ctx.primitive)
+    assert ctx.frobenius(r) == ctx.mul(b, r) and ctx.frobenius(t) != ctx.mul(b, t)
+
+    def fiber(code):
+        alpha, beta = divmod(code, q)
+        u = ctx.add(ctx.mul(alpha, ctx.frobenius(r)), ctx.mul(beta, r))
+        w = ctx.add(ctx.mul(alpha, ctx.frobenius(t)), ctx.mul(beta, t))
+        return u, ctx.div(w, u) // p
+
+    sizes = Counter(map(fiber, want))
+    assert set(sizes.values()) == {p} and len(sizes) == len(want) // p
+    u, c = fiber(want[len(want) // 2])
+    prime = fp2._prime_field(p)
+    scalars = prime.bijective_scalars
 
     def planted(prefixes, w):
-        for k, hits in enumerate(scalars(prefixes, w)):
-            yield [c for c in hits if (k, c) != (1, beta)]
+        for k, hits in enumerate(scalars(prefixes, w), start=1):
+            yield [h for h in hits if (k, h) != (u, c)]
 
-    monkeypatch.setattr(ctx, "bijective_scalars", planted)
+    monkeypatch.setattr(prime, "bijective_scalars", planted)
     got = shape_pprs(ctx, m, b)
-    assert got != want
-    orbit = {mu * q + ctx.mul(mu, beta) for mu in _scaling_group(ctx, m)}
-    assert len(orbit) == ctx.p - 1  # h = p - 1 at m = 2
-    assert set(want) - set(got) == orbit and set(got) <= set(want)
+    assert set(got) <= set(want)
+    assert sorted(set(want) - set(got)) == [code for code in want if fiber(code) == (u, c)]
+    assert len(want) - len(got) == p
 
 
 def _unconditioned_codes(ctx, m, b, count):
@@ -507,6 +562,47 @@ def test_lemma_suite_planted_wrong_d(request, monkeypatch, make):
     checks = {c.name: c for c in lemma_suite(ctx).checks}
     assert at in checks["lemma23"].counterexamples and at in checks["lemma24"].counterexamples
     assert checks["lemma23"].checked == checks["lemma24"].checked == 1440
+
+
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_lemma_suite_planted_ratio_side(request, monkeypatch, make):
+    # b^(mp) read as s b^(mp) moves the ratio form's right side at those m
+    # only: lemma 22 names exactly them, in ascending (m, b, alpha, beta)
+    # order, over the same instances, and the five-loop oracle agrees. The
+    # ratio's left side is b (beta + b alpha)^(p-1), a (p+1)-th root of
+    # unity, so with s = g^(p-1), of order p + 1, the form fails both
+    # ways: direct form true and ratio false, and the reverse. d =
+    # (-1)^m b^(mp) reads the same power, so it is held at its true value
+    # in both suites (a wrong d is test_lemma_suite_planted_wrong_d's case)
+    ctx = request.getfixturevalue(make)(5, 2)
+    p = ctx.p
+    clean = {c.name: c for c in lemma_suite(ctx).checks}["lemma22"]
+    true_d = {(m, b): hmd_d(ctx, m, b) for m in range(2, p) for b in family_b_values(ctx)}
+    monkeypatch.setattr(fp2, "hmd_d", lambda ctx, m, b: true_d[m, b])
+    monkeypatch.setitem(globals(), "hmd_d", fp2.hmd_d)
+    power, s = ctx.pow, ctx.pow(ctx.primitive, p - 1)
+    for ms in ({3}, {2, 4}):
+        monkeypatch.setattr(ctx, "pow", lambda x, e, ms=ms: ctx.mul(power(x, e), s)
+                            if e in {m * p for m in ms} else power(x, e))
+        report = lemma_suite(ctx)
+        lemma22 = {c.name: c for c in report.checks}["lemma22"]
+        named = lemma22.counterexamples
+        assert named and {x[0] for x in named} == ms
+        assert list(named) == sorted(named)
+        assert {check_conditions(ctx, *x).cond2 for x in named} == {True, False}
+        assert (lemma22.checked, lemma22.skipped) == (clean.checked, clean.skipped)
+        assert report == five_loop_lemma_suite(ctx)
+
+
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_lemma_suite_refuses_over_budget_before_walking(request, monkeypatch, make):
+    # F_25: (p + 1) q^2 = 6 * 625 = 3750 instances
+    ctx = request.getfixturevalue(make)(5, 2)
+    monkeypatch.setattr(fp2, "family_b_values", lambda ctx: pytest.fail("walked over budget"))
+    with pytest.raises(BudgetExceededError, match="3750 candidates exceed budget 3749"):
+        lemma_suite(ctx, budget=3749)
+    monkeypatch.undo()
+    assert lemma_suite(ctx, budget=3750) == lemma_suite(ctx)
 
 
 def test_inverse_instance_stays_constructible(field):
