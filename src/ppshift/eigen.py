@@ -429,6 +429,7 @@ def predicted_basis(ctx: FieldContext, variant: str, m: int | None = None, r: in
     if variant == "theorem11":
         if r is None or r == 0:
             raise OutOfRangeError("theorem11 needs a nonzero shift r")
+        require_element(ctx, r)
         base_poly = [0, ctx.neg(ctx.pow(r, p - 1))] + [0] * (p - 2) + [1]  # x^p - bx
         basis = [monomial(p**k) for k in range(n)]
         basis += [poly_pow(ctx, base_poly, i) for i in range(2, pn1) if _not_p_power(ctx, i)]

@@ -25,7 +25,8 @@ _members (c = 1, over codes) or _member (one instance). The shape PPRs
 of one (m, b) need no member table: f(x + k) = f(x) + M(k) on the
 kernel K of x^p - bx, M = alpha x^p + beta x (the elementary case of
 the criterion of Akbary, Ghioca and Wang for h(L(x)) + M(x)), so
-shape_pprs tests the q^2 members with q - 1 scans over F_p. The
+shape_pprs decides the q^2 members from the permutation binomials
+x^m + cx of F_p, found by one scan of its p values of c. The
 identity suite walks (b, alpha, beta) once for every m, and both walks
 are priced against a budget before they start.
 """
@@ -44,7 +45,7 @@ from .errors import (
     OutOfRangeError,
 )
 from . import pp
-from .gf import FieldContext, build_field, require_element, roots_of_unity
+from .gf import FieldContext, require_element, roots_of_unity
 from .poly import (
     eval_table,
     gmb_poly,
@@ -260,6 +261,9 @@ def closure_failures(ctx: FieldContext, sweeps) -> list[tuple]:
     inverse_sweep(ctx, m, b)}, every (m, b) of the family, whose inverse
     instance (m, d, gamma/delta, epsilon/delta) is not a pair of (m, d)."""
     q = ctx.q
+    missing = sorted({(m, hmd_d(ctx, m, b)) for m, b in sweeps}.difference(sweeps))
+    if missing:
+        raise OutOfRangeError(f"sweeps lack the (m, d) partners {missing}")
     bad = []
     for (m, b), s in sweeps.items():
         targets = set(sweeps[m, hmd_d(ctx, m, b)].pairs)
@@ -300,60 +304,50 @@ def shape_pprs(ctx: FieldContext, m: int, b: int, budget: int = pp.DEFAULT_BUDGE
     as alpha * q + beta, alpha outer and beta ascending.
 
     L = x^p - bx and M = alpha x^p + beta x are F_p-linear, and L has
-    the kernel K = F_p r with r^(p-1) = b, so f(x + k) = f(x) + M(k) for
-    k in K. t = r g (g primitive) is not in K, as t^(p-1) = b g^(p-1) !=
-    b, so every x is lambda t + mu r with lambda, mu in F_p, and with
-    u = M(r), w = M(t):
+    the kernel K = F_p r with r^(p-1) = b; t = r g (g primitive) is not
+    in K, as t^(p-1) != b, so every x is lambda t + mu r with lambda, mu
+    in F_p. With u = M(r), w = M(t) and G = L(t)^m != 0,
 
-        f(lambda t + mu r) = L(t)^m lambda^m + lambda w + mu u.
+        f(lambda t + mu r) = G lambda^m + lambda w + mu u,
 
-    For u = 0, f is constant on each coset of K. Otherwise f(x)/u =
-    z_lambda + mu with z_lambda = (L(lambda t)^m + lambda w)/u, and f
-    permutes F_q iff the p values z_lambda lie in distinct cosets of F_p.
-    In gf's encoding z = z_0 + z_1 p, F_p is {z_1 = 0}, so z // p is
-    z's coordinate modulo F_p, and it is F_p-linear. f therefore
-    permutes iff
-
-        lambda -> (L(lambda t)^m / u) // p + lambda ((w/u) // p)
-
-    permutes F_p. So each u in F_q^* takes one bijective_scalars pass
-    over the prime field, with that prefix and lambda -> lambda as the
-    scaled row; each hit c stands for the p values w = u (c p + e), e
-    in F_p. (u, w) is an F_q-linear image of (alpha, beta) whose
-    determinant r^p t - r t^p = r t (b - t^(p-1)) is not 0, so each
-    (u, w) decodes to one code through the fixed 2x2 inverse. The
-    budget still prices all q^2 candidates. One array instead of a list
-    of pairs keeps a run's shapes small enough to hold."""
+    so f is constant on the cosets of K when u = 0, and otherwise
+    permutes F_q iff the p values (G lambda^m + lambda w)/u lie in
+    distinct cosets of F_p. In gf's encoding z = z_0 + z_1 p, z // p is
+    z's coordinate modulo F_p = {z_1 = 0}, and it is F_p-linear, so f
+    permutes iff lambda -> s lambda^m + c lambda does on F_p, with
+    s = (G/u) // p and c = (w/u) // p. For s = 0 that asks c != 0; a
+    nonzero s only rescales c, into s C_m with C_m = {c : x^m + cx
+    permutes F_p}, found once per call. Each hit c stands for the p
+    values w = u (c p + e), e in F_p, and the p - 1 units u in G F_p^*
+    have s = 0, so one (m, b) has p(p - 1)(p - 1 + p |C_m|) shape PPRs.
+    Each (u, w) decodes to one code through the fixed inverse of the
+    2x2 map (alpha, beta) -> (u, w), of determinant r^p t - r t^p =
+    r t (b - t^(p-1)) != 0. The budget still prices all q^2 candidates;
+    one array instead of a list of pairs keeps a run's shapes small."""
     _require_fp2(ctx)
     pp.require_budget(ctx.q**2, budget)
+    require_mb(ctx, m, b)
     p, q = ctx.p, ctx.q
     mul, div, frob = ctx.mul, ctx.div, ctx.frob_table
-    g_table = eval_table(ctx, gmb_poly(ctx, m, b))
     r = ctx.exp_table[ctx.log_table[b] // (p - 1)]  # b^(p+1) = 1: p - 1 divides log b
     t = mul(r, ctx.primitive)
     det = ctx.sub(mul(frob[r], t), mul(r, frob[t]))
     # alpha = (t u - r w)/det and beta = (r^p w - t^p u)/det
     alpha_u, alpha_w = div(t, det), div(ctx.neg(r), det)
     beta_u, beta_w = div(ctx.neg(frob[t]), det), div(frob[r], det)
-    powers = [g_table[mul(lam, t)] for lam in range(p)]  # L(lambda t)^m
-    units = range(1, q)
-    prefixes = ([div(v, u) // p for v in powers] for u in units)
+    g = ctx.pow(ctx.sub(frob[t], mul(b, t)), m)  # G = L(t)^m
+    binomials = [c for c in range(p)  # C_m; F_p is 0 .. p - 1, arithmetic mod p
+                 if pp._invert([(lam**m + c * lam) % p for lam in range(p)])[1] is None]
     codes = []
-    for u, hits in zip(units, _prime_field(p).bijective_scalars(prefixes, range(p))):
+    for u in range(1, q):
+        s = div(g, u) // p
+        hits = [s * c % p for c in binomials] if s else range(1, p)
         ws = ctx.axpy([0] * (p * len(hits)), u, [c * p + e for c in hits for e in range(p)])
         alphas = ctx.axpy([mul(alpha_u, u)] * len(ws), alpha_w, ws)
         betas = ctx.axpy([mul(beta_u, u)] * len(ws), beta_w, ws)
         codes.extend(alpha * q + beta for alpha, beta in zip(alphas, betas))
     codes.sort()
     return array("I", codes)
-
-
-@functools.cache
-def _prime_field(p: int) -> FieldContext:
-    """F_p, over which shape_pprs scans; its elements are the indices
-    0 .. p - 1 of F_{p^2} with the same arithmetic. One context per
-    prime, immutable, so the cache stays small and safe to share."""
-    return build_field(p)
 
 
 def _power_tables(ctx: FieldContext):

@@ -181,6 +181,7 @@ def require_vpoly(ctx: FieldContext, f) -> None:
 def coords(ctx: FieldContext, f) -> list[int]:
     """Coordinates over the monomial basis (x, x^2, ..., x^(q-2))."""
     require_vpoly(ctx, f)
+    require_poly(ctx, f)
     vec = list(f[1:])
     vec.extend([0] * (ctx.q - 2 - len(vec)))
     return vec

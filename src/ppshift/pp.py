@@ -18,9 +18,9 @@ interpolant of a table iff it agrees with the table at every point.
 Every enumeration here is an affine scan of offset + span(basis): a
 subspace's monic members (one scan per top degree), the degree census
 and, with an empty offset, all polynomials of degree <= q-2, all
-through FieldContext.bijective_scalars, which fp2.shape_pprs calls
-directly for the F_{p^2} family shapes, on the prime field F_p: there
-one scan per u in F_q^* decides p^2 members at once.
+through FieldContext.bijective_scalars. fp2.shape_pprs runs no scan:
+_invert's verdicts on the p binomials x^m + cx of F_p decide the
+F_{p^2} family shapes.
 """
 
 from __future__ import annotations

@@ -316,6 +316,18 @@ def test_predicted_basis_preconditions(field):
         predicted_basis(field(5, 1), "theorem7")
     with pytest.raises(OutOfRangeError):
         predicted_basis(field(3, 2), "nope")
+    f25 = field(5, 2)
+    for r in (-1, 25, 10**6):  # -1 once aliased r = 24
+        with pytest.raises(OutOfRangeError):
+            predicted_basis(f25, "theorem11", r=r)
+
+
+def test_span_of_polys_refuses_non_elements(field):
+    # [0, -1] once aliased [0, 24]; a coefficient >= q raised IndexError
+    f25 = field(5, 2)
+    for bad in ([0, -1], [0, 25], [0, 1, 10**6]):
+        with pytest.raises(OutOfRangeError):
+            span_of_polys(f25, [bad])
 
 
 def test_intersection_space_examples(field):

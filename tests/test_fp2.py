@@ -252,9 +252,10 @@ def test_shape_pprs_match_the_full_scan_f169_at_half(field):
 
 
 def _shape_count(p, m):
-    """The count of shape PPRs of one (m, b) over F_{p^2}: the third row at
-    m = (p+1)/2, whatever gcd(m, p - 1), then the coprime and the
-    conditioned counts."""
+    """The count of shape PPRs of one (m, b) over F_{p^2} by the three-row
+    table, which holds for every m at p <= 17 and at p = 23 only: the
+    third row at m = (p+1)/2, whatever gcd(m, p - 1), then the coprime
+    and the conditioned counts."""
     if 2 * m == p + 1:
         return p * (p - 1) * (p - 2) * (p + 1) // 2
     if math.gcd(m, p - 1) == 1:
@@ -294,41 +295,66 @@ def test_shape_pprs_closed_under_scaling(field):
     assert _scaled(ctx, codes, 2) != set(codes)
 
 
-def test_shape_pprs_planted_dropped_fiber(monkeypatch):
+def _binomials(p, m):
+    """C_m = {c in F_p : x^m + cx permutes F_p}, by brute force."""
+    return [c for c in range(p) if len({(lam**m + c * lam) % p for lam in range(p)}) == p]
+
+
+def test_shape_pprs_planted_dropped_binomial(monkeypatch):
     # shape_pprs reads each code in the frame r = g^(log b / (p-1)), which
-    # spans the kernel of x^p - bx, and t = r g: u = M(r) and c = (M(t)/u)
-    # // p for M = alpha x^p + beta x. Its prime-field scans run for u =
-    # 1, 2, ... in turn, and dropping hit c from u's scan must lose the p
-    # codes of that fiber and nothing else
-    ctx = build_field(5, 2)
+    # spans the kernel of x^p - bx, and t = r g: u = M(r), c = (M(t)/u) // p
+    # for M = alpha x^p + beta x and s = (L(t)^m/u) // p. A code is a PPR iff
+    # c != 0 when s = 0 and c in s C_m otherwise, and dropping c0 from C_m
+    # must lose the p codes of each fiber with s != 0 and c = s c0, no others
+    ctx = build_field(7, 2)
     p, q = ctx.p, ctx.q
-    m, b = 2, family_b_values(ctx)[1]
-    want = shape_pprs(ctx, m, b)
+    m, b = 4, family_b_values(ctx)[1]
+    binomials = _binomials(p, m)
+    assert binomials == [3, 4]  # no c = 0: x^4 does not permute F_7
     r = ctx.exp_table[ctx.log_table[b] // (p - 1)]
     t = ctx.mul(r, ctx.primitive)
-    assert ctx.frobenius(r) == ctx.mul(b, r) and ctx.frobenius(t) != ctx.mul(b, t)
+    g = ctx.pow(ctx.sub(ctx.frobenius(t), ctx.mul(b, t)), m)
+    assert ctx.frobenius(r) == ctx.mul(b, r) and g
 
     def fiber(code):
         alpha, beta = divmod(code, q)
         u = ctx.add(ctx.mul(alpha, ctx.frobenius(r)), ctx.mul(beta, r))
         w = ctx.add(ctx.mul(alpha, ctx.frobenius(t)), ctx.mul(beta, t))
-        return u, ctx.div(w, u) // p
+        return u, ctx.div(g, u) // p, ctx.div(w, u) // p
 
+    def allowed(s):
+        return {s * c % p for c in binomials} if s else set(range(1, p))
+
+    want = shape_pprs(ctx, m, b)
     sizes = Counter(map(fiber, want))
-    assert set(sizes.values()) == {p} and len(sizes) == len(want) // p
-    u, c = fiber(want[len(want) // 2])
-    prime = fp2._prime_field(p)
-    scalars = prime.bijective_scalars
-
-    def planted(prefixes, w):
-        for k, hits in enumerate(scalars(prefixes, w), start=1):
-            yield [h for h in hits if (k, h) != (u, c)]
-
-    monkeypatch.setattr(prime, "bijective_scalars", planted)
+    fibers = {(u, s, c) for u in range(1, q) for s in [ctx.div(g, u) // p] for c in allowed(s)}
+    assert set(sizes) == fibers and set(sizes.values()) == {p}
+    assert sum(s == 0 for _, s, _ in fibers) == (p - 1) ** 2
+    c0 = binomials[0]
+    dropped = [(lam**m + c0 * lam) % p for lam in range(p)]
+    invert = pp._invert
+    monkeypatch.setattr(pp, "_invert", lambda table: (None, (0, 1)) if list(table) == dropped
+                        else invert(table))
     got = shape_pprs(ctx, m, b)
     assert set(got) <= set(want)
-    assert sorted(set(want) - set(got)) == [code for code in want if fiber(code) == (u, c)]
-    assert len(want) - len(got) == p
+    lost = [code for code in want if fiber(code)[1] and fiber(code)[2] == fiber(code)[1] * c0 % p]
+    assert sorted(set(want) - set(got)) == lost
+    assert len(lost) == p * p * (p - 1)  # one s c0 for each u off G F_p^*
+
+
+@pytest.mark.parametrize("p,m,count", [(19, 5, 12654), (19, 7, 32148), (19, 13, 32148),
+                                       (29, 8, 116928)])
+def test_shape_counts_follow_the_binomial_law(field, p, m, count):
+    # p(p - 1)(p - 1 + p N_m), N_m = |C_m|; the three-row table of
+    # _shape_count holds at (19, 5) and fails at the other three
+    ctx = field(p, 2)
+    assert p * (p - 1) * (p - 1 + p * len(_binomials(p, m))) == count
+    assert (count == _shape_count(p, m)) == (m == 5)
+    b = family_b_values(ctx)[-1]
+    codes = shape_pprs(ctx, m, b)
+    assert len(codes) == count
+    if (p, m) == (19, 7):
+        assert codes == _scanned_shape(ctx, m, b)
 
 
 def _unconditioned_codes(ctx, m, b, count):
@@ -617,6 +643,16 @@ def test_inverse_instance_stays_constructible(field):
             assert poly_scale(f9, f9.inv(inst.delta), h) == family_poly(
                 f9, 2, inst.d, alpha2, beta2
             )
+
+
+def test_closure_failures_refuses_a_missing_partner(field):
+    # on F_25 the inverses of (3, 1) land in (m, d) = (3, -1), index 4
+    f25 = field(5, 2)
+    sweeps = {(3, 1): fp2.inverse_sweep(f25, 3, 1)}
+    with pytest.raises(OutOfRangeError, match=r"\(3, 4\)"):
+        fp2.closure_failures(f25, sweeps)
+    sweeps[3, 4] = fp2.inverse_sweep(f25, 3, 4)
+    assert fp2.closure_failures(f25, sweeps) == []
 
 
 def shape_parameters(ctx, f):

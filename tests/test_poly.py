@@ -248,6 +248,9 @@ def test_coords_roundtrip(field):
     assert from_coords(f9, vec) == f
     with pytest.raises(OutOfRangeError):
         coords(f9, [1, 1])  # nonzero constant term
+    for bad in ([0, -1], [0, 9], [0, 1, 2.0]):
+        with pytest.raises(OutOfRangeError):
+            coords(f9, bad)
 
 
 def test_poly_mul_reduces(field):
