@@ -19,21 +19,22 @@ conditions, builds (f, h) pairs, sweeps the inverse formula and its
 closure over the constructible (alpha, beta), enumerates censuses,
 tests that unconditioned shape PPRs invert into the shape, and checks
 the identity suite behind the inverse formula (appendix lemmas 20-25).
-It alone builds, walks and decodes member tables: (alpha, beta) travels
-as the code alpha * q + beta, and c P + alpha x^p + beta x is built by
-_members (c = 1, over codes) or _member (one instance). The shape PPRs
-of one (m, b) need no member table: f(x + k) = f(x) + M(k) on the
-kernel K of x^p - bx, M = alpha x^p + beta x (the elementary case of
-the criterion of Akbary, Ghioca and Wang for h(L(x)) + M(x)), so
-shape_pprs decides the q^2 members from the permutation binomials
-x^m + cx of F_p, found by one scan of its p values of c. The
-identity suite walks (b, alpha, beta) once for every m, and both walks
-are priced against a budget before they start.
+(alpha, beta) travels as the code alpha * q + beta, and no member table
+is built: f(x + k) = f(x) + M(k) on the kernel K of x^p - bx, M = alpha
+x^p + beta x (the elementary case of the criterion of Akbary, Ghioca
+and Wang for h(L(x)) + M(x)), so in the frame x = lambda t + mu r of
+_frame, r spanning K, each member is decided fibre by fibre.
+shape_pprs takes the PPRs from the permutation binomials x^m + cx of
+F_p; inverse_sweep checks Theorem 15 by three identities per instance,
+which stand for its p points h(f(lambda t)); shape_closure reads each
+verdict off the F_p inverse of one binomial (the index theory of
+cyclotomic-mapping inverses, Q. Wang, FFA 2017, in its simplest case).
+The identity suite walks (b, alpha, beta) once for every m, and both
+q^2 walks are priced against a budget before they start.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from collections import namedtuple
@@ -41,13 +42,13 @@ from dataclasses import dataclass
 
 from .errors import (
     DegenerateParametersError,
+    NotAPermutationError,
     NotConstructibleError,
     OutOfRangeError,
 )
 from . import pp
 from .gf import FieldContext, require_element, roots_of_unity
 from .poly import (
-    eval_table,
     gmb_poly,
     hmd_d,
     hmd_poly,
@@ -120,30 +121,28 @@ def derive_params(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -> F
     require_mb(ctx, m, b)
     require_element(ctx, alpha)
     require_element(ctx, beta)
-    return _derive(ctx, m, b, hmd_d(ctx, m, b), alpha, beta)
+    d = hmd_d(ctx, m, b)
+    return FamilyInstance(ctx, m, b, alpha, beta, *_derive(ctx, m, d, alpha, beta), d)
 
 
-def _derive(ctx: FieldContext, m: int, b: int, d: int, alpha: int, beta: int) -> FamilyInstance:
-    """derive_params' arithmetic on validated arguments, with
-    d = hmd_d(ctx, m, b) passed in so that a loop over many (alpha,
-    beta) computes it once per (m, b)."""
-    p = ctx.p
-    norm_gap = ctx.sub(ctx.pow(beta, p + 1), ctx.pow(alpha, p + 1))
+def _derive(ctx: FieldContext, m: int, d: int, alpha: int, beta: int) -> tuple[int, int, int]:
+    """(gamma, epsilon, delta) on validated arguments, d = hmd_d(ctx, m,
+    b) computed once per (m, b) by the caller; delta in the lemma suite's
+    closed form -1/(gap (beta^p - alpha d)^(m-1)), gap = beta^(p+1) -
+    alpha^(p+1), as gamma d + epsilon = (beta^p - alpha d)/gap."""
+    q1 = ctx.q - 1
+    exp, log, frob = ctx.exp_table, ctx.log_table, ctx.frob_table
+    beta_p = frob[beta]
+    norm_gap = ctx.sub(ctx.mul(beta_p, beta), ctx.mul(frob[alpha], alpha))
     if norm_gap == 0:
         raise DegenerateParametersError("alpha and beta have equal norms")
-    gamma = ctx.div(ctx.neg(alpha), norm_gap)
-    epsilon = ctx.div(ctx.pow(beta, p), norm_gap)
-    denom = ctx.sub(ctx.pow(beta, p), ctx.mul(alpha, d))
+    denom = ctx.sub(beta_p, ctx.mul(alpha, d))
     if denom == 0:
         raise DegenerateParametersError("beta^p equals alpha * d")
-    delta = ctx.div(
-        ctx.sub(ctx.neg(ctx.mul(gamma, d)), epsilon),
-        ctx.pow(denom, m),
-    )
-    return FamilyInstance(
-        ctx=ctx, m=m, b=b, alpha=alpha, beta=beta,
-        gamma=gamma, epsilon=epsilon, delta=delta, d=d,
-    )
+    log_gap = log[norm_gap]
+    gamma = exp[(log[ctx.neg(alpha)] - log_gap) % q1] if alpha else 0
+    epsilon = exp[(log[beta_p] - log_gap) % q1] if beta else 0
+    return gamma, epsilon, ctx.neg(exp[(-log_gap - (m - 1) * log[denom]) % q1])
 
 
 def family_poly(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -> list[int]:
@@ -199,22 +198,15 @@ def constructible_pairs(ctx: FieldContext, m: int, b: int) -> list[tuple[int, in
     return out
 
 
-def _members(ctx: FieldContext, table, codes):
-    """(alpha, beta, the table of P + alpha x^p + beta x) for each code
-    alpha * q + beta in codes, given P's table. The P + alpha x^p row is
-    built when alpha changes: once per alpha for ascending codes."""
-    row_alpha = row = None
-    for code in codes:
-        alpha, beta = divmod(code, ctx.q)
-        if alpha != row_alpha:
-            row_alpha, row = alpha, ctx.axpy(table, alpha, ctx.frob_table)
-        yield alpha, beta, ctx.axpy(row, beta, range(ctx.q))
-
-
-def _member(ctx: FieldContext, c: int, table, alpha: int, beta: int) -> list[int]:
-    """The table of c P + alpha x^p + beta x, given P's table."""
-    scaled = ctx.axpy([0] * ctx.q, c, table)
-    return ctx.axpy(ctx.axpy(scaled, alpha, ctx.frob_table), beta, range(ctx.q))
+def _frame(ctx: FieldContext, m: int, b: int) -> tuple[int, int, int]:
+    """(r, t, G): r = g^(log b / (p - 1)), g primitive, spans the kernel
+    F_p r of L = x^p - bx (r^(p-1) = b, as b^(p+1) = 1), t = r g is not
+    in it, and G = L(t)^m != 0. Every x is lambda t + mu r, lambda, mu in
+    F_p, and f = L^m + M, M = alpha x^p + beta x, reads f(lambda t + mu r)
+    = G lambda^m + lambda w + mu u, with u = M(r) and w = M(t)."""
+    r = ctx.exp_table[ctx.log_table[b] // (ctx.p - 1)]
+    t = ctx.mul(r, ctx.primitive)
+    return r, t, ctx.pow(ctx.sub(ctx.frob_table[t], ctx.mul(b, t)), m)
 
 
 InverseSweep = namedtuple("InverseSweep", "pairs failures inverses")
@@ -228,31 +220,49 @@ def inverse_sweep(ctx: FieldContext, m: int, b: int) -> InverseSweep:
     epsilon/delta) as the code (gamma/delta) * q + epsilon/delta, or
     q * q (no code) when delta = 0.
 
-    f and h are tables: the two binomial powers are evaluated once, f
-    comes from _members and h from _member. Both are reduced
-    (degree mp < q), so h inverts f iff h(f(x)) = x at every x; f's
-    bijectivity is read only on a mismatch, to tell "not a PPR" from
-    "inverse mismatch". f is monic and fixes 0 when (x^p - bx)^m, of degree
-    above p, is and does. constructible_pairs validates (m, b) and
-    yields only valid (alpha, beta), so _derive checks nothing."""
-    p, q = ctx.p, ctx.q
+    No table is built. In the frame of _frame, with h = delta L_d^m + N,
+    L_d = x^p - dx and N = gamma x^p + epsilon x, u and G lie in the
+    kernel of L_d: r^p = b r gives u = r (beta + b alpha), so u^(p-1) = d
+    is the second condition, and L(t)^p = t - b^p t^p = -b^p L(t) gives
+    G^(p-1) = (-b^p)^m = d. There N(y) = kappa y, kappa = gamma d +
+    epsilon, so with B = L_d(w)
+
+        h(f(lambda t + mu r)) = lambda^m (delta B^m + kappa G)
+                                + lambda N(w) + mu kappa u.
+
+    That is lambda t + mu r everywhere iff kappa u = r and h(f(lambda t))
+    = lambda t at the p points lambda of F_p, which (lambda^m and lambda
+    are independent on F_p, 2 <= m <= p-1) is delta B^m + kappa G = 0 and
+    N(w) = t. f and h are reduced, so these decide whether h inverts f.
+    Off a kernel guard, or where an identity fails, the q-point
+    pp.is_compositional_inverse on build_pair's polynomials decides:
+    "not a PPR" when f does not permute, else "inverse mismatch".
+    constructible_pairs validates (m, b) and yields only valid (alpha,
+    beta), so _derive checks nothing."""
+    q = ctx.q
+    add, sub, mul, frob = ctx.add, ctx.sub, ctx.mul, ctx.frob_table
     pairs = array("I", [alpha * q + beta for alpha, beta in constructible_pairs(ctx, m, b)])
-    points = list(range(q))
-    g = gmb_poly(ctx, m, b)
-    monic = len(g) > p + 1 and g[-1] == 1 and g[0] == 0
     d = hmd_d(ctx, m, b)
-    h_table = eval_table(ctx, gmb_poly(ctx, m, d))  # (x^p - dx)^m
+    r, t, g = _frame(ctx, m, b)
+    r_p, t_p, g_in_kernel = frob[r], frob[t], frob[g] == mul(d, g)
     failures, inverses = [], array("I")
-    for alpha, beta, f in _members(ctx, eval_table(ctx, g), pairs):
-        inst = _derive(ctx, m, b, d, alpha, beta)
-        h = _member(ctx, inst.delta, h_table, inst.gamma, inst.epsilon)
-        if not monic:
-            failures.append(("not a PPR", alpha, beta))
-        elif [h[y] for y in f] != points:
-            bijective = pp._invert(f)[0] is not None
-            failures.append(("inverse mismatch" if bijective else "not a PPR", alpha, beta))
-        inverses.append(ctx.div(inst.gamma, inst.delta) * q + ctx.div(inst.epsilon, inst.delta)
-                        if inst.delta else q * q)
+    for code in pairs:
+        alpha, beta = divmod(code, q)
+        gamma, epsilon, delta = _derive(ctx, m, d, alpha, beta)
+        u = add(mul(alpha, r_p), mul(beta, r))
+        w = add(mul(alpha, t_p), mul(beta, t))
+        w_p, kappa = frob[w], add(mul(gamma, d), epsilon)
+        exact = (g_in_kernel and u and frob[u] == mul(d, u) and mul(kappa, u) == r
+                 and add(mul(gamma, w_p), mul(epsilon, w)) == t
+                 and add(mul(delta, ctx.pow(sub(w_p, mul(d, w)), m)), mul(kappa, g)) == 0)
+        if not exact:
+            inst = FamilyInstance(ctx, m, b, alpha, beta, gamma, epsilon, delta, d)
+            try:
+                if not pp.is_compositional_inverse(ctx, *build_pair(inst)):
+                    failures.append(("inverse mismatch", alpha, beta))
+            except NotAPermutationError:
+                failures.append(("not a PPR", alpha, beta))
+        inverses.append(ctx.div(gamma, delta) * q + ctx.div(epsilon, delta) if delta else q * q)
     return InverseSweep(pairs, failures, inverses)
 
 
@@ -303,15 +313,9 @@ def shape_pprs(ctx: FieldContext, m: int, b: int, budget: int = pp.DEFAULT_BUDGE
     """The (alpha, beta) of every PPR f = (x^p - bx)^m + alpha x^p + beta x,
     as alpha * q + beta, alpha outer and beta ascending.
 
-    L = x^p - bx and M = alpha x^p + beta x are F_p-linear, and L has
-    the kernel K = F_p r with r^(p-1) = b; t = r g (g primitive) is not
-    in K, as t^(p-1) != b, so every x is lambda t + mu r with lambda, mu
-    in F_p. With u = M(r), w = M(t) and G = L(t)^m != 0,
-
-        f(lambda t + mu r) = G lambda^m + lambda w + mu u,
-
-    so f is constant on the cosets of K when u = 0, and otherwise
-    permutes F_q iff the p values (G lambda^m + lambda w)/u lie in
+    In the frame of _frame, f(lambda t + mu r) = G lambda^m + lambda w
+    + mu u, so f is constant on the cosets of K = F_p r when u = 0, and
+    otherwise permutes F_q iff the p values (G lambda^m + lambda w)/u lie in
     distinct cosets of F_p. In gf's encoding z = z_0 + z_1 p, z // p is
     z's coordinate modulo F_p = {z_1 = 0}, and it is F_p-linear, so f
     permutes iff lambda -> s lambda^m + c lambda does on F_p, with
@@ -329,15 +333,12 @@ def shape_pprs(ctx: FieldContext, m: int, b: int, budget: int = pp.DEFAULT_BUDGE
     require_mb(ctx, m, b)
     p, q = ctx.p, ctx.q
     mul, div, frob = ctx.mul, ctx.div, ctx.frob_table
-    r = ctx.exp_table[ctx.log_table[b] // (p - 1)]  # b^(p+1) = 1: p - 1 divides log b
-    t = mul(r, ctx.primitive)
+    r, t, g = _frame(ctx, m, b)
     det = ctx.sub(mul(frob[r], t), mul(r, frob[t]))
     # alpha = (t u - r w)/det and beta = (r^p w - t^p u)/det
     alpha_u, alpha_w = div(t, det), div(ctx.neg(r), det)
     beta_u, beta_w = div(ctx.neg(frob[t]), det), div(frob[r], det)
-    g = ctx.pow(ctx.sub(frob[t], mul(b, t)), m)  # G = L(t)^m
-    binomials = [c for c in range(p)  # C_m; F_p is 0 .. p - 1, arithmetic mod p
-                 if pp._invert([(lam**m + c * lam) % p for lam in range(p)])[1] is None]
+    binomials = list(_binomial_inverses(p, m))  # C_m
     codes = []
     for u in range(1, q):
         s = div(g, u) // p
@@ -350,57 +351,72 @@ def shape_pprs(ctx: FieldContext, m: int, b: int, budget: int = pp.DEFAULT_BUDGE
     return array("I", codes)
 
 
-def _power_tables(ctx: FieldContext):
-    """(m, b) -> the table of (x^p - bx)^m, each evaluated once."""
-    return functools.cache(lambda m, b: eval_table(ctx, gmb_poly(ctx, m, b)))
+def _binomial_inverses(p: int, m: int) -> dict:
+    """{c: the inverse table of x^m + cx} for each c of C_m = {c in F_p :
+    x^m + cx permutes F_p}, ascending; F_p is 0 .. p - 1, mod p."""
+    inverses = {c: pp._invert([(lam**m + c * lam) % p for lam in range(p)])[0] for c in range(p)}
+    return {c: inverse for c, inverse in inverses.items() if inverse is not None}
 
 
-def _inverse_table_keeps_shape(ctx: FieldContext, m_inv: int, inverse, power_table) -> bool:
-    """Whether the inverse table is that of
-    c (x^p - b'x)^m' + alpha' x^p + beta' x with c != 0 and
-    b'^(p+1) = 1, m' = m_inv; power_table(m', b') is the table of
-    (x^p - b'x)^m'.
-
-    Four coefficients of the reduced interpolant h of the table, each
-    one O(q) power sum, fix the candidate. (x^p - b'x)^m' has its terms
-    at degrees m' + i(p-1), 0 <= i <= m', with coefficient -m' b' at
-    i = m' - 1, and none at p or 1 when 2 <= m' <= p-2. So if h has
-    the shape, c is its coefficient at m'p, -m' c b' the one at
-    m'p - (p-1) (m' < p is a unit), and alpha', beta' those at p and
-    1: the candidate built from them is h, and the tables agree.
-    Conversely the candidate has degree m'p <= (p-2)p < q-1, so it is
-    a reduced polynomial, and when its table equals the inverse table
-    at every point it is h by uniqueness of the interpolant. The
-    verdict is therefore that of scaling h monic and matching its
-    coefficients against the family shape with exponent m', with no
-    interpolation."""
-    p = ctx.p
-    lead, low, alpha, beta = pp._interpolant_coeffs(
-        ctx, inverse, (m_inv * p, m_inv * p - (p - 1), p, 1))
-    b = ctx.div(ctx.neg(low), ctx.mul(lead, m_inv)) if lead else 0  # 0: no candidate
-    return (b != 0 and ctx.pow(b, p + 1) == 1
-            and _member(ctx, lead, power_table(m_inv, b), alpha, beta) == inverse)
+def _is_binomial(p: int, k: int, inverse) -> bool:
+    """Whether the F_p interpolant of inverse (inverse[0] = 0) is a x^k +
+    b x: its coefficient at 1 <= j <= p-1 is -sum_(z != 0) inverse[z] z^-j."""
+    return all(sum(inverse[z] * pow(z, p - 1 - j, p) for z in range(1, p)) % p == 0
+               for j in range(2, p) if j != k)
 
 
 def shape_closure(ctx: FieldContext, shapes) -> list[tuple]:
-    """The (m, b, alpha, beta) of each PPR (x^p - bx)^m + alpha x^p +
-    beta x whose inverse leaves the shape with exponent m^-1 mod p-1,
-    for shapes = {(m, b): list or array of PPR codes alpha * q + beta},
-    m coprime to p - 1. _members builds each PPR's table,
-    _inverse_table_keeps_shape tests its inverse, and one cache serves
-    the call: each (x^p - b'x)^m' table is evaluated once, for an f or
-    for an inverse."""
+    """The (tag, m, b, alpha, beta) of each unconditioned PPR (x^p -
+    bx)^m + alpha x^p + beta x whose inverse leaves the shape with
+    exponent m' = m^-1 mod p-1, for shapes = {(m, b): list or array of
+    such codes alpha * q + beta}, m coprime to p - 1.
+
+    In the frame of _frame write y/u = y_0 + y_1 theta (theta the
+    element p, y_1 = y // p), G/u = sigma + s theta and w/u = c_0 + c
+    theta, so f(lambda t + mu r) = u (sigma lambda^m + c_0 lambda + mu +
+    theta phi(lambda)) with phi(lambda) = s lambda^m + c lambda. s = 0
+    exactly when u^(p-1) = G^(p-1) = d, the second condition (see
+    inverse_sweep), and f then permutes iff c != 0, iff M is invertible,
+    the first. So an unconditioned PPR has s != 0 (a code with s = 0 is
+    tagged "s = 0, a conditioned PPR"), it permutes iff kappa = c/s is in
+    C_m, and solving for lambda and mu gives
+
+        h(y) = phi^-1(y_1) (t - (c_0 - sigma kappa) r) + (y_0 - (sigma/s) y_1) r.
+
+    y -> y_1 is F_p-linear with kernel u F_p, so it is zeta (y^p - b'y)
+    with b' = u^(p-1): if the F_p inverse of x^m + kappa x is a x^m' +
+    b'' x, so is phi^-1 up to scaling, and h is in the shape. Conversely
+    h = c' (x^p - b'x)^m' + N' is linear on u F_p only if x^p - b'x
+    vanishes there, and its values on u theta F_p then make phi^-1 a
+    binomial in x^m' and x. So one verdict per (m, kappa), from the
+    inverse table of x^m + kappa x, decides its whole fibre. A code whose
+    f does not permute raises NotAPermutationError."""
     _require_fp2(ctx)
     p, q = ctx.p, ctx.q
-    power_table = _power_tables(ctx)
+    add, mul, div, frob = ctx.add, ctx.mul, ctx.div, ctx.frob_table
+    keeps = {}  # m -> {kappa: whether the inverse of x^m + kappa x is a binomial}
     bad = []
     for (m, b), codes in shapes.items():
         if math.gcd(m, p - 1) != 1 or not all(0 <= code < q * q for code in codes):
             raise OutOfRangeError(f"m = {m} not coprime to {p - 1}, or a code not below {q * q}")
-        m_inv = pow(m, -1, p - 1)
-        for alpha, beta, f in _members(ctx, power_table(m, b), codes):
-            if not _inverse_table_keeps_shape(ctx, m_inv, pp._inverse(f), power_table):
-                bad.append((m, b, alpha, beta))
+        require_mb(ctx, m, b)
+        if m not in keeps:
+            keeps[m] = {kappa: _is_binomial(p, pow(m, -1, p - 1), inverse)
+                        for kappa, inverse in _binomial_inverses(p, m).items()}
+        r, t, g = _frame(ctx, m, b)
+        r_p, t_p = frob[r], frob[t]
+        for code in codes:
+            alpha, beta = divmod(code, q)
+            u = add(mul(alpha, r_p), mul(beta, r))
+            w = add(mul(alpha, t_p), mul(beta, t))
+            s, c = (div(g, u) // p, div(w, u) // p) if u else (0, 0)
+            kappa = c * pow(s, -1, p) % p if s else 0
+            if (kappa not in keeps[m]) if s else not c:
+                raise NotAPermutationError(f"(m, b, alpha, beta) = {(m, b, alpha, beta)} is no PPR")
+            if not s:
+                bad.append(("s = 0, a conditioned PPR", m, b, alpha, beta))
+            elif not keeps[m][kappa]:
+                bad.append(("inverse leaves the shape", m, b, alpha, beta))
     return bad
 
 

@@ -10,17 +10,16 @@ basis-less scan all take their verdict from it. Compositional inverses
 come from interpolating the inverted table through all q points with a
 mixed-radix DFT over F_q^*: O((q-1) * sum of the prime factors of q-1,
 with multiplicity), which falls back to (q-1)^2 when q-1 is prime
-(F_128, F_8192); a single coefficient costs one O(q) power sum
-(_interpolant_coeffs). A claimed inverse h is checked pointwise
+(F_128, F_8192). A claimed inverse h is checked pointwise
 instead, O(q) per nonzero term: a reduced polynomial equals the
 interpolant of a table iff it agrees with the table at every point.
 
 Every enumeration here is an affine scan of offset + span(basis): a
 subspace's monic members (one scan per top degree), the degree census
 and, with an empty offset, all polynomials of degree <= q-2, all
-through FieldContext.bijective_scalars. fp2.shape_pprs runs no scan:
-_invert's verdicts on the p binomials x^m + cx of F_p decide the
-F_{p^2} family shapes.
+through FieldContext.bijective_scalars. fp2 runs no scan: _invert's
+inverse tables of the p binomials x^m + cx of F_p decide the F_{p^2}
+family shapes and their closure under inversion.
 """
 
 from __future__ import annotations
@@ -211,21 +210,6 @@ def interpolate_table(ctx: FieldContext, values) -> list[int]:
     out += [neg[s[q - 1 - k]] for k in range(1, q - 1)]
     out.append(neg[ctx.add(s[0], values[0])])
     return normalize(out)
-
-
-def _interpolant_coeffs(ctx: FieldContext, values, degrees) -> list[int]:
-    """The coefficients of interpolate_table(ctx, values) at the given
-    degrees 1 <= k <= q-2, each from its one power sum and not the
-    whole DFT: c_k = -S_(q-1-k) with S_j = sum_i values[g^i] g^(ij),
-    added by ctx.axpy_at in O(q) per degree."""
-    q1 = ctx.q - 1
-    exp, log = ctx.exp_table, ctx.log_table
-    terms = [(log[values[x]], i) for i, x in enumerate(exp) if values[x]]
-    coeffs = [0] * len(degrees)
-    for t, k in enumerate(degrees):
-        j = q1 - k
-        ctx.axpy_at(coeffs, ctx.neg(1), [(t, exp[(e + i * j) % q1]) for e, i in terms])
-    return coeffs
 
 
 def inverse_table(ctx: FieldContext, table) -> list[int]:

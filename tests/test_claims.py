@@ -31,7 +31,7 @@ from ppshift.errors import BudgetExceededError, NotAPermutationError
 from ppshift.fp2 import check_conditions, family_poly
 from ppshift.poly import eval_table, gmb_poly, hmd_d, monomial, normalize, poly_scale
 from ppshift.pp import HERMITE_MAX_Q, is_permutation
-from test_fp2 import shape_parameters
+from test_fp2 import _inverse_table_keeps_shape, _power_tables, shape_parameters
 
 STATUSES = {"verified", "refuted", "measured", "skipped"}
 
@@ -399,24 +399,20 @@ def test_orbit_identity_is_skipped_over_budget(monkeypatch):
     assert report(117_649).status == "verified"
 
 
-def _inverse_keeps_shape(ctx, m, coeffs) -> bool:
-    """Whether the monic inverse of the shape PPR coeffs with exponent m
-    has the shape with exponent m^-1 mod p-1 (m itself for p <= 7)."""
-    inverse = pp.inverse_table(ctx, eval_table(ctx, list(coeffs)))
-    return fp2._inverse_table_keeps_shape(
-        ctx, pow(m, -1, ctx.p - 1), inverse, fp2._power_tables(ctx))
-
-
 def test_unconditioned_inverse_has_the_inverse_exponent():
     # unconditioned m = 3 shape PPRs of F_121 invert to the shape with
-    # m' = 7 = 3^-1 mod 10, not to m = 3
+    # m' = 7 = 3^-1 mod 10, not to m = 3: fp2.shape_closure accepts them,
+    # and the q-point oracle finds m' = 7 and refuses m' = 3
     ctx = build_field(11, 2)
+    power_tables = _power_tables(ctx)
     for alpha, beta in ((1, 1), (11, 1), (38, 1)):
         f = family_poly(ctx, 3, 1, alpha, beta)
         assert is_permutation(ctx, f).is_ppr
         assert not check_conditions(ctx, 3, 1, alpha, beta).constructible
-        assert _inverse_keeps_shape(ctx, 3, f)
-        assert not _inverse_keeps_shape(ctx, 7, f)  # expecting 7^-1 = 3 must fail
+        assert fp2.shape_closure(ctx, {(3, 1): [alpha * ctx.q + beta]}) == []
+        inverse = pp.inverse_table(ctx, eval_table(ctx, f))
+        assert _inverse_table_keeps_shape(ctx, 7, inverse, power_tables)
+        assert not _inverse_table_keeps_shape(ctx, 3, inverse, power_tables)
 
 
 def test_vk_conjecture_covers_every_k_below_p():
@@ -471,7 +467,7 @@ def _rescanned_extra_closure(ctx):
 
 
 def test_extra_closure_inverts_without_revalidating_tables(monkeypatch):
-    # every table it inverts is a shape PPR's, built by ctx.axpy
+    # it inverts only the F_p residue tables of x^m + cx, built in range
     def refuse(ctx, table):
         raise AssertionError("a table valid by construction was re-checked")
 
@@ -495,33 +491,37 @@ def _swap_two(ctx, inverse):
 
 
 def _add_square(ctx, inverse):
-    # + x^2 leaves the four coefficients the shortcut reads unchanged,
-    # so only its table comparison can see it
+    # + x^2: still a table of F_p values, off the binomials in x^m' and x
     inverse[:] = [ctx.add(v, ctx.mul(y, y)) for y, v in enumerate(inverse)]
 
 
 @pytest.mark.parametrize("fault", [_swap_two, _add_square])
 @pytest.mark.parametrize("make", ["field", "zech_field"])
 def test_extra_closure_planted_inverse_fault(request, monkeypatch, make, fault):
-    # one inverse table corrupted: both routes refute exactly that PPR
+    # the claim inverts no F_25 table, only F_5's x^3 + cx; on F_25 every
+    # unconditioned PPR has the label c/s = 0, so one corrupted inverse of
+    # x^3 refutes all 600 of them, while the interpolating route, which
+    # inverts F_25 tables, still verifies
     ctx = request.getfixturevalue(make)(5, 2)
-    b = fp2.family_b_values(ctx)[2]
-    at = next((3, b, alpha, beta) for alpha in range(1, ctx.q) for beta in range(ctx.q)
-              if is_permutation(ctx, family_poly(ctx, 3, b, alpha, beta)).is_pp
-              and not check_conditions(ctx, 3, b, alpha, beta).constructible)
-    planted_table = eval_table(ctx, family_poly(ctx, *at))
-    inverse_body = pp._inverse  # behind inverse_table and compositional_inverse alike
+    planted_table = [lam**3 % 5 for lam in range(5)]
+    invert = pp._invert
 
     def planted(table):
-        inverse = inverse_body(table)
+        inverse, witness = invert(table)
         if list(table) == planted_table:
             fault(ctx, inverse)
-        return inverse
+        return inverse, witness
 
-    monkeypatch.setattr(pp, "_inverse", planted)
-    status, _, observed, _ = _extra_closure(_FieldRun(ctx, RunConfig()))
-    assert (status, observed) == ("refuted", [at])
-    assert _rescanned_extra_closure(ctx)[:2] == ("refuted", [at])
+    run = _FieldRun(ctx, RunConfig())
+    shapes = {b: sorted(set(run.shape(3, b)).difference(run.sweeps()[3, b].pairs))
+              for b in fp2.family_b_values(ctx)}
+    monkeypatch.setattr(pp, "_invert", planted)
+    status, _, observed, note = _extra_closure(run)
+    bad = [("inverse leaves the shape", 3, b, *divmod(code, ctx.q))
+           for b, codes in shapes.items() for code in codes]
+    assert (status, observed, note) == ("refuted", bad[:3], "600 unconditioned shape PPRs inverted")
+    assert fp2.shape_closure(ctx, {(3, b): codes for b, codes in shapes.items()}) == bad
+    assert _rescanned_extra_closure(ctx)[:2] == ("verified", [])
 
 
 def test_reproduce_field_scans_each_shape_once(monkeypatch):
@@ -671,23 +671,31 @@ def test_thm15_sweep_matches_the_pairwise_route(request, p, n, make):
 
 
 def _plant_delta(monkeypatch, at, delta):
-    """fp2._derive, which derive_params and the sweep share, with delta
-    replaced by delta(inst) at instance at."""
+    """fp2._derive, which derive_params and the sweep share, with its
+    delta replaced by delta(delta) at the instance at = (m, b, alpha,
+    beta), which _derive meets as (m, d, alpha, beta)."""
     derive = fp2._derive
+    m0, b0, alpha0, beta0 = at
 
-    def planted(ctx, m, b, d, alpha, beta):
-        inst = derive(ctx, m, b, d, alpha, beta)
-        return dataclasses.replace(inst, delta=delta(inst)) if (m, b, alpha, beta) == at else inst
+    def planted(ctx, m, d, alpha, beta):
+        gamma, epsilon, value = derive(ctx, m, d, alpha, beta)
+        if (m, d, alpha, beta) == (m0, hmd_d(ctx, m0, b0), alpha0, beta0):
+            value = delta(value)
+        return gamma, epsilon, value
 
     monkeypatch.setattr(fp2, "_derive", planted)
 
 
 def test_reproduce_field_derives_each_instance_once(monkeypatch):
     # F_25: 3 exponents, 6 roots b and 80 constructible pairs each
-    calls = _count_calls(monkeypatch, fp2, "_derive", key=lambda ctx, m, b, d, alpha, beta: (
-        m, b, alpha, beta))
-    reproduce_field(build_field(5, 2), RunConfig())
-    assert sum(calls.values()) == len(calls) == 1440
+    ctx = build_field(5, 2)
+    calls = _count_calls(monkeypatch, fp2, "_derive", key=lambda ctx, m, d, alpha, beta: (
+        m, d, alpha, beta))
+    reproduce_field(ctx, RunConfig())
+    assert calls == Counter((m, hmd_d(ctx, m, b), alpha, beta)
+                            for m in range(2, 5) for b in fp2.family_b_values(ctx)
+                            for alpha, beta in fp2.constructible_pairs(ctx, m, b))
+    assert sum(calls.values()) == 1440
 
 
 def test_thm15_sweep_derives_without_revalidating(field, monkeypatch):
@@ -703,11 +711,11 @@ def test_thm15_sweep_planted_delta(request, monkeypatch, make):
     ctx = request.getfixturevalue(make)(5, 2)
     b = fp2.family_b_values(ctx)[1]
     at = (3, b, *fp2.constructible_pairs(ctx, 3, b)[5])
-    _plant_delta(monkeypatch, at, lambda inst: ctx.add(inst.delta, 1))
+    _plant_delta(monkeypatch, at, lambda delta: ctx.add(delta, 1))
     wrong = _claims_thm15_sweep(ctx)
     assert wrong == _pairwise_thm15_sweep(ctx)
     assert wrong[1] == [("inverse mismatch", *at)]
-    _plant_delta(monkeypatch, at, lambda inst: 0)
+    _plant_delta(monkeypatch, at, lambda delta: 0)
     zero = _claims_thm15_sweep(ctx)
     assert zero == _pairwise_thm15_sweep(ctx)
     assert zero[1] == [("inverse mismatch", *at)] and zero[2] == [("zero delta", *at)]
@@ -720,7 +728,7 @@ def test_thm15_closure_names_an_inverse_instance_off_the_conditions(request, mon
     ctx = request.getfixturevalue(make)(5, 2)
     b = fp2.family_b_values(ctx)[3]
     at = (2, b, *fp2.constructible_pairs(ctx, 2, b)[7])
-    _plant_delta(monkeypatch, at, lambda inst: ctx.mul(inst.delta, ctx.primitive))
+    _plant_delta(monkeypatch, at, lambda delta: ctx.mul(delta, ctx.primitive))
     got = _claims_thm15_sweep(ctx)
     assert got == _pairwise_thm15_sweep(ctx)
     assert got[2] == [("inverse instance fails conditions", *at)]

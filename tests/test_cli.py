@@ -185,7 +185,7 @@ def test_fp2_verify_sweep_reports_a_planted_delta(capsys, monkeypatch, field):
     ctx = field(5, 2)
     b = fp2.family_b_values(ctx)[1]
     alpha, beta = fp2.constructible_pairs(ctx, 3, b)[4]
-    _plant_delta(monkeypatch, (3, b, alpha, beta), lambda inst: ctx.add(inst.delta, 1))
+    _plant_delta(monkeypatch, (3, b, alpha, beta), lambda delta: ctx.add(delta, 1))
     doc = run_json(capsys, "fp2", "verify", "--p", "5", "--m", "3", "--b", str(b))
     assert (doc["failures"], doc["all_verified"]) == ([[alpha, beta]], False)
     assert _polynomial_verify_failures(ctx, 3, b) == [[alpha, beta]]

@@ -1,10 +1,11 @@
+import functools
 import math
 from array import array
 from collections import Counter
 
 import pytest
 
-from ppshift import build_field, fp2, pp
+from ppshift import build_field, fp2, gf, poly, pp
 from ppshift.errors import (
     BadExponentError,
     BudgetExceededError,
@@ -26,6 +27,7 @@ from ppshift.fp2 import (
 )
 from ppshift.poly import (
     compose,
+    eval_table,
     gmb_poly,
     hmd_d,
     hmd_poly,
@@ -357,29 +359,328 @@ def test_shape_counts_follow_the_binomial_law(field, p, m, count):
         assert codes == _scanned_shape(ctx, m, b)
 
 
-def _unconditioned_codes(ctx, m, b, count):
-    """The first count codes of shape PPRs of (m, b) off the conditions."""
+def _unconditioned_codes(ctx, m, b, count=None):
+    """The first count codes (all when None) of shape PPRs of (m, b) off
+    the conditions."""
     return [code for code in shape_pprs(ctx, m, b)
             if not check_conditions(ctx, m, b, *divmod(code, ctx.q)).constructible][:count]
 
 
-def test_shape_closure_evaluates_each_power_table_once(field, monkeypatch):
-    # F_121: m = 3 and its inverse exponent m = 7 in one call, so a table
-    # of (x^p - b'x)^7 serves m = 7's PPRs and m = 3's inverses alike
+# -- the q-point table walks of the family, kept as the oracle of the
+# fibre-by-fibre routes of fp2.inverse_sweep and fp2.shape_closure --
+
+
+def _members(ctx, table, codes):
+    """(alpha, beta, the table of P + alpha x^p + beta x) for each code
+    alpha * q + beta in codes, given P's table."""
+    row_alpha = row = None
+    for code in codes:
+        alpha, beta = divmod(code, ctx.q)
+        if alpha != row_alpha:
+            row_alpha, row = alpha, ctx.axpy(table, alpha, ctx.frob_table)
+        yield alpha, beta, ctx.axpy(row, beta, range(ctx.q))
+
+
+def _member(ctx, c, table, alpha, beta):
+    """The table of c P + alpha x^p + beta x, given P's table."""
+    scaled = ctx.axpy([0] * ctx.q, c, table)
+    return ctx.axpy(ctx.axpy(scaled, alpha, ctx.frob_table), beta, range(ctx.q))
+
+
+def _power_tables(ctx):
+    """(m, b) -> the table of (x^p - bx)^m, each evaluated once."""
+    return functools.cache(lambda m, b: eval_table(ctx, gmb_poly(ctx, m, b)))
+
+
+def _interpolant_coeffs(ctx, values, degrees):
+    """The coefficients of pp.interpolate_table(ctx, values) at the given
+    degrees 1 <= k <= q-2, each from its one power sum: c_k = -S_(q-1-k)
+    with S_j = sum_i values[g^i] g^(ij)."""
+    q1 = ctx.q - 1
+    exp, log = ctx.exp_table, ctx.log_table
+    terms = [(log[values[x]], i) for i, x in enumerate(exp) if values[x]]
+    coeffs = [0] * len(degrees)
+    for t, k in enumerate(degrees):
+        ctx.axpy_at(coeffs, ctx.neg(1), [(t, exp[(e + i * (q1 - k)) % q1]) for e, i in terms])
+    return coeffs
+
+
+def _inverse_table_keeps_shape(ctx, m_inv, inverse, power_table):
+    """Whether the inverse table is that of c (x^p - b'x)^m' + alpha'
+    x^p + beta' x with c != 0, b'^(p+1) = 1 and m' = m_inv: four
+    coefficients of its interpolant fix the candidate (c at m'p, -m' c b'
+    at m'p - (p-1), alpha' and beta' at p and 1), and the candidate,
+    reduced, is the interpolant iff its table is the inverse table."""
+    p = ctx.p
+    lead, low, alpha, beta = _interpolant_coeffs(
+        ctx, inverse, (m_inv * p, m_inv * p - (p - 1), p, 1))
+    b = ctx.div(ctx.neg(low), ctx.mul(lead, m_inv)) if lead else 0  # 0: no candidate
+    return (b != 0 and ctx.pow(b, p + 1) == 1
+            and _member(ctx, lead, power_table(m_inv, b), alpha, beta) == inverse)
+
+
+def table_shape_closure(ctx, shapes):
+    """fp2.shape_closure by q-point tables: the (m, b, alpha, beta) of
+    each PPR whose inverse table leaves the shape with exponent m^-1."""
+    power_table = _power_tables(ctx)
+    bad = []
+    for (m, b), codes in shapes.items():
+        m_inv = pow(m, -1, ctx.p - 1)
+        for alpha, beta, f in _members(ctx, power_table(m, b), codes):
+            if not _inverse_table_keeps_shape(ctx, m_inv, pp._inverse(f), power_table):
+                bad.append((m, b, alpha, beta))
+    return bad
+
+
+def table_inverse_sweep(ctx, m, b):
+    """fp2.inverse_sweep by q-point tables: h is accepted when h(f(x)) = x
+    at every x, and f's bijectivity is read only on a mismatch."""
+    p, q = ctx.p, ctx.q
+    pairs = array("I", [alpha * q + beta for alpha, beta in constructible_pairs(ctx, m, b)])
+    g = gmb_poly(ctx, m, b)
+    monic = len(g) > p + 1 and g[-1] == 1 and g[0] == 0
+    d = hmd_d(ctx, m, b)
+    h_table = eval_table(ctx, gmb_poly(ctx, m, d))
+    failures, inverses = [], array("I")
+    for alpha, beta, f in _members(ctx, eval_table(ctx, g), pairs):
+        inst = derive_params(ctx, m, b, alpha, beta)
+        h = _member(ctx, inst.delta, h_table, inst.gamma, inst.epsilon)
+        if not monic:
+            failures.append(("not a PPR", alpha, beta))
+        elif [h[y] for y in f] != list(range(q)):
+            bijective = pp._invert(f)[0] is not None
+            failures.append(("inverse mismatch" if bijective else "not a PPR", alpha, beta))
+        inverses.append(ctx.div(inst.gamma, inst.delta) * q + ctx.div(inst.epsilon, inst.delta)
+                        if inst.delta else q * q)
+    return fp2.InverseSweep(pairs, failures, inverses)
+
+
+def _coprime_shapes(ctx, bs=None):
+    """{(m, b): unconditioned shape PPR codes} for every m coprime to
+    p - 1 and every b (or the b of bs)."""
+    return {(m, b): _unconditioned_codes(ctx, m, b) for m in range(2, ctx.p)
+            if math.gcd(m, ctx.p - 1) == 1 for b in (bs or family_b_values(ctx))}
+
+
+@pytest.mark.parametrize("make,p", [("field", 5), ("field", 7), ("zech_field", 5)])
+def test_inverse_sweep_matches_the_table_walk(request, make, p):
+    ctx = request.getfixturevalue(make)(p, 2)
+    for m in range(2, p):
+        for b in family_b_values(ctx):
+            assert fp2.inverse_sweep(ctx, m, b) == table_inverse_sweep(ctx, m, b), (m, b)
+
+
+def test_inverse_sweep_matches_the_table_walk_f121(field):
     ctx = field(11, 2)
-    shapes = {(m, 1): _unconditioned_codes(ctx, m, 1, 12) for m in (3, 7)}
-    names = {tuple(gmb_poly(ctx, m, b)): (m, b) for m in (3, 7) for b in family_b_values(ctx)}
+    m, b = 7, family_b_values(ctx)[5]
+    sweep = fp2.inverse_sweep(ctx, m, b)
+    assert sweep == table_inverse_sweep(ctx, m, b)
+    assert len(sweep.pairs) == 1100 and not sweep.failures
+
+
+@pytest.mark.parametrize("make,p", [("field", 5), ("field", 7), ("zech_field", 5)])
+def test_shape_closure_matches_the_table_walk(request, make, p):
+    ctx = request.getfixturevalue(make)(p, 2)
+    shapes = _coprime_shapes(ctx)
+    assert sum(map(len, shapes.values())) == {5: 600, 7: 2352}[p]
+    assert fp2.shape_closure(ctx, shapes) == table_shape_closure(ctx, shapes) == []
+
+
+def test_shape_closure_matches_the_table_walk_f121(field):
+    # one b, every m coprime to 10: 3, 7 and 9, 3630 PPRs
+    ctx = field(11, 2)
+    shapes = _coprime_shapes(ctx, family_b_values(ctx)[7:8])
+    assert sum(map(len, shapes.values())) == 3630
+    assert fp2.shape_closure(ctx, shapes) == table_shape_closure(ctx, shapes) == []
+
+
+def test_shape_closure_inverts_one_binomial_per_label(field, monkeypatch):
+    # F_121, m = 3 and 7 over every b: the p residue tables of x^m + cx
+    # are inverted once per m, and no q-point table is built or inverted
+    ctx = field(11, 2)
+    shapes = {(m, b): _unconditioned_codes(ctx, m, b, 30)
+              for m in (3, 7) for b in family_b_values(ctx)}
     calls = Counter()
-    evaluate = fp2.eval_table
+    invert = pp._invert
 
-    def counted(ctx, f):
-        calls[names[tuple(f)]] += 1
-        return evaluate(ctx, f)
+    def counted(table):
+        calls[len(table), tuple(table)] += 1
+        return invert(table)
 
-    monkeypatch.setattr(fp2, "eval_table", counted)
+    def refuse(*args):
+        raise AssertionError("a q-point table was built or inverted")
+
+    monkeypatch.setattr(pp, "_invert", counted)
+    for module, name in ((pp, "_inverse"), (pp, "eval_table"), (poly, "eval_table"),
+                         (gf.FieldContext, "axpy")):
+        monkeypatch.setattr(module, name, refuse)
     assert fp2.shape_closure(ctx, shapes) == []
-    assert set(calls.values()) == {1}
-    assert {(3, 1), (7, 1)} < set(calls)  # the f tables, met again as inverse tables
+    residue = {tuple((lam**m + c * lam) % 11 for lam in range(11)) for m in (3, 7) for c in range(11)}
+    assert set(calls) == {(11, table) for table in residue} and set(calls.values()) == {1}
+
+
+def test_inverse_sweep_builds_no_table_per_instance(field, monkeypatch):
+    # F_49: each instance is read at its frame constants; the q-point
+    # route is only the fallback, and it is not taken
+    ctx = field(7, 2)
+    want = {(m, b): table_inverse_sweep(ctx, m, b) for m in (2, 5) for b in family_b_values(ctx)}
+
+    def refuse(*args):
+        raise AssertionError("a q-point table was built")
+
+    for module, name in ((pp, "is_compositional_inverse"), (pp, "eval_table"),
+                         (poly, "eval_table"), (gf.FieldContext, "axpy")):
+        monkeypatch.setattr(module, name, refuse)
+    assert {mb: fp2.inverse_sweep(ctx, *mb) for mb in want} == want
+
+
+def _plant_epsilon(monkeypatch, ctx, at):
+    """fp2._derive with epsilon + 1 at the instance at = (m, b, alpha, beta)."""
+    m0, b0, alpha0, beta0 = at
+    key, derive = (m0, hmd_d(ctx, m0, b0), alpha0, beta0), fp2._derive
+
+    def planted(ctx, m, d, alpha, beta):
+        gamma, epsilon, delta = derive(ctx, m, d, alpha, beta)
+        return gamma, ctx.add(epsilon, 1) if (m, d, alpha, beta) == key else epsilon, delta
+
+    monkeypatch.setattr(fp2, "_derive", planted)
+
+
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_inverse_sweep_names_a_planted_epsilon(request, monkeypatch, make):
+    ctx = request.getfixturevalue(make)(7, 2)
+    m, b = 4, family_b_values(ctx)[3]
+    assert b != 1
+    alpha, beta = constructible_pairs(ctx, m, b)[40]
+    _plant_epsilon(monkeypatch, ctx, (m, b, alpha, beta))
+    sweep = fp2.inverse_sweep(ctx, m, b)
+    assert sweep.failures == [("inverse mismatch", alpha, beta)]
+    assert sweep == table_inverse_sweep(ctx, m, b)
+
+
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_inverse_sweep_falls_back_off_the_kernel_guard(request, monkeypatch, make):
+    # a frame whose r is not in the kernel of x^p - bx fails u^(p-1) = d
+    # at every instance, so pp.is_compositional_inverse decides each one,
+    # with the same verdicts, planted epsilon or not
+    ctx = request.getfixturevalue(make)(5, 2)
+    m, b = 3, family_b_values(ctx)[2]
+    alpha, beta = constructible_pairs(ctx, m, b)[11]
+    calls = Counter()
+    check, derive, frame = pp.is_compositional_inverse, fp2._derive, fp2._frame
+
+    def counted(*args):
+        calls["q-point"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(pp, "is_compositional_inverse", counted)
+    want = fp2.inverse_sweep(ctx, m, b)
+    assert not want.failures and not calls
+    _plant_epsilon(monkeypatch, ctx, (m, b, alpha, beta))
+    planted = fp2.inverse_sweep(ctx, m, b)
+    assert planted.failures == [("inverse mismatch", alpha, beta)]
+    assert calls["q-point"] == 1  # the mismatch alone
+    def off_kernel(ctx, m, b):
+        r, t, g = frame(ctx, m, b)
+        return ctx.mul(r, ctx.primitive), ctx.mul(t, ctx.primitive), g
+
+    monkeypatch.setattr(fp2, "_frame", off_kernel)
+    assert fp2.inverse_sweep(ctx, m, b) == planted
+    assert calls["q-point"] == 1 + len(want.pairs) == 81
+    monkeypatch.setattr(fp2, "_derive", derive)
+    assert fp2.inverse_sweep(ctx, m, b) == want
+    assert calls["q-point"] == 161
+
+
+def _label(ctx, b, m, code):
+    """kappa = c/s mod p of a code with s != 0, read in the frame r =
+    g^(log b / (p-1)), t = r g: u = M(r), s = (L(t)^m/u) // p and
+    c = (M(t)/u) // p."""
+    p = ctx.p
+    alpha, beta = divmod(code, ctx.q)
+    r = ctx.exp_table[ctx.log_table[b] // (p - 1)]
+    t = ctx.mul(r, ctx.primitive)
+    u = ctx.add(ctx.mul(alpha, ctx.frobenius(r)), ctx.mul(beta, r))
+    w = ctx.add(ctx.mul(alpha, ctx.frobenius(t)), ctx.mul(beta, t))
+    s = ctx.div(ctx.pow(ctx.sub(ctx.frobenius(t), ctx.mul(b, t)), m), u) // p
+    return ctx.div(w, u) // p * pow(s, -1, p) % p
+
+
+def test_shape_closure_planted_binomial_verdict_flips_its_fibre(field, monkeypatch):
+    # F_169, m = 7: C_7 = {0, 2, 6, 7, 11}, and every inverse keeps the
+    # shape; a wrong verdict for x^7 + 6x must refute exactly the codes
+    # labelled 6, and nothing else
+    ctx = field(13, 2)
+    m, b = 7, family_b_values(ctx)[4]
+    codes = _unconditioned_codes(ctx, m, b)
+    labels = Counter(_label(ctx, b, m, code) for code in codes)
+    assert sorted(labels) == list(fp2._binomial_inverses(13, m)) == [0, 2, 6, 7, 11]
+    assert fp2.shape_closure(ctx, {(m, b): codes}) == []
+    planted = fp2._binomial_inverses(13, m)[6]
+    verdict = fp2._is_binomial
+    monkeypatch.setattr(fp2, "_is_binomial", lambda p, k, inverse: (
+        not verdict(p, k, inverse)) if list(inverse) == planted else verdict(p, k, inverse))
+    bad = fp2.shape_closure(ctx, {(m, b): codes})
+    assert bad == [("inverse leaves the shape", m, b, *divmod(code, ctx.q))
+                   for code in codes if _label(ctx, b, m, code) == 6]
+    assert len(bad) == labels[6] == 13 * 12 * 13  # p(p - 1) units u off G F_p^*, p codes each
+
+
+def test_shape_closure_tags_a_conditioned_code_and_refuses_a_non_ppr(field):
+    ctx = field(5, 2)
+    m, b = 3, family_b_values(ctx)[1]
+    alpha, beta = constructible_pairs(ctx, m, b)[0]
+    assert fp2.shape_closure(ctx, {(m, b): [alpha * 25 + beta]}) == [
+        ("s = 0, a conditioned PPR", m, b, alpha, beta)]
+    ppr = set(shape_pprs(ctx, m, b))
+    for code in [0, *[code for code in range(625) if code not in ppr][1::150]]:
+        with pytest.raises(pp.NotAPermutationError):
+            fp2.shape_closure(ctx, {(m, b): [code]})
+
+
+def _interpolant_degrees(p, table):
+    """The degrees of the nonzero coefficients of the reduced interpolant
+    over F_p of table, which fixes 0, by brute-force power sums."""
+    return [j for j in range(1, p) if sum(table[z] * pow(z, p - 1 - j, p) for z in range(1, p)) % p]
+
+
+def test_binomial_inverses_follow_the_index_rule():
+    # every p < 50: for c != 0 the F_p inverse of a permutation x^m + cx
+    # is a binomial iff its index l = (p - 1)/gcd(m - 1, p - 1) is 2, that
+    # is m = (p + 1)/2; the first binomial with c != 0 and l > 2 is at p = 19
+    found = Counter()
+    for p in (p for p in range(3, 50) if all(p % k for k in range(2, p))):
+        for m in range(2, p):
+            for c, inverse in fp2._binomial_inverses(p, m).items():
+                if c == 0:
+                    assert inverse == [pow(z, pow(m, -1, p - 1), p) for z in range(p)]
+                    continue
+                index = (p - 1) // math.gcd(m - 1, p - 1)
+                assert (len(_interpolant_degrees(p, inverse)) == 2) == (index == 2), (p, m, c)
+                if math.gcd(m, p - 1) == 1:
+                    assert fp2._is_binomial(p, pow(m, -1, p - 1), inverse) == (index == 2)
+                found[index == 2, p] += 1
+    primes = {p for _, p in found}
+    assert min(p for binomial, p in found if not binomial) == 19
+    # N_(p+1)/2 = (p - 3)/2, which counts c = 0 too when p = 1 mod 4
+    assert [found[True, p] for p in sorted(primes)] == [
+        (p - 3) // 2 - (p % 4 == 1) for p in sorted(primes)]
+    assert sum(found[False, p] for p in primes) == 49
+
+
+def test_shape_closure_refutes_the_closure_at_p19(field):
+    # F_361, (m, b) = (7, 1): 19,494 of the 25,992 unconditioned PPRs
+    # invert off the shape, among them (x^19 - x)^7 + 10x, whose inverse
+    # has 24 terms, two of them at 13 * 19 and 7 * 19
+    ctx = field(19, 2)
+    codes = sorted(set(shape_pprs(ctx, 7, 1)).difference(fp2.inverse_sweep(ctx, 7, 1).pairs))
+    bad = fp2.shape_closure(ctx, {(7, 1): codes})
+    assert len(codes) == 25992 and len(bad) == 19494
+    assert {tag for tag, *_ in bad} == {"inverse leaves the shape"}
+    assert ("inverse leaves the shape", 7, 1, 0, 10) in bad
+    h = compositional_inverse(ctx, family_poly(ctx, 7, 1, 0, 10))
+    assert sum(map(bool, h)) == 24 and h[13 * 19] and h[7 * 19]
+    assert shape_parameters(ctx, poly_scale(ctx, ctx.inv(h[-1]), h)) is None
 
 
 @pytest.mark.parametrize("make", ["field", "zech_field"])
@@ -454,7 +755,7 @@ def test_lemma_suite_without_flat_tables(field, zech_field):
 
 def five_loop_lemma_suite(ctx):
     """The identity suite as five loops, lemma 23/24 over a second
-    listing of the constructible set with fp2._derive per instance:
+    listing of the constructible set with the paper's delta per instance:
     the oracle for lemma_suite's three passes."""
     p, q = ctx.p, ctx.q
     q1 = q - 1
@@ -531,14 +832,18 @@ def five_loop_lemma_suite(ctx):
         for b in bs:
             d = hmd_d(ctx, m, b)
             for alpha, beta in constructible_pairs(ctx, m, b):
-                inst = fp2._derive(ctx, m, b, d, alpha, beta)
+                # delta by the paper's formula, not _derive's closed form
+                gap = sub(norm[beta], norm[alpha])
+                gamma, epsilon = ctx.div(ctx.neg(alpha), gap), ctx.div(frob[beta], gap)
+                delta = ctx.div(ctx.neg(add(mul(gamma, d), epsilon)),
+                                ctx.pow(sub(frob[beta], mul(alpha, d)), m))
                 n_checked += 1
                 base = add(beta, mul(b, alpha))
                 closed = ctx.neg(ctx.div(ctx.pow(base, m - 1),
                                          ctx.pow(sub(norm[beta], norm[alpha]), m)))
-                if inst.delta != closed:
+                if delta != closed:
                     bad23.append((m, b, alpha, beta))
-                if mul(ctx.pow(b, m * m), frob[inst.delta]) != mul(b, inst.delta):
+                if mul(ctx.pow(b, m * m), frob[delta]) != mul(b, delta):
                     bad24.append((m, b, alpha, beta))
     checks.append(fp2.LemmaCheck(
         "lemma23", "delta = -(beta + b alpha)^(m-1) / (beta^(p+1) - alpha^(p+1))^m",

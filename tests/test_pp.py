@@ -37,7 +37,6 @@ from ppshift.poly import (
 from ppshift.pp import (
     HERMITE_MAX_Q,
     _hermite_table,
-    _interpolant_coeffs,
     _prefixes,
     _scan,
     compositional_inverse,
@@ -302,21 +301,6 @@ def test_interpolate_table_matches_oracle_on_zech_fields(field, p, n):
     rng = random.Random(ctx.q)
     for values in oracle_tables(ctx, rng, sampled=True):
         assert interpolate_table(ctx, values) == slow_interpolate_table(ctx, values)
-
-
-@pytest.mark.parametrize(
-    "p,n,make", [(5, 2, "field"), (7, 2, "field"), (5, 2, "zech_field"), (11, 2, "field")]
-)
-def test_interpolant_coeffs_match_interpolate_table(request, p, n, make):
-    # every degree 1 .. q-2 read by power sums, against the full DFT
-    ctx = request.getfixturevalue(make)(p, n)
-    degrees = range(1, ctx.q - 1)
-    for values in oracle_tables(ctx, random.Random(ctx.q), sampled=ctx.q > 100):
-        h = interpolate_table(ctx, values)
-        h += [0] * (ctx.q - len(h))
-        assert _interpolant_coeffs(ctx, values, degrees) == h[1 : ctx.q - 1]
-        # any subset, in any order
-        assert _interpolant_coeffs(ctx, values, (2 * p, 1, p)) == [h[2 * p], h[1], h[p]]
 
 
 @pytest.mark.parametrize("p,n", [(11, 2), (5, 3), (2, 7)])
