@@ -7,12 +7,13 @@ independent cross-check, not an optimization. One loop,
 _invert, reads a whole table once: it returns the inverse table or the
 first colliding pair, and is_permutation, inverse_table and the
 basis-less scan all take their verdict from it. Compositional inverses
-come from interpolating the inverted table through all q points with a
-mixed-radix DFT over F_q^*: O((q-1) * sum of the prime factors of q-1,
-with multiplicity), which falls back to (q-1)^2 when q-1 is prime
-(F_128, F_8192). A claimed inverse h is checked pointwise
-instead, O(q) per nonzero term: a reduced polynomial equals the
-interpolant of a table iff it agrees with the table at every point.
+come from interpolating the inverted table through all q points with
+one mixed-radix DFT over F_q^*, its B sub-transforms side by side in
+one list (element n of b at n B + b): (q-1) times the sum of the prime
+factors of q-1, or (q-1) P for a largest one P >= sqrt(q-1), and fields
+costlier than F_65536 are refused. A claimed inverse h is checked
+pointwise instead, O(q) per nonzero term: a reduced polynomial equals
+the interpolant of a table iff it agrees with the table at every point.
 
 Every enumeration here is an affine scan of offset + span(basis): a
 subspace's monic members (one scan per top degree), the degree census
@@ -28,12 +29,13 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceededError,
+    CapExceededError,
     DimensionMismatchError,
     NotAPermutationError,
     OutOfRangeError,
     TooLargeFieldError,
 )
-from .gf import FieldContext, prime_factors
+from .gf import DEFAULT_FIELD_CAP, FieldContext, prime_factors
 from .poly import (
     eval_table,
     is_monic,
@@ -126,9 +128,11 @@ def _hermite_table(ctx: FieldContext, table) -> bool:
     return True
 
 
-# DFT lengths up to this run the power-sum recurrence directly; of
-# 4, 8, 16, 32 and 64, 16 was fastest per interpolation on F_49..F_625
-DFT_LEAF = 16
+# Transforms up to this length run as one leaf, which beat the split
+# into prime factors at q-1 = 10, 12 and 15 and lost at 16
+DFT_LEAF = 15
+# the cost of F_65536's transform, q-1 times its largest prime factor
+_DFT_COST_LIMIT = (DEFAULT_FIELD_CAP - 1) * prime_factors(DEFAULT_FIELD_CAP - 1)[-1]
 
 
 def _dft_leaf(ctx: FieldContext, seq, stride: int) -> list[int]:
@@ -147,38 +151,68 @@ def _dft_leaf(ctx: FieldContext, seq, stride: int) -> list[int]:
     return s
 
 
-def _dft(ctx: FieldContext, seq, stride: int) -> list[int]:
-    """sum_n seq[n] * w^(n k) for every k < L = len(seq), w = g^stride
-    of order L: mixed-radix Cooley-Tukey, split at the smallest prime
-    factor r of L.
+def _dft(ctx: FieldContext, seq) -> list[int]:
+    """sum_n seq[n] * g^(n k) for every k < N = len(seq) = q - 1, in
+    whole-vector mixed-radix stages over all sub-transforms at once.
 
-    With n = r j + t and k = k1 + M k2 (M = L / r), the sum is
-    sum_t u^(t k2) (w^(t k1) Y_t[k1]), where Y_t is the length-M DFT of
-    seq[t::r] with root w^r and u = w^M = g^((q-1)/r): twiddles in the
-    log domain, then one r-point DFT on the r-th roots of unity per k1,
-    done as whole-vector passes over k1.
+    Split at the prime factors of N, smallest first, to the largest P:
+    sub-transform b of B = N / P reads seq[n B + b], so splits move no
+    data. If B <= P each runs _dft_leaf on seq[b::B] (N P terms), else
+    they make a bottom stage on length 1. A radix-r stage joins B = r B'
+    results of length L, stored in turn, into B' of length r L: with
+    b = t B' + b', X_b'[k1 + L k2] = sum_t u^(t k2) w^(t k1) Y_b[k1],
+    w = g^B', u = g^(N/r). Block t holds the Y_b of that t: a log-domain
+    twiddle pass, r(r - 1) ctx.axpy calls over blocks and min(B', L)
+    slice assignments per sum, (r - 1) N terms in all.
     """
-    length = len(seq)
-    if length <= DFT_LEAF:
-        return _dft_leaf(ctx, seq, stride)
-    r = prime_factors(length)[0]
-    if r == length:
-        return _dft_leaf(ctx, seq, stride)
-    q1 = ctx.q - 1
-    exp = ctx.exp_table
-    log = ctx.log_table
-    subs = [_dft(ctx, seq[t::r], stride * r) for t in range(r)]
-    for t in range(1, r):
-        step = stride * t
-        subs[t] = [exp[(log[y] + step * k) % q1] if y else 0 for k, y in enumerate(subs[t])]
-    root = q1 // r  # log of u
-    out = []
-    for k2 in range(r):
-        acc = subs[0]
+    q1 = len(seq)
+    if q1 <= DFT_LEAF:
+        return _dft_leaf(ctx, seq, 1)
+    radices, length = [], q1
+    for r in prime_factors(q1):
+        while length % r == 0:
+            radices.append(r)
+            length //= r
+    count = q1 // radices[-1]
+    if count <= radices[-1]:
+        y = []
+        for b in range(count):
+            y += _dft_leaf(ctx, seq[b::count], count)
+        length = radices.pop()
+    else:
+        y, length = seq, 1
+    exp, log = ctx.exp_table, ctx.log_table
+    for r in reversed(radices):
+        block = q1 // r
+        count = block // length
+        z = [y[:block]]
         for t in range(1, r):
-            acc = ctx.axpy(acc, exp[root * (t * k2 % r)], subs[t])
-        out += acc
-    return out
+            zt = y[t * block : (t + 1) * block]
+            if length > 1:
+                step = count * t
+                twiddles = range(0, step * length, step)
+                if count > 1:
+                    twiddles = list(twiddles) * count
+                zt = [exp[(log[v] + e) % q1] if v else 0 for v, e in zip(zt, twiddles)]
+            z.append(zt)
+        span = r * length
+        y = [] if count == 1 else [0] * q1
+        for k2 in range(r):
+            acc = z[0]
+            for t in range(1, r):
+                acc = ctx.axpy(acc, exp[block * (t * k2 % r)], z[t])
+            start = k2 * length
+            if count == 1:
+                y += acc
+            elif count <= length:
+                for b in range(count):
+                    y[start : start + length] = acc[b * length : (b + 1) * length]
+                    start += span
+            else:
+                for k1 in range(length):
+                    y[start + k1 :: span] = acc[k1::length]
+        length = span
+    return y
 
 
 def _require_table(ctx: FieldContext, table) -> None:
@@ -197,14 +231,21 @@ def interpolate_table(ctx: FieldContext, values) -> list[int]:
     x^k is -S_(q-1-k) for 1 <= k <= q-2, the constant term is
     values[0], and the top coefficient is -(S_0 + values[0]). With
     a = g^i for the primitive g, S_0 .. S_(q-2) are the length-(q-1)
-    DFT of values in log order, computed by _dft in
-    O((q-1) * sum of the prime factors of q-1) operations, counted with
-    multiplicity; when q-1 is prime (F_128, F_8192) that is (q-1)^2.
+    DFT of values in log order: _dft, about (q-1) times the sum of the
+    prime factors of q-1 with multiplicity, or (q-1) P when the largest
+    P >= (q-1) / P. Before any transform, CapExceededError refuses a
+    field whose (q-1) P exceeds F_65536's 1.7 * 10^7, as F_8192's
+    6.7 * 10^7 (8191 is prime) and most prime fields above it.
     """
-    _require_table(ctx, values)
     q = ctx.q
+    if (q - 1) ** 2 > _DFT_COST_LIMIT:  # else the cost, at most (q-1)^2, is below it
+        cost = (q - 1) * prime_factors(q - 1)[-1]
+        if cost > _DFT_COST_LIMIT:
+            raise CapExceededError(f"interpolation over F_{q} costs {cost} terms, "
+                                   f"above F_{DEFAULT_FIELD_CAP}'s {_DFT_COST_LIMIT}")
+    _require_table(ctx, values)
     exp = ctx.exp_table
-    s = _dft(ctx, [values[exp[i]] for i in range(q - 1)], 1)
+    s = _dft(ctx, [values[exp[i]] for i in range(q - 1)])
     neg = ctx.neg_table
     out = [values[0]]
     out += [neg[s[q - 1 - k]] for k in range(1, q - 1)]
@@ -240,7 +281,7 @@ def is_compositional_inverse(ctx: FieldContext, f, h) -> bool:
     permutation.
     """
     require_poly(ctx, h)  # eval_table checks f, and h too unless len(h) > q
-    inverse = inverse_table(ctx, eval_table(ctx, f))
+    inverse = _inverse(eval_table(ctx, f))  # valid by construction
     return len(h) <= ctx.q and eval_table(ctx, h) == inverse
 
 

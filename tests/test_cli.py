@@ -244,6 +244,16 @@ def test_dense_operator_cap_exits_2(capsys):
         assert code == 2 and out == "" and "dense operator cap" in err
 
 
+def test_interpolation_cost_cap_exits_2(capsys, monkeypatch):
+    # F_8192's transform would cost 8191^2 terms; the refusal comes before it
+    def never(*args):
+        raise AssertionError("the transform ran")
+
+    monkeypatch.setattr(pp, "_dft", never)
+    code, out, err = run(capsys, "invert", "--p", "2", "--n", "13", "1*x^2")
+    assert code == 2 and out == "" and "F_8192 costs" in err
+
+
 def test_closed_stdout_exits_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)

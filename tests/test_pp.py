@@ -9,6 +9,7 @@ from ppshift.claims import DEFAULT_ROSTER
 from ppshift.eigen import apply_shift, intersection_space, kernel_power, span_of_polys
 from ppshift.errors import (
     BudgetExceededError,
+    CapExceededError,
     DimensionMismatchError,
     NotAPermutationError,
     OutOfRangeError,
@@ -275,9 +276,12 @@ def oracle_tables(ctx, rng, sampled=False):
     yield [1 + rng.randrange(q - 1)] + [0] * (q - 1)
 
 
-# q - 1 = 1, 2, the roster, 120 = 2^3 3 5, 124 = 2^2 31, 127 prime, 342
+# q - 1 = 1, 2, the roster, 80 = 2^4 5, 120 = 2^3 3 5, 124 = 2^2 31,
+# 127 prime, 168 = 2^3 3 7 (a leaf stage of 7 under 24 sub-transforms),
+# 288 = 2^5 3^2 and 342 = 2 3^2 19
 @pytest.mark.parametrize(
-    "p,n", [(2, 1), (3, 1), *DEFAULT_ROSTER, (11, 2), (5, 3), (2, 7), (7, 3)]
+    "p,n", [(2, 1), (3, 1), *DEFAULT_ROSTER, (3, 4), (11, 2), (5, 3), (2, 7), (13, 2),
+            (17, 2), (7, 3)]
 )
 def test_interpolate_table_matches_power_sum_oracle(field, p, n):
     ctx = field(p, n)
@@ -286,7 +290,7 @@ def test_interpolate_table_matches_power_sum_oracle(field, p, n):
         assert interpolate_table(ctx, values) == slow_interpolate_table(ctx, values)
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2), (11, 2)])
 def test_interpolate_table_matches_oracle_without_flat_tables(zech_field, p, n):
     ctx = zech_field(p, n)
     rng = random.Random(ctx.q)
@@ -301,6 +305,23 @@ def test_interpolate_table_matches_oracle_on_zech_fields(field, p, n):
     rng = random.Random(ctx.q)
     for values in oracle_tables(ctx, rng, sampled=True):
         assert interpolate_table(ctx, values) == slow_interpolate_table(ctx, values)
+
+
+@pytest.mark.parametrize("p,n", [(2, 13), (65267, 1)])
+def test_interpolate_table_refuses_fields_costlier_than_f65536(field, monkeypatch, p, n):
+    # (q - 1) P leaf terms: 8191^2 = 6.7e7 on F_8192 and 65266 * 32633 =
+    # 2.1e9 on F_65267, against 65535 * 257 = 1.7e7 on F_65536
+    from ppshift import pp
+
+    def never(*args):
+        raise AssertionError("the transform ran")
+
+    monkeypatch.setattr(pp, "_dft", never)
+    ctx = field(p, n)
+    with pytest.raises(CapExceededError, match=f"F_{ctx.q} costs"):
+        interpolate_table(ctx, list(range(ctx.q)))
+    with pytest.raises(CapExceededError):
+        compositional_inverse(ctx, monomial(1))
 
 
 @pytest.mark.parametrize("p,n", [(11, 2), (5, 3), (2, 7)])
@@ -339,6 +360,10 @@ def test_compositional_inverse_skips_the_inverse_table_check(field, monkeypatch)
     h = compositional_inverse(ctx, f)
     assert len(calls) == 1  # interpolate_table's, on the inverse
     assert h == monomial(29)  # 5 * 29 = 1 mod 48
+    assert is_compositional_inverse(ctx, f, h)
+    assert len(calls) == 1  # nor does is_compositional_inverse check its table
+    with pytest.raises(NotAPermutationError):
+        is_compositional_inverse(ctx, monomial(2), h)
     assert interpolate_table(ctx, inverse_table(ctx, eval_table(ctx, f))) == h
     assert len(calls) == 3  # the public entries keep their checks
     with pytest.raises(NotAPermutationError):
