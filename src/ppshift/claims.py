@@ -892,9 +892,13 @@ CLAIM_ANCHORS = {claim_id: (section, statement) for claim_id, section, _, statem
 
 def reproduce_field(ctx: FieldContext, cfg: RunConfig) -> list[ClaimReport]:
     """Every claim for one field, in table order. F_2 is refused up
-    front: V[x] = span(x, ..., x^(q-2)) is empty there."""
+    front: V[x] = span(x, ..., x^(q-2)) is empty there. So is a field
+    past eigen.OPERATOR_MAX_Q, which the shift-map claims could not
+    afford; every field under that cap also passes the interpolation
+    cap, so no claim refuses a field after others have run."""
     if ctx.q == 2:
         raise OutOfRangeError("V[x] is empty over F_2; reproduce needs q > 2")
+    eigen._require_dense_size(ctx)
     run = _FieldRun(ctx, cfg)
     for claim_id, _, check, _, *domain in _CLAIMS:
         run.run(claim_id, check, *domain)

@@ -5,15 +5,19 @@ V[x], preserves degree, and its matrix over the monomial coordinates
 is upper triangular with unit diagonal (column e-1 holds the
 coordinates of (x+r)^e - r^e). All linear algebra here is exact over
 F_q or its prime field: Gaussian elimination with the first-nonzero
-pivot rule and full back-substitution, so every basis is in canonical
-reduced row-echelon form and subspace equality is plain row comparison.
+pivot rule, a forward pass that clears the rows below each pivot and
+then a separate back-substitution pass that clears the rows above each
+pivot, from the last one up. So every basis is in canonical reduced
+row-echelon form and subspace equality is plain row comparison.
 
 The kernel chain is eliminated once per k, over F_p, for every shift.
 The coefficient of x^i in (x+r)^e is C(e, i) r^(e-i), so A_r =
 D_r^-1 A_1 D_r with D_r = diag(r^e), e = 1..q-2, and then
 (A_r - I)^k = D_r^-1 (A_1 - I)^k D_r and ker((A_r - I)^k) =
 D_r^-1 ker((A_1 - I)^k). The entries of (A_1 - I)^k lie in F_p and
-have a closed form (see _difference_power), so no operator is built:
+have a closed form (see _difference_power), written only where C(e, i)
+is nonzero mod p, which Lucas's theorem reads off the base-p digits of
+e and i (_lucas_columns). So no operator is built:
 K_k = ker((A_1 - I)^k) is one elimination over the prime field, and
 each shift's kernel is K_k with its coordinates rescaled. V_k takes one
 K_k and n rescalings. mat_mul, the product over the sparse rows of its
@@ -51,10 +55,11 @@ from .poly import (
 Matrix = tuple[tuple[int, ...], ...]
 
 # Largest q for which the dense (q-2) x (q-2) operator and kernel
-# routes run. Priced on a 2-CPU Xeon VM: at F_1024 an operator build
-# takes 0.2 s, a kernel 0.6 s, V_1 (ten generators) 11 s at 48 MB peak
-# RSS and V_2 14 s at 105 MB; at F_729, V_2 takes 6 s. The V_k
-# intersections grow as q^3, so no size past the measured one is let in.
+# routes run. Priced on a 2-CPU Xeon VM, one run each: at F_1024 an
+# operator build takes 0.2 s, a kernel 0.4 s, V_1 (ten generators) 4.9 s
+# at 48 MB peak RSS and V_2 8.1 s at 106 MB; at F_729, V_2 takes 2.9 s.
+# The V_k intersections grow as q^3, so no size past the measured one is
+# let in.
 OPERATOR_MAX_Q = 1024
 
 
@@ -87,9 +92,14 @@ def _eliminate(ctx: FieldContext, rows: list[list[int]], reduced: bool) -> list[
     """In-place elimination; returns pivot columns.
 
     Pivot rule: first nonzero entry scanning top to bottom, columns left
-    to right. With reduced=True the result is canonical RREF. Each
-    target row gets -f times the pivot row added in place, over the
-    pivot row's nonzero columns only.
+    to right. A forward pass scales each pivot row to a unit head, in
+    place over its nonzeros, and clears the rows below it. With
+    reduced=True a back pass then clears the rows above each pivot, from
+    the last pivot up, and the result is canonical RREF. A cleared row
+    gets -f times the pivot row added in place, over the pivot row's
+    nonzero columns only; in the back pass the later pivot columns are
+    already zero there. A pivot row's nonzeros are listed only when it
+    has a head to scale or rows to clear.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -97,31 +107,35 @@ def _eliminate(ctx: FieldContext, rows: list[list[int]], reduced: bool) -> list[
     pivots = []
     pr = 0
     for col in range(ncols):
-        piv = None
-        for r in range(pr, nrows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != pr:
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-        head = rows[pr][col]
-        if head != 1:
-            rows[pr] = ctx.axpy([0] * ncols, ctx.inv(head), rows[pr])
-        prow = rows[pr]
-        # columns left of col are zero in every row from pr down
-        nz = [(c, prow[c]) for c in range(col, ncols) if prow[c]]
-        targets = range(nrows) if reduced else range(pr + 1, nrows)
-        for r in targets:
-            row = rows[r]
-            f = row[col]
-            if r != pr and f:
-                ctx.axpy_at(row, neg[f], nz)
-        pivots.append(col)
-        pr += 1
         if pr == nrows:
             break
+        hits = [r for r in range(pr, nrows) if rows[r][col]]
+        if not hits:
+            continue
+        # rows pr .. hits[0] - 1 are zero at col, so the swap moves no other hit
+        rows[pr], rows[hits[0]] = rows[hits[0]], rows[pr]
+        prow = rows[pr]
+        head = prow[col]
+        if head != 1 or len(hits) > 1:
+            # columns left of col are zero in every row from pr down
+            nz = [(c, prow[c]) for c in range(col, ncols) if prow[c]]
+            if head != 1:
+                ctx.axpy_at(prow, ctx.sub(ctx.inv(head), 1), nz)  # v + (1/h - 1) v = v / h
+                nz = [(c, prow[c]) for c, _ in nz]
+            for r in hits[1:]:
+                row = rows[r]
+                ctx.axpy_at(row, neg[row[col]], nz)
+        pivots.append(col)
+        pr += 1
+    if reduced:
+        for pr in range(len(pivots) - 1, 0, -1):
+            col = pivots[pr]
+            above = [row for row in rows[:pr] if row[col]]
+            if above:
+                prow = rows[pr]
+                nz = [(c, prow[c]) for c in range(col, ncols) if prow[c]]
+                for row in above:
+                    ctx.axpy_at(row, neg[row[col]], nz)
     return pivots
 
 
@@ -309,14 +323,33 @@ def _require_shift(ctx: FieldContext, r: int) -> None:
         raise OutOfRangeError("kernel chain needs a nonzero shift")
 
 
-def _difference_power(ctx: FieldContext, k: int) -> Matrix:
-    """(A_1 - I)^k, whose entries all lie in F_p (indices 0..p-1).
+def _lucas_columns(p: int, d: int):
+    """For e = 1..d, the pairs (i, C(e, i) mod p) with C(e, i) nonzero
+    mod p, i ascending. By Lucas's theorem C(e, i) is the product of the
+    binomials of the base-p digits of e and i, so it is nonzero exactly
+    where every digit of i is at most that of e."""
+    digit_binoms = [[math.comb(a, b) % p for b in range(a + 1)] for a in range(p)]
+    for e in range(1, d + 1):
+        col = [(0, 1)]
+        place, rest = 1, e
+        while rest:
+            rest, digit = divmod(rest, p)
+            col = [(i + b * place, c * cb % p)
+                   for b, cb in enumerate(digit_binoms[digit]) for i, c in col]
+            place *= p
+        yield col
+
+
+def _difference_power(ctx: FieldContext, k: int) -> list[list[int]]:
+    """(A_1 - I)^k as rows over F_p (entries 0..p-1).
 
     Lemma 9 gives A_1^t = A_t, whose entry (i, e) is C(e, i) t^(e-i), so
     by the binomial theorem entry (i, e) of (A_1 - I)^k is
     C(e, i) * Delta_k(e - i) for i < e and 0 otherwise, where
     Delta_k(s) = sum_{t=0..k} (-1)^(k-t) C(k, t) t^s mod p. For s >= 1,
     t^s has period p - 1 in s, so Delta_k is tabulated on s = 1..p-1.
+    Only the entries with C(e, i) nonzero mod p are written, read from
+    _lucas_columns.
     """
     if not 1 <= k <= ctx.p:
         raise OutOfRangeError(f"k = {k} outside [1, p]")
@@ -325,10 +358,12 @@ def _difference_power(ctx: FieldContext, k: int) -> Matrix:
     signed = [(-1) ** (k - t) * math.comb(k, t) for t in range(k + 1)]
     period = [sum(c * pow(t, s, p) for t, c in enumerate(signed)) % p for s in range(1, p)]
     delta = [0] + [period[(s - 1) % (p - 1)] for s in range(1, d)]
-    cols = []
-    for e, binom in enumerate(_pascal_rows(p, d), start=1):
-        cols.append([binom[i] * delta[e - i] % p for i in range(1, e)] + [0] * (d - e + 1))
-    return tuple(zip(*cols))  # transpose: cols[e][i] becomes row i
+    rows = [[0] * d for _ in range(d)]
+    for e, col in enumerate(_lucas_columns(p, d), start=1):
+        for i, c in col:
+            if 0 < i < e:
+                rows[i - 1][e - 1] = c * delta[e - i] % p
+    return rows
 
 
 def _prime_field(ctx: FieldContext) -> FieldContext:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ppshift
-from ppshift import fp2, gf, pp
+from ppshift import claims, fp2, gf, pp
 from ppshift.cli import build_parser, dispatch, element_str
 from test_claims import _plant_delta
 
@@ -242,6 +242,16 @@ def test_dense_operator_cap_exits_2(capsys):
     for argv in (("eigenspace", "--r", "1", "--k", "1"), ("intersect", "--k", "1")):
         code, out, err = run(capsys, *argv, "--p", "2", "--n", "11")
         assert code == 2 and out == "" and "dense operator cap" in err
+
+
+def test_reproduce_refuses_past_the_operator_cap_before_any_claim(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a claim ran")
+
+    monkeypatch.setattr(claims._FieldRun, "run", never)
+    code, out, err = run(capsys, "reproduce", "--p", "2", "--n", "11")
+    assert (code, out) == (2, "")
+    assert err == "precondition violation: q = 2048 exceeds the dense operator cap 1024\n"
 
 
 def test_interpolation_cost_cap_exits_2(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from ppshift.claims import RunConfig, _FieldRun, _shift_order
 from ppshift.eigen import (
     Subspace,
     _difference_power,
+    _lucas_columns,
+    _pascal_rows,
     apply_shift,
     default_generators,
     intersection_space,
@@ -172,7 +175,8 @@ def product_chain(ctx, r):
 
 
 @pytest.mark.parametrize(
-    "p,n,make", with_zech([(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)], [(2, 3), (5, 2)])
+    "p,n,make",
+    with_zech([(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (5, 3)], [(2, 3), (5, 2)]),
 )
 def test_difference_power_matches_product_chain(request, p, n, make):
     # D_r^-1 (A_1 - I)^k D_r has entry (i, j) = M_k[i][j] * r^(j - i)
@@ -180,13 +184,49 @@ def test_difference_power_matches_product_chain(request, p, n, make):
     powers = [_difference_power(ctx, k) for k in range(1, ctx.p + 1)]
     for m in powers:
         assert all(v < ctx.p for row in m for v in row)  # entries in F_p
-    for r in range(1, ctx.q):
+    # every shift up to F_27; F_125 at the unit shift only, the chain of
+    # its lowest k, whose digit patterns the Lucas build must get right
+    shifts = range(1, ctx.q) if ctx.q < 100 else [1]
+    for r in shifts:
         for k, (m, chain) in enumerate(zip(powers, product_chain(ctx, r)), start=1):
             conj = [
                 tuple(ctx.mul(v, ctx.pow(r, j - i)) if v else 0 for j, v in enumerate(row))
                 for i, row in enumerate(m)
             ]
             assert conj == list(chain), (r, k)
+
+
+def dense_difference_power(ctx, k):
+    """(A_1 - I)^k from dense Pascal columns: entry (i, e) is
+    C(e, i) * Delta_k(e - i), every entry computed, then transposed."""
+    p, d = ctx.p, ctx.q - 2
+    signed = [(-1) ** (k - t) * math.comb(k, t) for t in range(k + 1)]
+    period = [sum(c * pow(t, s, p) for t, c in enumerate(signed)) % p for s in range(1, p)]
+    delta = [0] + [period[(s - 1) % (p - 1)] for s in range(1, d)]
+    cols = []
+    for e, binom in enumerate(_pascal_rows(p, d), start=1):
+        cols.append([binom[i] * delta[e - i] % p for i in range(1, e)] + [0] * (d - e + 1))
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("p,n,ks", [(7, 3, range(1, 8)), (5, 4, (1, 2)), (2, 5, (1, 2))])
+def test_difference_power_matches_dense_pascal_columns(field, p, n, ks):
+    ctx = field(p, n)
+    for k in ks:
+        got = _difference_power(ctx, k)
+        assert type(got) is list and len(got) == ctx.q - 2
+        for row in got:
+            assert type(row) is list and len(row) == ctx.q - 2
+            assert all(0 <= v < p for v in row)
+        assert got == dense_difference_power(ctx, k), k
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lucas_columns_list_the_nonzero_binomials(p):
+    d = p**3 + 3  # past the third digit, so every digit pattern occurs
+    for e, col in enumerate(_lucas_columns(p, d), start=1):
+        want = [(i, math.comb(e, i) % p) for i in range(e + 1) if math.comb(e, i) % p]
+        assert col == want, e
 
 
 ROSTER = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]
@@ -409,6 +449,61 @@ def test_rref_matches_sympy_over_prime_fields(field, p):
         assert pivots == tuple(want_pivots)
         assert [list(row) for row in red] == want_rows[: len(pivots)]
         assert mat_rank(ctx, rows) == len(pivots)
+
+
+def sympy_rref(p, rows, ncols):
+    """(rows, pivots) of DomainMatrix.rref over GF(p), zero rows dropped."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    dom = sympy.GF(p)
+    dm = DomainMatrix([[dom(v) for v in row] for row in rows], (len(rows), ncols), dom)
+    red, pivots = dm.rref()
+    return tuple(tuple(int(v) % p for v in row) for row in red.to_list()[: len(pivots)]), tuple(pivots)
+
+
+@pytest.mark.parametrize(
+    "p,n,ks", [(3, 4, range(1, 4)), (5, 3, range(1, 6)), (7, 3, (3,))], ids=["81", "125", "343"]
+)
+def test_rref_matches_sympy_on_the_kernel_chain(field, p, n, ks):
+    # the matrices unit_kernel and kernel_dim eliminate, over F_p
+    fp = field(p, 1)
+    for k in ks:
+        rows = _difference_power(field(p, n), k)
+        want = sympy_rref(p, rows, len(rows))
+        assert rref(fp, rows) == want, k
+        assert mat_rank(fp, rows) == len(want[1]), k
+
+
+@pytest.mark.parametrize("p", [2, 5, 13])
+def test_rref_matches_sympy_on_larger_random_matrices(field, p):
+    ctx = field(p, 1)
+    rng = random.Random(4040 + p)
+    for _ in range(6):
+        nrows, ncols = rng.randint(20, 40), rng.randint(20, 40)
+        rows = _random_rows(rng, p, nrows, ncols)
+        dup, zero = rng.sample(range(3, nrows - 1), 2)
+        rows[dup], rows[zero] = list(rows[2]), [0] * ncols  # besides rows 1 and -1
+        want = sympy_rref(p, rows, ncols)
+        assert rref(ctx, rows) == want
+        assert mat_rank(ctx, rows) == len(want[1])
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (13, 1), (5, 2), (3, 3)])
+def test_rref_scales_non_unit_pivots_on_the_zech_branch(field, zech_field, p, n):
+    # a pivot row is scaled in place by its head's inverse through the
+    # Zech branch of axpy_at, against the flat tables and sympy
+    zech, flat = zech_field(p, n), field(p, n)
+    rng = random.Random(77 + zech.q)
+    for _ in range(10):
+        nrows, ncols = rng.randint(3, 12), rng.randint(3, 12)
+        rows = _random_rows(rng, zech.q, nrows, ncols)
+        rows[0][0] = rng.randrange(2, zech.q)  # the first pivot's head is not 1
+        red, pivots = rref(zech, rows)
+        assert (red, pivots) == rref(flat, rows)
+        assert mat_rank(zech, rows) == len(pivots)
+        if n == 1:
+            assert (red, pivots) == sympy_rref(p, rows, ncols)
 
 
 @pytest.mark.parametrize(
