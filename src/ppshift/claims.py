@@ -64,11 +64,12 @@ SECTION_ORDER = ("preliminaries", "shift-map", "shift-family", "fp2", "appendix"
 
 class _FieldRun:
     """Shared per-field state: context, claim list and one memo that
-    keeps what several claims read (A_r, the kernels K_k of the unit
-    shift, V_k, enumerations, the family shapes' PPRs, the degree
-    census, the Theorem 15 sweep of each (m, b), the lemma suite) from
-    the first claim that builds it to the end of the run. A kernel of
-    A_r is rescaled from K_k on each read and not held."""
+    keeps what several claims read (the Lemma 1 power flags, the kernels
+    K_k of the unit shift, V_k, enumerations, the family shapes' PPRs,
+    the degree census, the Theorem 15 sweep of each (m, b), the lemma
+    suite) from the first claim that builds it to the end of the run.
+    Each claim builds the operators A_r it reads and drops them; a
+    kernel of A_r is rescaled from K_k on each read and not held."""
 
     def __init__(self, ctx: FieldContext, cfg: RunConfig):
         self.ctx = ctx
@@ -85,10 +86,6 @@ class _FieldRun:
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
-
-    def operator(self, r: int) -> eigen.Matrix:
-        """The matrix of A_r."""
-        return self.memo(("A", r), lambda: eigen.shift_operator(self.ctx, r).matrix)
 
     def unit_kernel(self, k: int) -> eigen.Subspace:
         """K_k = ker((A_1 - I)^k) over F_p, the one elimination per k."""
@@ -267,29 +264,35 @@ def _orbit_identity(run: _FieldRun):
 # -- the shift map --
 
 
-def _identity_powers(run: _FieldRun, r: int) -> tuple[bool, ...]:
-    """Whether A_r^j = I for j = 1..p, from a mat_mul product chain, so
-    that Lemma 1 does not lean on Lemma 9's A_r^j = A_(jr).
+def _identity_powers(run: _FieldRun) -> dict[int, tuple[bool, ...]]:
+    """{r: whether A_r^j = I for j = 1..p} from mat_mul product chains,
+    so that Lemma 1 does not lean on Lemma 9's A_r^j = A_(jr).
 
-    The chain runs for A_1. An A_r that equals D_r^-1 A_1 D_r entry for
-    entry, D_r = diag(r^e), has A_r^j = D_r^-1 A_1^j D_r, which is I
-    exactly when A_1^j is, so it takes A_1's flags; an A_r that fails
-    that check runs its own chain.
+    The chain runs for A_1. Each other A_r is built in turn and dropped:
+    one that equals D_r^-1 A_1 D_r entry for entry, D_r = diag(r^e), has
+    A_r^j = D_r^-1 A_1^j D_r, which is I exactly when A_1^j is, so it
+    takes A_1's flags; one that fails that check runs its own chain.
     """
 
     def build():
         ctx = run.ctx
-        a = run.operator(r)
-        if r != 1 and _conjugates_unit(ctx, r, a, run.operator(1)):
-            return _identity_powers(run, 1)
         ident = eigen.mat_identity(ctx.q - 2)
-        acc, flags = a, [a == ident]
-        for _ in range(ctx.p - 1):
-            acc = eigen.mat_mul(ctx, acc, a)
-            flags.append(acc == ident)
-        return tuple(flags)
 
-    return run.memo(("powers", r), build)
+        def chain(a):
+            acc, flags = a, [a == ident]
+            for _ in range(ctx.p - 1):
+                acc = eigen.mat_mul(ctx, acc, a)
+                flags.append(acc == ident)
+            return tuple(flags)
+
+        unit = eigen.shift_operator(ctx, 1)
+        flags = {1: chain(unit)}
+        for r in range(2, ctx.q):
+            a = eigen.shift_operator(ctx, r)
+            flags[r] = flags[1] if _conjugates_unit(ctx, r, a, unit) else chain(a)
+        return flags
+
+    return run.memo("powers", build)
 
 
 def _conjugates_unit(ctx: FieldContext, r: int, a, unit) -> bool:
@@ -304,13 +307,13 @@ def _conjugates_unit(ctx: FieldContext, r: int, a, unit) -> bool:
 
 def _shift_order(run: _FieldRun, r: int) -> int | None:
     """The least j <= p with A_r^j = I, or None when there is none."""
-    flags = _identity_powers(run, r)
+    flags = _identity_powers(run)[r]
     return flags.index(True) + 1 if True in flags else None
 
 
 def _operator_power(run: _FieldRun):
     ctx = run.ctx
-    bad = [r for r in range(1, ctx.q) if not _identity_powers(run, r)[-1]]
+    bad = [r for r, flags in _identity_powers(run).items() if not flags[-1]]
     return _verdict(bad, "identity at power p", f"all {ctx.q - 1} nonzero shifts", shown=None)
 
 
@@ -338,7 +341,7 @@ def _eigenvalue_only_one(run: _FieldRun):
     bad = []
     checked = 0
     for r in (1, ctx.primitive):
-        matrix = run.operator(r)
+        matrix = eigen.shift_operator(ctx, r)
         for lam in lambdas:
             shifted = tuple(
                 tuple(ctx.sub(v, lam) if i == j else v for j, v in enumerate(row))
@@ -442,7 +445,7 @@ def _matrix_action(run: _FieldRun):
         {0, 1, ctx.primitive, *(run.rng("eq1.matrix_action").randrange(ctx.q) for _ in range(6))}
     )
     for r in rs:
-        matrix = run.operator(r)
+        matrix = eigen.shift_operator(ctx, r)
         for e in range(1, ctx.q - 1):
             via_matrix = [row[e - 1] for row in matrix]
             direct = coords(ctx, eigen.apply_shift(ctx, r, monomial(e)))
@@ -460,8 +463,10 @@ def _additivity(run: _FieldRun):
     else:
         pairs = _sample_pairs(run.rng("lemma9.additivity"), ctx.q, 100)
         note = "100 sampled pairs (seeded)"
+    # each shift built at most once, and all freed when the claim returns
+    operator = functools.cache(functools.partial(eigen.shift_operator, ctx))
     for r, s in pairs:
-        if eigen.mat_mul(ctx, run.operator(r), run.operator(s)) != run.operator(ctx.add(r, s)):
+        if eigen.mat_mul(ctx, operator(r), operator(s)) != operator(ctx.add(r, s)):
             bad.append((r, s))
     return _verdict(bad, "A_r A_s = A_(r+s)", note)
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapExceededError, DimensionMismatchError, OutOfRangeError
 from .gf import FieldContext, build_field, require_element
@@ -161,12 +161,14 @@ def nullspace(ctx: FieldContext, rows, ncols: int | None = None) -> "Subspace":
     red, pivots = rref(ctx, rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
+    neg = ctx.neg_table
     basis = []
     for fc in free_cols:
         vec = [0] * ncols
         vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(red[r][fc])
+        for row, pc in zip(red, pivots):
+            if row[fc]:
+                vec[pc] = neg[row[fc]]
         basis.append(vec)
     return Subspace.from_vectors(ctx, basis, ncols)
 
@@ -276,14 +278,7 @@ def _require_dense_size(ctx: FieldContext) -> None:
             f"q = {ctx.q} exceeds the dense operator cap {OPERATOR_MAX_Q}")
 
 
-@dataclass(frozen=True)
-class ShiftOperator:
-    ctx: FieldContext = field(repr=False)
-    r: int
-    matrix: Matrix = field(repr=False)
-
-
-def shift_operator(ctx: FieldContext, r: int) -> ShiftOperator:
+def shift_operator(ctx: FieldContext, r: int) -> Matrix:
     """Matrix of f(x) -> f(x+r) - f(r) over the monomial coordinates.
 
     Column e-1 is built from the binomial expansion of (x+r)^e, so this
@@ -302,8 +297,7 @@ def shift_operator(ctx: FieldContext, r: int) -> ShiftOperator:
             if c:
                 col[k - 1] = mul(c, rpow[e - k])
         cols.append(col)
-    matrix = tuple(zip(*cols))  # transpose: cols[j][i] becomes row i
-    return ShiftOperator(ctx=ctx, r=r, matrix=matrix)
+    return tuple(zip(*cols))  # transpose: cols[j][i] becomes row i
 
 
 def apply_shift(ctx: FieldContext, r: int, f) -> list[int]:

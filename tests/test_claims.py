@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from collections import Counter
 from itertools import product
@@ -267,12 +266,42 @@ def _count_calls(monkeypatch, module, name, key=lambda *a, **kw: None):
     return calls
 
 
-def test_reproduce_field_builds_each_operator_once(monkeypatch):
-    ctx = build_field(5, 2)
-    calls = _count_calls(monkeypatch, eigen, "shift_operator", key=lambda ctx, r: r)
-    reproduce_field(ctx, RunConfig())
-    assert calls and max(calls.values()) == 1
-    assert set(calls) <= set(range(ctx.q))
+@pytest.mark.parametrize("p,n", [(5, 2), (7, 2)])  # exhaustive and sampled branches
+def test_each_claim_builds_a_shift_once_and_frees_it(monkeypatch, p, n):
+    build, run_claim = eigen.shift_operator, _FieldRun.run
+    claim = [None]
+    builds = Counter()  # (claim id, r) -> operators built
+    live = set()  # (claim id, r) of the operators still referenced
+    leaked = []  # (claim id, r) of the operators that outlived their claim
+
+    class Operator(tuple):
+        """A_r as built. A tuple subclass takes no weak reference, so its
+        __del__ marks the key freed once no reference is left."""
+
+        def __del__(self):
+            live.discard(self.key)
+
+    def watched_build(ctx, r):
+        op = Operator(build(ctx, r))
+        op.key = (claim[0], r)
+        builds[op.key] += 1
+        live.add(op.key)
+        return op
+
+    def watched_run(self, claim_id, check, domain=None):
+        claim[0] = claim_id
+        run_claim(self, claim_id, check, domain)
+        leaked.extend(sorted(key for key in live if key[0] == claim_id))
+
+    monkeypatch.setattr(eigen, "shift_operator", watched_build)
+    monkeypatch.setattr(_FieldRun, "run", watched_run)
+    reports = reproduce_field(build_field(p, n), RunConfig())
+    claimed = {c for c, _ in builds}
+    assert claimed == {
+        "lemma1.operator_power", "lemma2.eigenvalue", "eq1.matrix_action", "lemma9.additivity"}
+    assert max(builds.values()) == 1
+    assert not leaked
+    assert all(r.status == "verified" for r in reports if r.claim_id in claimed)
 
 
 @pytest.mark.parametrize("p,n,suite_runs", [(2, 2, 0), (5, 1, 0), (5, 2, 1)])
@@ -546,27 +575,29 @@ def test_coprime_count_leaves_out_the_half_exponent_past_p5():
     assert _coprime_count_exponents(3) == []
 
 
-def _chain_identity_powers(run, r):
-    """Whether A_r^j = I for j = 1..p from A_r's own mat_mul chain: the
-    per-shift route, with no appeal to D_r conjugation."""
+def _chain_identity_powers(run):
+    """{r: whether A_r^j = I for j = 1..p} from each A_r's own mat_mul
+    chain: the per-shift route, with no appeal to D_r conjugation."""
     ctx = run.ctx
-    a = run.operator(r)
     ident = eigen.mat_identity(ctx.q - 2)
-    acc, flags = a, [a == ident]
-    for _ in range(ctx.p - 1):
-        acc = eigen.mat_mul(ctx, acc, a)
-        flags.append(acc == ident)
-    return tuple(flags)
+    got = {}
+    for r in range(1, ctx.q):
+        a = eigen.shift_operator(ctx, r)
+        acc, flags = a, [a == ident]
+        for _ in range(ctx.p - 1):
+            acc = eigen.mat_mul(ctx, acc, a)
+            flags.append(acc == ident)
+        got[r] = tuple(flags)
+    return got
 
 
 @pytest.mark.parametrize("p,n", DEFAULT_ROSTER)
 def test_identity_powers_match_each_shifts_own_chain(field, monkeypatch, p, n):
     run = _FieldRun(field(p, n), RunConfig())
     products = _count_calls(monkeypatch, eigen, "mat_mul")
-    got = [_identity_powers(run, r) for r in range(1, run.ctx.q)]
+    got = _identity_powers(run)
     assert sum(products.values()) == p - 1  # the one A_1 chain
-    for r, flags in enumerate(got, start=1):
-        assert flags == _chain_identity_powers(run, r), r
+    assert got == _chain_identity_powers(run)
 
 
 def _lemma1_claims(ctx, per_shift):
@@ -585,7 +616,7 @@ def _plant(monkeypatch, r, change):
 
     def planted(ctx, s):
         op = build(ctx, s)
-        return dataclasses.replace(op, matrix=change(ctx, op.matrix)) if s == r else op
+        return change(ctx, op) if s == r else op
 
     monkeypatch.setattr(eigen, "shift_operator", planted)
 
@@ -604,7 +635,7 @@ def _set_entry(i, j, value):
     pytest.param(7, _set_entry(20, 2, 1), "refuted", [7], id="below-diagonal"),
     # A_1 itself: every other r then fails the check and runs its own chain
     pytest.param(1, _set_entry(0, 1, 3), "refuted", [1], id="unit-shift"),
-    pytest.param(7, lambda ctx, m: eigen.shift_operator(ctx, 11).matrix,
+    pytest.param(7, lambda ctx, m: eigen.shift_operator(ctx, 11),
                  "verified", "identity at power p", id="swapped"),
 ])
 def test_planted_operator_faults_give_the_per_shift_statuses(

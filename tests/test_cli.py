@@ -378,6 +378,8 @@ GOLDEN = [
      "9a614d118e9c1063e154d5a93ca9193936d7882bf01a3b09e9baf9a935dd67cf"),
     (("fp2", "lemmas", "--p", "3", "--format", "csv"), 0,
      "daa19ddb0baf15ac166161821bfd7f13b4c010239797ed9dfb2a42d1e7d6b8b4"),
+    (("reproduce",), 0,
+     "b46ebe69f4d3c99bce16957c117c980df45f96ca0be9916c3f36b01b28cf185b"),
     (("reproduce", "--p", "5", "--n", "2"), 0,
      "cdf2e12cfa2656a714907a80aefdc213971d204f4a8085606bd769f804b88ab4"),
     (("reproduce", "--p", "7", "--format", "csv"), 0,
@@ -388,6 +390,9 @@ GOLDEN = [
     # lemma13 budget skips, F_11's census budget skips, a prime field below 5
     (("reproduce", "--p", "3", "--n", "4"), 0,
      "64553826deecf1e852e9de648e8366f013d8f6acbc5ab6419cd6db484354d993"),
+    # the sampled branch of the shift-operator claims (q > 27) past F_49
+    (("reproduce", "--p", "5", "--n", "3"), 0,
+     "63a390e4379c6d397eee495eaa51ec0142ad40727a81eb9326366ef407f8ca4c"),
     (("reproduce", "--p", "11"), 0,
      "f8946328e4aa87b7e7d9fdf27a9a168b66c42912392ab99b62136675d0efe651"),
     (("reproduce", "--p", "3"), 0,
