@@ -16,6 +16,19 @@ get flat add/mul tables, stored as q rows of q entries each
 (add_table[x][y] = x + y, mul_table[c][v] = c * v), and larger fields
 add through a table of q - 1 Zech logarithms.
 
+The tables are built from O(p^ceil(n/2)) raw products and index
+arithmetic. Multiplication by the primitive element g is F_p-linear on
+the digits, so the exp walk cuts them into blocks of h = floor(n/2), h
+and n - 2h digits, takes the image of each block value once from a raw
+product, and steps x -> x * g by adding three block images, block by
+block, through one table of h-digit sums (p^(2h) <= q entries; no table
+but the flat ones has more than q). Prime fields step x * g mod p. neg
+is composed digit by digit, frob reads exp at p * log x, and zech needs
+no addition at all: adding 1 changes digit 0 alone. The flat add table
+is composed one digit at a time from the F_p rows, which are rotations
+of range(p), and row c of the flat mul table is exp rotated to start at
+log c.
+
 Kernels elsewhere do not see that choice. Besides the scalar
 operations, the context offers five vector operations: axpy (acc +
 c * vec), axpy_at (the same over the (column, value) pairs of a sparse
@@ -118,6 +131,31 @@ def _smallest_modulus(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _digit_sums(p: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Addition of k-digit indices, digit by digit mod p, as p^k row
+    tuples: rows[x][y] = x + y.
+
+    Composed one digit at a time from the F_p rows, which are rotations
+    of range(p): with m = p^j, row x + m*d of the (j+1)-digit table
+    chains p copies of row x of the j-digit table, copy e shifted by
+    m*((d + e) mod p). Every entry is read from one list of the p^k
+    values, so the rows share their int objects.
+    """
+    values = list(range(p**k))
+    base = values[:p]
+    rows = [tuple(base[x:] + base[:x]) for x in range(p)]
+    m = p
+    for _ in range(k - 1):
+        shifts = [values[m * c:m * c + m] for c in range(p)]
+        wider = [()] * (m * p)
+        for x, row in enumerate(rows):
+            copies = [tuple(map(shift.__getitem__, row)) for shift in shifts]
+            for d in range(p):
+                wider[x + m * d] = tuple(itertools.chain(*copies[d:], *copies[:d]))
+        rows, m = wider, m * p
+    return tuple(rows)
+
+
 class FieldContext:
     """Immutable arithmetic context for F_{p^n}."""
 
@@ -141,11 +179,37 @@ class FieldContext:
             else:
                 raise AssertionError("no primitive element found")
 
-        exp = [1] * (q - 1)
-        x = 1
-        for i in range(1, q - 1):
-            x = self._mul_raw(x, self.primitive)
-            exp[i] = x
+        q1 = q - 1
+        g = self.primitive
+        exp = [1] * q1
+        if n == 1:
+            x = 1
+            for i in range(1, q1):
+                x = x * g % p
+                exp[i] = x
+        else:
+            # x -> x * g is F_p-linear on the digits. Cut them into blocks a,
+            # b, c of h, h and n - 2h <= 1 digits; the image of each block
+            # value is one raw product, split into the same three blocks:
+            # a1[v] is block b of (v * g), c0[v] block a of (v * P^2 * g).
+            h = n // 2
+            P = p**h
+            PP = P * P
+            images = []
+            for j, w in enumerate((h, h, n - 2 * h)):
+                ys = [self._mul_raw(v * P**j, g) for v in range(p**w)]
+                images.append(([y % P for y in ys], [y // P % P for y in ys],
+                               [y // PP for y in ys]))
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = images
+            sums = _digit_sums(p, h)
+            a, b, c = 1, 0, 0  # the blocks of g^i
+            for i in range(1, q1):
+                a, b, c = (
+                    sums[sums[a0[a]][b0[b]]][c0[c]],
+                    sums[sums[a1[a]][b1[b]]][c1[c]],
+                    sums[sums[a2[a]][b2[b]]][c2[c]],
+                )
+                exp[i] = a + b * P + c * PP
         self.exp_table = exp
         log = [0] * q
         for i, v in enumerate(exp):
@@ -153,30 +217,33 @@ class FieldContext:
         log[0] = -1  # sentinel, never valid
         self.log_table = log
 
-        self.neg_table = [self._neg_digits(x) for x in range(q)]
-        self.frob_table = [self.pow(x, p) for x in range(q)]
+        # -x digit by digit: the top digit d of x + m*d negates to m*(-d)
+        neg, m = [-x % p for x in range(p)], p
+        for _ in range(n - 1):
+            neg = [v + m * (-d % p) for d in range(p) for v in neg]
+            m *= p
+        self.neg_table = neg
+        frob = [exp[lx * p % q1] for lx in log]
+        frob[0] = 0
+        self.frob_table = frob
 
         if q <= FLAT_TABLE_LIMIT:
-            # row x holds x + y; entries y < x repeat column x of the rows above
-            add_rows = []
-            for x in range(q):
-                add_rows.append(
-                    tuple(add_rows[y][x] for y in range(x))
-                    + tuple(self._add_digits(x, y) for y in range(x, q))
-                )
-            self.add_table = tuple(add_rows)
-            # row 0 and column 0 are zero; elsewhere c * v = g^(log c + log v)
-            logs, q1 = log[1:], q - 1
+            self.add_table = _digit_sums(p, n)
+            # row 0 and column 0 are zero; elsewhere c * v = g^(log c + log v),
+            # read from exp rotated to start at log c
+            ring, logs = exp + exp, log[1:]
             mul_rows = [(0,) * q]
             for lc in logs:
-                mul_rows.append((0, *(exp[(lc + lv) % q1] for lv in logs)))
+                rot = ring[lc:lc + q1]
+                mul_rows.append((0, *map(rot.__getitem__, logs)))
             self.mul_table = tuple(mul_rows)
             self.zech_table = None
         else:
             self.add_table = None
             self.mul_table = None
-            # Zech logarithms: 1 + g^i = g^zech[i], -1 where the sum is 0
-            self.zech_table = [log[self._add_digits(1, v)] for v in exp]
+            # Zech logarithms: 1 + g^i = g^zech[i], -1 where the sum is 0;
+            # adding 1 changes digit 0 alone
+            self.zech_table = [log[v - v % p + (v + 1) % p] for v in exp]
 
     # -- raw digit arithmetic (used before tables exist) --
 
@@ -214,28 +281,6 @@ class FieldContext:
             x = self._mul_raw(x, x)
             e >>= 1
         return r
-
-    def _add_digits(self, x: int, y: int) -> int:
-        p = self.p
-        if self.n == 1:
-            return (x + y) % p
-        if p == 2:
-            return x ^ y
-        s = 0
-        for pw in self._pows[: self.n]:
-            s += ((x // pw + y // pw) % p) * pw
-        return s
-
-    def _neg_digits(self, x: int) -> int:
-        p = self.p
-        if self.n == 1:
-            return (p - x) % p
-        if p == 2:
-            return x
-        s = 0
-        for pw in self._pows[: self.n]:
-            s += ((p - (x // pw) % p) % p) * pw
-        return s
 
     # -- element operations --
 
@@ -414,13 +459,18 @@ def build_field(
     of a monic irreducible of degree n and replaces the default
     lexicographically smallest choice.
     """
-    if not isinstance(p, int) or not is_prime(p):
+    # the cap is checked from p and n, before p**n or primality is computed
+    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+        raise NonPrimeError(f"p = {p!r} is not prime")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise NotIrreducibleError(f"extension degree n = {n!r} must be an int >= 1")
+    q = 1
+    for _ in range(n):  # at most 17 steps, since p >= 2
+        q *= p
+        if q > DEFAULT_FIELD_CAP:
+            raise CapExceededError(f"p = {p}, n = {n}: p^n exceeds cap {DEFAULT_FIELD_CAP}")
+    if not is_prime(p):
         raise NonPrimeError(f"p = {p} is not prime")
-    if not isinstance(n, int) or n < 1:
-        raise NotIrreducibleError(f"extension degree n = {n} must be >= 1")
-    q = p**n
-    if q > DEFAULT_FIELD_CAP:
-        raise CapExceededError(f"q = {q} exceeds cap {DEFAULT_FIELD_CAP}")
     if modulus_override is not None:
         mod = tuple(int(c) % p for c in modulus_override)
         if len(mod) != n + 1 or mod[-1] != 1:

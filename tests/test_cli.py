@@ -244,6 +244,19 @@ def test_dense_operator_cap_exits_2(capsys):
         assert code == 2 and out == "" and "dense operator cap" in err
 
 
+@pytest.mark.parametrize("p,n", [("2305843009213693951", "1"), ("2", "100000000")])
+def test_field_past_the_cap_exits_2_before_any_work(capsys, monkeypatch, p, n):
+    # 2^61 - 1 would take minutes of trial division, and 2^(10^8) has
+    # more digits than int-to-str conversion allows
+    def never(*args):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(gf, "is_prime", never)
+    code, out, err = run(capsys, "field-info", "--p", p, "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"precondition violation: p = {p}, n = {n}: p^n exceeds cap 65536\n"
+
+
 def test_reproduce_refuses_past_the_operator_cap_before_any_claim(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("a claim ran")

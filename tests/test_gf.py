@@ -42,6 +42,9 @@ class SchoolbookField:
         a, b = self.to_digits(x), self.to_digits(y)
         return self.from_digits([(u + v) % self.p for u, v in zip(a, b)])
 
+    def neg(self, x):
+        return self.from_digits([-u % self.p for u in self.to_digits(x)])
+
     def mul(self, x, y):
         p, n = self.p, self.n
         a, b = self.to_digits(x), self.to_digits(y)
@@ -56,6 +59,14 @@ class SchoolbookField:
                 for j in range(n + 1):
                     conv[top - n + j] = (conv[top - n + j] - c * self.modulus[j]) % p
         return self.from_digits(conv[:n])
+
+    def frob(self, x):
+        acc = 1
+        for bit in bin(self.p)[2:]:  # square and multiply, top bit first
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, x)
+        return acc
 
     def mul_order(self, x):
         acc, k = x, 1
@@ -201,9 +212,10 @@ def test_line_counts_examples(field):
 
 
 def _check_against_digit_addition(ctx, pairs):
+    oracle = SchoolbookField(ctx)
     for x, y in pairs:
-        assert ctx.add(x, y) == ctx._add_digits(x, y), (x, y)
-        assert ctx.sub(x, y) == ctx._add_digits(x, ctx.neg(y)), (x, y)
+        assert ctx.add(x, y) == oracle.add(x, y), (x, y)
+        assert ctx.sub(x, y) == oracle.add(x, oracle.neg(y)), (x, y)
 
 
 def test_zech_addition_exhaustive_f625(field):
@@ -323,3 +335,103 @@ def test_default_modulus_is_the_smallest_irreducible(p, n):
         if low == modulus[:-1]:
             break
         assert not irreducible(low), low
+
+
+def _check_tables(ctx, elements, pairs):
+    """Every table of ctx against the schoolbook oracle, on the given
+    elements and (x, y) pairs; types as the kernels read them."""
+    oracle = SchoolbookField(ctx)
+    q, g = ctx.q, ctx.primitive
+    exp, log = ctx.exp_table, ctx.log_table
+    for table in (exp, log, ctx.neg_table, ctx.frob_table):
+        assert type(table) is list
+    assert len(exp) == q - 1 and exp[0] == 1 and log[0] == -1
+    assert sorted(exp) == list(range(1, q))
+    for x in elements:
+        if x:
+            i = log[x]
+            assert exp[i] == x and oracle.mul(exp[i - 1], g) == x, x  # exp[-1] = g^(q-2)
+            if ctx.zech_table is not None:
+                z = ctx.zech_table[i]
+                assert (0 if z < 0 else exp[z]) == oracle.add(1, x), x
+        assert ctx.neg_table[x] == oracle.neg(x), x
+        assert ctx.frob_table[x] == oracle.frob(x), x
+    if ctx.add_table is None:
+        assert ctx.mul_table is None and type(ctx.zech_table) is list
+        assert len(ctx.zech_table) == q - 1
+        return
+    assert ctx.zech_table is None
+    for table in (ctx.add_table, ctx.mul_table):
+        assert type(table) is tuple and len(table) == q
+        assert all(type(row) is tuple and len(row) == q for row in table)
+    for x, y in pairs:
+        assert ctx.add_table[x][y] == oracle.add(x, y), (x, y)
+        assert ctx.mul_table[x][y] == oracle.mul(x, y), (x, y)
+
+
+@pytest.mark.parametrize("p,n,override", [
+    (2, 2, None), (2, 3, None), (3, 5, None), (7, 3, None), (13, 2, None), (257, 1, None),
+    (5, 3, (2, 3, 0, 1)),  # t^3 + 3t + 2, not the default modulus
+])
+def test_tables_match_schoolbook_everywhere(field, p, n, override):
+    if override is None:
+        ctx = field(p, n)
+    else:
+        ctx = build_field(p, n, modulus_override=override)
+        assert ctx.modulus != field(p, n).modulus
+    q = ctx.q
+    _check_tables(ctx, range(q), itertools.product(range(q), repeat=2))
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (2, 9), (509, 1), (5, 4), (3, 6), (2, 10), (2, 16),
+                                 (3, 10), (37, 3)])
+def test_tables_match_schoolbook_sampled(field, p, n):
+    ctx = field(p, n)
+    rng = random.Random(2000 + ctx.q)
+    elements = [rng.randrange(ctx.q) for _ in range(2000)]
+    pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(2000)]
+    _check_tables(ctx, elements, pairs)
+
+
+@pytest.mark.parametrize("p,n,digitwise_peak_mib", [(2, 16, 8.7), (37, 3, 6.6)])
+def test_construction_work_and_memory(monkeypatch, p, n, digitwise_peak_mib):
+    """The tables come from O(p^ceil(n/2)) raw products, and the build
+    peaks near the per-element construction it replaced (whose peak is
+    digitwise_peak_mib, at 65,751 and 51,991 raw products)."""
+    import tracemalloc
+
+    from ppshift import gf
+
+    calls = 0
+    mul_raw = gf.FieldContext._mul_raw
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return mul_raw(self, x, y)
+
+    monkeypatch.setattr(gf.FieldContext, "_mul_raw", counted)
+    tracemalloc.start()
+    try:
+        build_field(p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls < 5000
+    assert peak <= 1.25 * digitwise_peak_mib * 2**20
+
+
+@pytest.mark.parametrize("p,n,error", [
+    (True, 2, NonPrimeError), (2, True, NotIrreducibleError), (1, 10**8, NonPrimeError),
+    (2, 0, NotIrreducibleError), (2.0, 2, NonPrimeError),
+])
+def test_build_rejects_bad_arguments(p, n, error):
+    with pytest.raises(error):
+        build_field(p, n)
+
+
+@pytest.mark.parametrize("p,n", [(2**61 - 1, 1), (2, 10**8), (65537, 1), (257, 2), (4, 9)])
+def test_cap_refuses_before_any_work(p, n):
+    # neither p^n nor a primality test of p is computed above the cap
+    with pytest.raises(CapExceededError, match=rf"^p = {p}, n = {n}: p\^n exceeds cap 65536$"):
+        build_field(p, n)
