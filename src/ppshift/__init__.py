@@ -23,7 +23,6 @@ from .errors import (
     OutOfRangeError,
     PPShiftError,
     PreconditionError,
-    TooLargeFieldError,
 )
 from .gf import FieldContext, Line, build_field, line_count, line_decomposition, roots_of_unity
 

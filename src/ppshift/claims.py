@@ -22,15 +22,16 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import eigen, fp2, pp
-from .errors import BudgetExceededError, OutOfRangeError
-from .gf import FieldContext, build_field, line_count, line_decomposition, roots_of_unity
+from .errors import BudgetExceededError, DimensionMismatchError, OutOfRangeError
+from .gf import (FieldContext, build_field, line_count, line_decomposition, require_int,
+                 roots_of_unity)
 from .poly import (
+    _binomial_power,
     coords,
     eval_table,
     from_coords,
     linearized_coeffs,
-    linearized_to_matrix,
-    matrix_to_linearized,
+    linearized_poly,
     monomial,
     normalize,
 )
@@ -46,6 +47,10 @@ class RunConfig:
     budget: int = pp.DEFAULT_BUDGET
     seed: int = 0
     timings: bool = False
+
+    def __post_init__(self):
+        require_int(self.budget, message="budget {x!r} is not an int")
+        require_int(self.seed, message="seed {x!r} is not an int")
 
 
 @dataclass
@@ -147,10 +152,6 @@ class _FieldRun:
             runtime=round(time.perf_counter() - started, 3) if self.cfg.timings else None,
             note=note,
         ))
-
-
-def _sample_pairs(rng: random.Random, q: int, count: int):
-    return [(rng.randrange(q), rng.randrange(q)) for _ in range(count)]
 
 
 def _verdict(bad, holds, note: str, shown: int | None = 3):
@@ -461,7 +462,8 @@ def _additivity(run: _FieldRun):
         pairs = [(r, s) for r in range(ctx.q) for s in range(ctx.q)]
         note = f"exhaustive over {ctx.q}^2 pairs"
     else:
-        pairs = _sample_pairs(run.rng("lemma9.additivity"), ctx.q, 100)
+        rng = run.rng("lemma9.additivity")
+        pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(100)]
         note = "100 sampled pairs (seeded)"
     # each shift built at most once, and all freed when the claim returns
     operator = functools.cache(functools.partial(eigen.shift_operator, ctx))
@@ -483,7 +485,7 @@ def _line_kernels(run: _FieldRun):
         for s in line.members:
             if ctx.pow(s, ctx.p - 1) != line.b:
                 bad.append(("member power", s))
-        table = eval_table(ctx, [0, ctx.neg(line.b), *[0] * (ctx.p - 2), 1])  # x^p - bx
+        table = eval_table(ctx, _binomial_power(ctx, line.b, 1))  # x^p - bx
         kernel = {x for x, y in enumerate(table) if y == 0}
         if kernel != {0, *line.members}:
             bad.append(("kernel", line.representative))
@@ -551,6 +553,37 @@ def _v1_inverse_closure(run: _FieldRun):
     return _verdict(bad, "closed", (
         f"{len(report.ppr_list)} inverses interpolated and cross-checked via the matrix route"
     ), shown=2)
+
+
+def linearized_to_matrix(ctx: FieldContext, d) -> tuple[tuple[int, ...], ...]:
+    """n x n matrix over F_p of the map's action on the power basis.
+
+    Column j holds the base-p digits of the image of t^j, so the map is
+    a permutation of the field exactly when the matrix is invertible.
+    """
+    n = ctx.n
+    table = eval_table(ctx, linearized_poly(ctx, d))
+    cols = [ctx.digits(table[ctx.p**j]) for j in range(n)]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def matrix_to_linearized(ctx: FieldContext, rows) -> list[int]:
+    """Recover the coefficient vector d from an n x n matrix over F_p.
+
+    Solves the Moore system sum_j d_j (t^i)^(p^j) = image of t^i; the
+    system is nonsingular because (1, t, ..., t^(n-1)) is a basis.
+    """
+    n = ctx.n
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise DimensionMismatchError("matrix must be n x n")
+    aug = []
+    for i in range(n):
+        row = [ctx.p**i]  # t^i and its conjugates, then the image of t^i
+        while len(row) < n:
+            row.append(ctx.frobenius(row[-1]))
+        aug.append(row + [ctx.from_digits([rows[k][i] % ctx.p for k in range(n)])])
+    red, _ = eigen.rref(ctx, aug)
+    return [row[n] for row in red]
 
 
 def _fp_matrix_inverse(fp: FieldContext, rows):
@@ -632,8 +665,7 @@ def _v1_shapes(run: _FieldRun):
     expected = {(0, 1)}
     for r in range(ctx.q):
         if r not in roots:
-            coeffs = [0, ctx.neg(r)] + [0] * (ctx.p - 2) + [1]
-            expected.add(tuple(normalize(coeffs)))
+            expected.add(tuple(_binomial_power(ctx, r, 1)))  # x^p - rx
     if report.ppr_list is None:
         return "skipped", None, None, "PPR list above the reporting threshold"
     observed = set(report.ppr_list)

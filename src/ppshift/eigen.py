@@ -41,14 +41,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError, DimensionMismatchError, OutOfRangeError
-from .gf import FieldContext, build_field, require_element
+from .gf import FieldContext, build_field, require_element, require_int, require_same_field
 from .poly import (
+    _binomial_power,
     coords,
     compose,
     from_coords,
     monomial,
     normalize,
-    poly_pow,
     require_vpoly,
 )
 
@@ -198,12 +198,7 @@ class Subspace:
             raise DimensionMismatchError(
                 f"ambient dimensions differ: {self.ambient} != {other.ambient}"
             )
-        if (self.ctx.p, self.ctx.n, self.ctx.modulus) != (
-            other.ctx.p,
-            other.ctx.n,
-            other.ctx.modulus,
-        ):
-            raise DimensionMismatchError("subspaces built over different fields")
+        require_same_field(self.ctx, other.ctx, "subspaces")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -233,7 +228,11 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Solve the stacked homogeneous system relating coordinates in
-        both bases, then map solutions back to ambient vectors."""
+        both bases, then map solutions back to ambient vectors. No
+        solution has a zero a-part, so the a-parts of the RREF solution
+        rows are in RREF, and a's pivots carry each image sum c_i a_i to
+        a unit head with zeros there in the other images: the images are
+        the canonical basis."""
         self._check_compatible(other)
         ctx = self.ctx
         a, b = self.basis, other.basis
@@ -245,15 +244,15 @@ class Subspace:
             for d in range(self.ambient)
         ]
         sol = nullspace(ctx, stacked, na + nb)
-        vectors = []
+        images = []
         for srow in sol.basis:
             vec = [0] * self.ambient
             for i in range(na):
                 c = srow[i]
                 if c:
                     vec = ctx.axpy(vec, c, a[i])
-            vectors.append(vec)
-        return Subspace.from_vectors(ctx, vectors, self.ambient)
+            images.append(tuple(vec))
+        return Subspace(ctx=ctx, basis=tuple(images), ambient=self.ambient)
 
     def polynomials(self) -> list[list[int]]:
         """Basis rows as V[x] polynomials (requires ambient q - 2)."""
@@ -345,8 +344,7 @@ def _difference_power(ctx: FieldContext, k: int) -> list[list[int]]:
     Only the entries with C(e, i) nonzero mod p are written, read from
     _lucas_columns.
     """
-    if not 1 <= k <= ctx.p:
-        raise OutOfRangeError(f"k = {k} outside [1, p]")
+    require_int(k, 1, ctx.p, message="k = {x!r} outside [1, {hi}]")
     p = ctx.p
     d = ctx.q - 2
     signed = [(-1) ** (k - t) * math.comb(k, t) for t in range(k + 1)]
@@ -381,7 +379,10 @@ def rescale_kernel(ctx: FieldContext, unit: Subspace, r: int) -> Subspace:
     stay the canonical basis with no further elimination.
     """
     _require_shift(ctx, r)
+    require_same_field(unit.ctx, _prime_field(ctx), "unit kernel and F_p")
     d = unit.ambient
+    if d != ctx.q - 2:
+        raise DimensionMismatchError(f"unit kernel of ambient {d}, expected q - 2 = {ctx.q - 2}")
     inv_pows = [ctx.pow(r, -s) for s in range(d)]
     basis = []
     for row in unit.basis:
@@ -456,33 +457,24 @@ def predicted_basis(ctx: FieldContext, variant: str, m: int | None = None, r: in
     if variant == "lemma6":
         return predicted_basis(ctx, "theorem11", r=1)
     if variant == "theorem11":
-        if r is None or r == 0:
-            raise OutOfRangeError("theorem11 needs a nonzero shift r")
-        require_element(ctx, r)
-        base_poly = [0, ctx.neg(ctx.pow(r, p - 1))] + [0] * (p - 2) + [1]  # x^p - bx
+        _require_shift(ctx, r)
+        b = ctx.pow(r, p - 1)
         basis = [monomial(p**k) for k in range(n)]
-        basis += [poly_pow(ctx, base_poly, i) for i in range(2, pn1) if _not_p_power(ctx, i)]
-        return basis
-    if variant == "theorem7":
-        if m is None or not 1 <= m <= p:
-            raise OutOfRangeError(f"theorem7 needs m in [1, {p}]")
-        base_poly = [0, ctx.neg(1)] + [0] * (p - 2) + [1]  # x^p - x
-        basis = []
-        for i in range(1, pn1):
-            power = poly_pow(ctx, base_poly, i)
-            for j in range(m):
-                if j + i * p <= q - 2:
-                    shifted = [0] * j + power
-                    basis.append(normalize(shifted))
-        basis += [monomial(k) for k in range(1, m + 1) if k <= q - 2]
-        return basis
+        return basis + [_binomial_power(ctx, b, i) for i in range(2, pn1) if _not_p_power(ctx, i)]
+    if variant == "corollary3" and n != 1:
+        raise OutOfRangeError("corollary3 applies to prime fields only")
+    if variant not in ("theorem7", "corollary3"):
+        raise OutOfRangeError(f"unknown basis variant {variant!r}")
+    require_int(m, 1, p, message=variant + " needs m in [1, {hi}], not {x!r}")
     if variant == "corollary3":
-        if n != 1:
-            raise OutOfRangeError("corollary3 applies to prime fields only")
-        if m is None or not 1 <= m <= p:
-            raise OutOfRangeError(f"corollary3 needs m in [1, {p}]")
         return [monomial(k) for k in range(1, min(m, q - 2) + 1)]
-    raise OutOfRangeError(f"unknown basis variant {variant!r}")
+    basis = []
+    for i in range(1, pn1):
+        power = _binomial_power(ctx, 1, i)  # (x^p - x)^i
+        for j in range(m):
+            if j + i * p <= q - 2:
+                basis.append([0] * j + power)
+    return basis + [monomial(k) for k in range(1, m + 1) if k <= q - 2]
 
 
 def degree_echelon(ctx: FieldContext, space: Subspace) -> list[list[int]]:
@@ -490,6 +482,7 @@ def degree_echelon(ctx: FieldContext, space: Subspace) -> list[list[int]]:
     degrees: monic, of strictly falling degree, and each zero at the
     others' degrees. Those degrees are the ones the space's nonzero
     members attain."""
+    require_same_field(space.ctx, ctx, "space and ctx")
     red, _ = rref(ctx, [row[::-1] for row in space.basis])
     return [from_coords(ctx, row[::-1]) for row in red]
 

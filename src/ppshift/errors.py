@@ -22,7 +22,7 @@ class NotIrreducibleError(PreconditionError):
 
 
 class CapExceededError(PreconditionError):
-    """Requested field size exceeds the configured cap."""
+    """Requested field size exceeds the cap of a construction or procedure."""
 
 
 class NotADivisorError(PreconditionError):
@@ -42,15 +42,11 @@ class OutOfRangeError(PreconditionError):
 
 
 class DimensionMismatchError(PreconditionError):
-    """Subspace operands live in different ambient spaces."""
+    """Operands live in different ambient spaces or fields."""
 
 
 class NotAPermutationError(PreconditionError):
     """Polynomial is not a permutation of the field."""
-
-
-class TooLargeFieldError(PreconditionError):
-    """Field too large for the requested exhaustive procedure."""
 
 
 class DegenerateParametersError(PreconditionError):

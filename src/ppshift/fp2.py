@@ -49,6 +49,7 @@ from .errors import (
 from . import pp
 from .gf import FieldContext, require_element, roots_of_unity
 from .poly import (
+    _binomial_power,
     gmb_poly,
     hmd_d,
     hmd_poly,
@@ -64,6 +65,14 @@ from .poly import (
 def _require_fp2(ctx: FieldContext) -> None:
     if ctx.n != 2:
         raise OutOfRangeError("family is defined over quadratic extensions only")
+
+
+def _require_family(ctx: FieldContext, m: int, b: int, *elements) -> None:
+    """A quadratic extension, a valid (m, b) and element indices."""
+    _require_fp2(ctx)
+    require_mb(ctx, m, b)
+    for x in elements:
+        require_element(ctx, x)
 
 
 def family_b_values(ctx: FieldContext) -> list[int]:
@@ -101,10 +110,7 @@ def check_conditions(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -
     When beta + b*alpha = 0 the left side of the second condition is 0
     and can never equal the nonzero right side, so cond2 is false.
     """
-    _require_fp2(ctx)
-    require_mb(ctx, m, b)
-    require_element(ctx, alpha)
-    require_element(ctx, beta)
+    _require_family(ctx, m, b, alpha, beta)
     p = ctx.p
     cond1 = ctx.pow(alpha, p + 1) != ctx.pow(beta, p + 1)
     lhs_base = ctx.add(beta, ctx.mul(b, alpha))
@@ -117,10 +123,7 @@ def check_conditions(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -
 
 def derive_params(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -> FamilyInstance:
     """Populate (gamma, epsilon, delta, d) for one (m, b, alpha, beta)."""
-    _require_fp2(ctx)
-    require_mb(ctx, m, b)
-    require_element(ctx, alpha)
-    require_element(ctx, beta)
+    _require_family(ctx, m, b, alpha, beta)
     d = hmd_d(ctx, m, b)
     return FamilyInstance(ctx, m, b, alpha, beta, *_derive(ctx, m, d, alpha, beta), d)
 
@@ -147,10 +150,8 @@ def _derive(ctx: FieldContext, m: int, d: int, alpha: int, beta: int) -> tuple[i
 
 def family_poly(ctx: FieldContext, m: int, b: int, alpha: int, beta: int) -> list[int]:
     """(x^p - b x)^m + alpha x^p + beta x, reduced."""
-    _require_fp2(ctx)
-    require_element(ctx, alpha)
-    require_element(ctx, beta)
-    f = list(gmb_poly(ctx, m, b))
+    _require_family(ctx, m, b, alpha, beta)
+    f = _binomial_power(ctx, b, m)
     f[ctx.p] = ctx.add(f[ctx.p], alpha)
     f[1] = ctx.add(f[1], beta)
     return normalize(f)
@@ -184,8 +185,7 @@ def constructible_pairs(ctx: FieldContext, m: int, b: int) -> list[tuple[int, in
     beta = s - b alpha, s in S, and only the first condition is left to
     test: q(p-1) candidates instead of q^2.
     """
-    _require_fp2(ctx)
-    require_mb(ctx, m, b)
+    _require_family(ctx, m, b)
     p = ctx.p
     rhs = ctx.mul(neg_one_pow(ctx, m), ctx.pow(b, m * p - 1))
     solutions = [s for s in range(1, ctx.q) if ctx.pow(s, p - 1) == rhs]
@@ -328,9 +328,8 @@ def shape_pprs(ctx: FieldContext, m: int, b: int, budget: int = pp.DEFAULT_BUDGE
     2x2 map (alpha, beta) -> (u, w), of determinant r^p t - r t^p =
     r t (b - t^(p-1)) != 0. The budget still prices all q^2 candidates;
     one array instead of a list of pairs keeps a run's shapes small."""
-    _require_fp2(ctx)
+    _require_family(ctx, m, b)
     pp.require_budget(ctx.q**2, budget)
-    require_mb(ctx, m, b)
     p, q = ctx.p, ctx.q
     mul, div, frob = ctx.mul, ctx.div, ctx.frob_table
     r, t, g = _frame(ctx, m, b)
@@ -397,9 +396,9 @@ def shape_closure(ctx: FieldContext, shapes) -> list[tuple]:
     keeps = {}  # m -> {kappa: whether the inverse of x^m + kappa x is a binomial}
     bad = []
     for (m, b), codes in shapes.items():
+        require_mb(ctx, m, b)
         if math.gcd(m, p - 1) != 1 or not all(0 <= code < q * q for code in codes):
             raise OutOfRangeError(f"m = {m} not coprime to {p - 1}, or a code not below {q * q}")
-        require_mb(ctx, m, b)
         if m not in keeps:
             keeps[m] = {kappa: _is_binomial(p, pow(m, -1, p - 1), inverse)
                         for kappa, inverse in _binomial_inverses(p, m).items()}

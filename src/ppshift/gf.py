@@ -48,10 +48,12 @@ row tuples, and add_row hands out a fresh list.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
     CapExceededError,
+    DimensionMismatchError,
     NonPrimeError,
     NotADivisorError,
     NotIrreducibleError,
@@ -455,15 +457,13 @@ def build_field(
 ) -> FieldContext:
     """Construct F_{p^n} with deterministic modulus and primitive element.
 
-    modulus_override, when given, is a coefficient list (degree 0 first)
-    of a monic irreducible of degree n and replaces the default
-    lexicographically smallest choice.
+    modulus_override, when given, is a coefficient list (degree 0 first,
+    each in [0, p - 1]) of a monic irreducible of degree n and replaces
+    the default lexicographically smallest choice.
     """
     # the cap is checked from p and n, before p**n or primality is computed
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise NonPrimeError(f"p = {p!r} is not prime")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise NotIrreducibleError(f"extension degree n = {n!r} must be an int >= 1")
+    require_int(p, 2, math.inf, NonPrimeError, "p = {x!r} is not prime")
+    require_int(n, 1, math.inf, NotIrreducibleError, "extension degree {x!r} is not an int >= 1")
     q = 1
     for _ in range(n):  # at most 17 steps, since p >= 2
         q *= p
@@ -472,7 +472,9 @@ def build_field(
     if not is_prime(p):
         raise NonPrimeError(f"p = {p} is not prime")
     if modulus_override is not None:
-        mod = tuple(int(c) % p for c in modulus_override)
+        mod = tuple(modulus_override)
+        for c in mod:
+            require_int(c, 0, p - 1, NotIrreducibleError, "override coefficient {x!r} not in F_p")
         if len(mod) != n + 1 or mod[-1] != 1:
             raise NotIrreducibleError(f"override {modulus_override!r} is not monic of degree {n}")
         if not _is_irreducible(mod, p):
@@ -482,14 +484,28 @@ def build_field(
     return FieldContext(p, n, mod)
 
 
+def require_int(x, lo=-math.inf, hi=math.inf, error=OutOfRangeError,
+                message="{x!r} is not an int in [{lo}, {hi}]") -> None:
+    """The one integer rule of the public entry points: x is an int, not
+    a bool, with lo <= x <= hi; else error(message formatted from x, lo
+    and hi), so each caller keeps its typed error and wording."""
+    if x.__class__ is not int or not lo <= x <= hi:
+        raise error(message.format(x=x, lo=lo, hi=hi))
+
+
 def require_element(ctx: FieldContext, x) -> None:
     """Refuse anything but an element index 0 <= x < q.
 
     The arithmetic indexes tables by element, so an index out of range
     would fail with an IndexError or, when negative, silently alias.
     """
-    if not isinstance(x, int) or not 0 <= x < ctx.q:
-        raise OutOfRangeError(f"{x!r} is not an element index of F_{ctx.q}")
+    require_int(x, 0, ctx.q - 1, message="{x!r} is not an element index of F_" + str(ctx.q))
+
+
+def require_same_field(a: FieldContext, b: FieldContext, what: str) -> None:
+    """The one operand rule: a and b are one field by (p, n, modulus)."""
+    if (a.p, a.n, a.modulus) != (b.p, b.n, b.modulus):
+        raise DimensionMismatchError(f"{what} built over different fields")
 
 
 @dataclass(frozen=True)
@@ -521,7 +537,8 @@ def line_decomposition(ctx: FieldContext) -> list[Line]:
 
 def roots_of_unity(ctx: FieldContext, d: int) -> list[int]:
     """All x with x^d = 1, sorted by index. Requires d | q - 1."""
-    if d < 1 or (ctx.q - 1) % d != 0:
+    require_int(d, 1, ctx.q - 1, NotADivisorError, "{x!r} does not divide q - 1 = {hi}")
+    if (ctx.q - 1) % d != 0:
         raise NotADivisorError(f"{d} does not divide q - 1 = {ctx.q - 1}")
     step = (ctx.q - 1) // d
     return sorted(ctx.exp_table[(i * step) % (ctx.q - 1)] for i in range(d))

@@ -22,14 +22,16 @@ from .errors import (
     NotRootOfUnityError,
     OutOfRangeError,
 )
-from .gf import FieldContext, require_element
+from .gf import FieldContext, require_element, require_int
 
 
 def require_poly(ctx: FieldContext, f) -> None:
-    """Refuse a coefficient list with an entry that is not an element index."""
+    """Refuse a coefficient list with an entry that is not an element
+    index: require_element's rule, tested inline, one O(1) test per
+    coefficient, with require_element raising for the first offender."""
     q = ctx.q
     for c in f:
-        if not isinstance(c, int) or not 0 <= c < q:
+        if c.__class__ is not int or not 0 <= c < q:
             require_element(ctx, c)  # raises
 
 
@@ -104,8 +106,7 @@ def poly_mul(ctx: FieldContext, f, g) -> list[int]:
 def poly_pow(ctx: FieldContext, f, e: int) -> list[int]:
     """f**e by repeated squaring, reduced after every multiplication."""
     require_poly(ctx, f)
-    if e < 0:
-        raise OutOfRangeError("negative polynomial power")
+    require_int(e, 0, message="polynomial power {x!r} is not an int >= 0")
     result = [1]
     base = reduce_poly(ctx, f)
     while e:
@@ -160,6 +161,7 @@ def compose(ctx: FieldContext, f, g) -> list[int]:
 
 
 def monomial(e: int, c: int = 1) -> list[int]:
+    require_int(e, 0, message="monomial exponent {x!r} is not an int >= 0")
     out = [0] * (e + 1)
     out[e] = c
     return normalize(out)
@@ -208,8 +210,7 @@ def _binomial_power(ctx: FieldContext, b: int, m: int) -> list[int]:
 
 def require_mb(ctx: FieldContext, m: int, b: int) -> None:
     """2 <= m <= p-1 and b an ell_q-th root of unity, ell_q = (q-1)/(p-1)."""
-    if not 2 <= m <= ctx.p - 1:
-        raise BadExponentError(f"m = {m} outside [2, {ctx.p - 1}]")
+    require_int(m, 2, ctx.p - 1, BadExponentError, "m = {x!r} outside [2, {hi}]")
     require_element(ctx, b)
     ell = (ctx.q - 1) // (ctx.p - 1)
     if b == 0 or ctx.pow(b, ell) != 1:
@@ -264,43 +265,6 @@ def linearized_coeffs(ctx: FieldContext, f) -> list[int] | None:
     return d
 
 
-def linearized_to_matrix(ctx: FieldContext, d) -> tuple[tuple[int, ...], ...]:
-    """n x n matrix over F_p of the map's action on the power basis.
-
-    Column j holds the base-p digits of the image of t^j, so the map is
-    a permutation of the field exactly when the matrix is invertible.
-    """
-    n = ctx.n
-    table = eval_table(ctx, linearized_poly(ctx, d))
-    cols = [ctx.digits(table[ctx.p**j]) for j in range(n)]
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def matrix_to_linearized(ctx: FieldContext, rows) -> list[int]:
-    """Recover the coefficient vector d from an n x n matrix over F_p.
-
-    Solves the Moore system sum_j d_j (t^i)^(p^j) = image of t^i; the
-    system is nonsingular because (1, t, ..., t^(n-1)) is a basis.
-    """
-    from .eigen import rref  # eigen imports this module
-
-    n = ctx.n
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DimensionMismatchError("matrix must be n x n")
-    aug = []
-    for i in range(n):
-        row = []
-        x = ctx.p**i  # t^i
-        for _ in range(n):
-            row.append(x)
-            x = ctx.frobenius(x)
-        target = ctx.from_digits([rows[k][i] % ctx.p for k in range(n)])
-        row.append(target)
-        aug.append(row)
-    red, _ = rref(ctx, aug)
-    return [row[n] for row in red]
-
-
 # -- textual format: element-index coefficients, `c*x^e` terms --
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?x(?:\^(\d+))?$|^(\d+)$")
@@ -335,8 +299,7 @@ def parse_poly(ctx: FieldContext, text: str) -> list[int]:
         else:
             c = int(mt.group(1)) if mt.group(1) else 1
             e = int(mt.group(2)) if mt.group(2) else 1
-        if c >= ctx.q:
-            raise OutOfRangeError(f"coefficient {c} is not an element index of F_{ctx.q}")
+        require_element(ctx, c)
         if e:
             e = 1 + (e - 1) % (ctx.q - 1)  # fold mod x^q - x before allocating
         raw[e] = ctx.add(raw.get(e, 0), c)

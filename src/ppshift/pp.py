@@ -27,15 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .eigen import Subspace, apply_shift, degree_echelon
 from .errors import (
     BudgetExceededError,
     CapExceededError,
     DimensionMismatchError,
     NotAPermutationError,
     OutOfRangeError,
-    TooLargeFieldError,
 )
-from .gf import DEFAULT_FIELD_CAP, FieldContext, prime_factors
+from .gf import DEFAULT_FIELD_CAP, FieldContext, prime_factors, require_int, require_same_field
 from .poly import (
     eval_table,
     is_monic,
@@ -94,7 +94,7 @@ def hermite_test(ctx: FieldContext, f) -> bool:
     if q <= 2:
         raise OutOfRangeError("degree criterion needs q > 2")
     if q > HERMITE_MAX_Q:
-        raise TooLargeFieldError(f"q = {q} exceeds the cost cap {HERMITE_MAX_Q}")
+        raise CapExceededError(f"q = {q} exceeds the cost cap {HERMITE_MAX_Q}")
     return _hermite_table(ctx, eval_table(ctx, f))
 
 
@@ -289,7 +289,9 @@ def is_compositional_inverse(ctx: FieldContext, f, h) -> bool:
 
 
 def require_budget(total: int, budget: int) -> None:
-    """Refuse a scan of total candidates before it starts."""
+    """Refuse a scan of total candidates before it starts; a negative
+    budget refuses every scan."""
+    require_int(budget, message="budget {x!r} is not an int")
     if total > budget:
         raise BudgetExceededError(f"{total} candidates exceed budget {budget}")
 
@@ -344,8 +346,6 @@ def _monic_blocks(ctx: FieldContext, space):
     falling degree, so sum c_i B_i has the degree and lead of its first
     nonzero c_t: the monic members are B_t + span(B_(t+1), ...) over t.
     Blocks of degree d > 1 with d | q - 1 hold no permutation."""
-    from .eigen import degree_echelon
-
     rows = degree_echelon(ctx, space)
     q1 = ctx.q - 1
     return [(f, rows[t + 1 :]) for t, f in enumerate(rows) if len(f) == 2 or q1 % (len(f) - 1)]
@@ -361,12 +361,11 @@ def enumerate_pprs(
 
     The domain size must fit the budget; nothing is silently truncated.
     """
-    from .eigen import Subspace
-
     if not isinstance(domain, Subspace):
         raise OutOfRangeError(f"unsupported enumeration domain {type(domain).__name__}")
     if domain.ambient != ctx.q - 2:
         raise OutOfRangeError("subspace does not live over the monomial coordinates")
+    require_same_field(domain.ctx, ctx, "domain and ctx")
     total = ctx.q**domain.dim
     require_budget(total, budget)
     count = 0
@@ -401,8 +400,6 @@ def degree_distribution(ctx: FieldContext, budget: int = DEFAULT_BUDGET) -> Degr
     (A_1 - I)^(d-1) does not, with the shift applied by substitution.
     Offenders (none expected) are returned.
     """
-    from .eigen import apply_shift
-
     if ctx.n != 1:
         raise OutOfRangeError("degree census applies to prime fields")
     p = ctx.q

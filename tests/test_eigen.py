@@ -263,6 +263,30 @@ def test_intersection_space_matches_dense_kernels(field, p, n):
     assert intersection_space(ctx, 1, alt) == want
 
 
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (2, 5)])
+def test_intersect_images_are_the_canonical_basis_of_the_meet(field, p, n):
+    # intersect runs no elimination after mapping the solutions back: the
+    # images must already be canonical, lie in both spaces and have the
+    # dimension dim a + dim b - dim(a + b)
+    ctx = field(p, n)
+    rng = random.Random(p * 100 + n)
+    ambient = 7
+
+    def vectors(count):
+        return [[rng.randrange(ctx.q) if rng.random() < 0.6 else 0 for _ in range(ambient)]
+                for _ in range(count)]
+
+    for _ in range(50):
+        shared = vectors(rng.randrange(3))
+        a = Subspace.from_vectors(ctx, shared + vectors(rng.randrange(1, 4)), ambient)
+        b = Subspace.from_vectors(ctx, shared + vectors(rng.randrange(1, 4)), ambient)
+        meet = a.intersect(b)
+        assert Subspace.from_vectors(ctx, list(meet.basis), ambient).basis == meet.basis
+        assert a.contains(meet) and b.contains(meet)
+        joined = Subspace.from_vectors(ctx, list(a.basis + b.basis), ambient)
+        assert meet.dim == a.dim + b.dim - joined.dim
+
+
 def test_dense_routes_refuse_past_the_cap(field, monkeypatch):
     f9 = field(3, 2)
     monkeypatch.setattr(eigen, "OPERATOR_MAX_Q", 8)

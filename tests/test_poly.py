@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ppshift.claims import linearized_to_matrix, matrix_to_linearized
 from ppshift.eigen import mat_rank
 from ppshift.errors import BadExponentError, NotRootOfUnityError, OutOfRangeError
 from ppshift.gf import roots_of_unity
@@ -18,8 +19,6 @@ from ppshift.poly import (
     hmd_poly,
     linearized_coeffs,
     linearized_poly,
-    linearized_to_matrix,
-    matrix_to_linearized,
     monomial,
     neg_one_pow,
     normalize,
@@ -157,6 +156,17 @@ def test_binomial_power_closed_form_matches_poly_pow(field, p, n):
         binomial[p] = 1
         for m in range(2, p):
             assert _binomial_power(ctx, b, m) == poly_pow(ctx, binomial, m), (m, b)
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 3), (2, 4), (7, 2), (3, 4)])
+def test_binomial_power_matches_poly_pow_below_p_to_the_n_minus_1(field, p, n):
+    # predicted_basis reads (x^p - bx)^i, i < p^(n-1), from the closed form
+    # (theorem7 at b = 1, theorem11 at b = r^(p-1)); poly_pow is the oracle
+    ctx = field(p, n)
+    for b in (1, ctx.pow(ctx.primitive, p - 1)):
+        binomial = [0, ctx.neg(b)] + [0] * (p - 2) + [1]
+        for i in range(p ** (n - 1)):
+            assert _binomial_power(ctx, b, i) == poly_pow(ctx, binomial, i), (b, i)
 
 
 def test_gmb_f25_degree_and_power_identity(field):

@@ -5,15 +5,29 @@ from math import factorial, gcd
 
 import pytest
 
-from ppshift.claims import DEFAULT_ROSTER
-from ppshift.eigen import apply_shift, intersection_space, kernel_power, span_of_polys
+from ppshift import build_field, fp2
+from ppshift.claims import DEFAULT_ROSTER, RunConfig
+from ppshift.eigen import (
+    apply_shift,
+    degree_echelon,
+    intersection_space,
+    kernel_power,
+    predicted_basis,
+    rescale_kernel,
+    shift_operator,
+    span_of_polys,
+    unit_kernel,
+)
 from ppshift.errors import (
+    BadExponentError,
     BudgetExceededError,
     CapExceededError,
     DimensionMismatchError,
+    NotADivisorError,
     NotAPermutationError,
+    NotIrreducibleError,
     OutOfRangeError,
-    TooLargeFieldError,
+    PreconditionError,
 )
 from ppshift.fp2 import (
     build_pair,
@@ -23,6 +37,7 @@ from ppshift.fp2 import (
     family_poly,
     shape_pprs,
 )
+from ppshift.gf import roots_of_unity
 from ppshift.poly import (
     compose,
     eval_table,
@@ -116,7 +131,7 @@ def test_hermite_examples(field):
     for p, n in ((5, 1), (3, 2), (2, 3)):
         ctx = field(p, n)
         assert hermite_test(ctx, monomial(ctx.q - 1)) is False
-    with pytest.raises(TooLargeFieldError):
+    with pytest.raises(CapExceededError):
         hermite_test(field(3, 4), monomial(1))  # q = 81 > HERMITE_MAX_Q
 
 
@@ -144,7 +159,7 @@ def slow_hermite_test(ctx, f):
     if q <= 2:
         raise OutOfRangeError("degree criterion needs q > 2")
     if q > HERMITE_MAX_Q:
-        raise TooLargeFieldError(f"q = {q} exceeds the cost cap {HERMITE_MAX_Q}")
+        raise CapExceededError(f"q = {q} exceeds the cost cap {HERMITE_MAX_Q}")
     f = reduce_poly(ctx, f)
     power = [1]
     for t in range(1, q - 1):
@@ -221,7 +236,7 @@ def test_hermite_refuses_in_its_validation_order(field):
             test(f2, [0, 2])
         with pytest.raises(OutOfRangeError, match="needs q > 2"):
             test(f2, [0, 1])
-        with pytest.raises(TooLargeFieldError):
+        with pytest.raises(CapExceededError):
             test(f81, [0, 1])
 
 
@@ -633,22 +648,89 @@ def test_entry_points_refuse_non_element_coefficients(field, f):
             call()
 
 
-@pytest.mark.parametrize("call, error", [
-    (lambda ctx: inverse_table(ctx, [0, 1]), DimensionMismatchError),
-    (lambda ctx: interpolate_table(ctx, [0, 1, 2, 3, 4, 0, 0]), DimensionMismatchError),
-    (lambda ctx: inverse_table(ctx, [0, 1, 2, 3, 9]), OutOfRangeError),
-    (lambda ctx: interpolate_table(ctx, [0, 1, 2, 3, 9]), OutOfRangeError),
-    (lambda ctx: inverse_table(ctx, [0, 1, 2, 3, -1]), OutOfRangeError),
-    (lambda ctx: poly_pow(ctx, [0, 9], 2), OutOfRangeError),
-    (lambda ctx: compose(ctx, [0, 9], [0, 1]), OutOfRangeError),
-    (lambda ctx: compose(ctx, [0, 1], [0, 9]), OutOfRangeError),
-    (lambda ctx: apply_shift(ctx, 1, [0, 9]), OutOfRangeError),
-], ids=["inverse short", "interpolate long", "inverse 9", "interpolate 9", "inverse -1",
-        "poly_pow", "compose outer", "compose inner", "apply_shift"])
-def test_table_and_coefficient_entry_points_refuse_malformed_input(field, call, error):
-    # F_5: a table has 5 entries, each an element index below 5
-    with pytest.raises(error):
-        call(field(5, 1))
+# (call on the field factory F, the typed error, or None for a boundary
+# value that must still be answered). Integers are ints with bools
+# refused, and operands come from one field: every refusal is a
+# PreconditionError (exit 2) or BudgetExceededError (exit 3), never a
+# TypeError or IndexError traceback, nor an answer for an aliased input.
+G9 = (2, 2, 1)  # F_9 under t^2 + 2t + 2, another encoding of F_9
+ENTRY_POINT_INPUTS = {
+    "inverse short": (lambda F: inverse_table(F(5), [0, 1]), DimensionMismatchError),
+    "interpolate long": (lambda F: interpolate_table(F(5), [0, 1, 2, 3, 4, 0, 0]),
+                         DimensionMismatchError),
+    "inverse 9": (lambda F: inverse_table(F(5), [0, 1, 2, 3, 9]), OutOfRangeError),
+    "interpolate 9": (lambda F: interpolate_table(F(5), [0, 1, 2, 3, 9]), OutOfRangeError),
+    "inverse -1": (lambda F: inverse_table(F(5), [0, 1, 2, 3, -1]), OutOfRangeError),
+    "poly_pow": (lambda F: poly_pow(F(5), [0, 9], 2), OutOfRangeError),
+    "compose outer": (lambda F: compose(F(5), [0, 9], [0, 1]), OutOfRangeError),
+    "compose inner": (lambda F: compose(F(5), [0, 1], [0, 9]), OutOfRangeError),
+    "apply_shift": (lambda F: apply_shift(F(5), 1, [0, 9]), OutOfRangeError),
+    # a bool once read as 1
+    "kernel_power k True": (lambda F: kernel_power(F(3, 2), 1, True), OutOfRangeError),
+    "poly_pow e True": (lambda F: poly_pow(F(3, 2), [0, 1, 1], True), OutOfRangeError),
+    "shift_operator r True": (lambda F: shift_operator(F(3, 2), True), OutOfRangeError),
+    "derive_params alpha True": (lambda F: derive_params(F(3, 2), 2, 1, True, 7),
+                                 OutOfRangeError),
+    "family_poly beta True": (lambda F: family_poly(F(3, 2), 2, 1, 3, True), OutOfRangeError),
+    "intersection generator True": (lambda F: intersection_space(F(3, 2), 1, [True]),
+                                    OutOfRangeError),
+    "roots_of_unity d True": (lambda F: roots_of_unity(F(3, 2), True), NotADivisorError),
+    "is_permutation coefficient True": (lambda F: is_permutation(F(3, 2), [0, True]),
+                                        OutOfRangeError),
+    "interpolate entry True": (lambda F: interpolate_table(F(3), [True, 0, 2]), OutOfRangeError),
+    "RunConfig seed True": (lambda F: RunConfig(seed=True), OutOfRangeError),
+    # a float once ended in a TypeError, or was read silently
+    "kernel_power k 1.5": (lambda F: kernel_power(F(3, 2), 1, 1.5), OutOfRangeError),
+    "intersection k 2.0": (lambda F: intersection_space(F(3, 2), 2.0), OutOfRangeError),
+    "theorem7 m 1.5": (lambda F: predicted_basis(F(3, 2), "theorem7", m=1.5), OutOfRangeError),
+    "census m 2.0": (lambda F: fp2.census(F(3, 2), 2.0, 1), BadExponentError),
+    "inverse_sweep m 2.0": (lambda F: fp2.inverse_sweep(F(3, 2), 2.0, 1), BadExponentError),
+    "shape_closure m 3.0": (lambda F: fp2.shape_closure(F(5, 2), {(3.0, 1): []}), BadExponentError),
+    "poly_pow e 2.5": (lambda F: poly_pow(F(3, 2), [0, 1, 1], 2.5), OutOfRangeError),
+    "monomial e -1": (lambda F: monomial(-1), OutOfRangeError),
+    "monomial e True": (lambda F: monomial(True), OutOfRangeError),
+    "roots_of_unity d 2.0": (lambda F: roots_of_unity(F(3, 2), 2.0), NotADivisorError),
+    "degree_distribution budget None": (lambda F: degree_distribution(F(5), budget=None),
+                                        OutOfRangeError),
+    "RunConfig budget 1.5": (lambda F: RunConfig(budget=1.5), OutOfRangeError),
+    "override coefficient 1.5": (lambda F: build_field(3, 2, modulus_override=(1.5, 0, 1)),
+                                 NotIrreducibleError),
+    # an operand from another field once answered
+    "rescale_kernel F_25 unit": (lambda F: rescale_kernel(F(3, 2), unit_kernel(F(5, 2), 1), 1),
+                                 DimensionMismatchError),
+    "rescale_kernel F_9 unit into F_27": (
+        lambda F: rescale_kernel(F(3, 3), unit_kernel(F(3, 2), 1), 1), DimensionMismatchError),
+    "enumerate G_9 kernel": (
+        lambda F: enumerate_pprs(F(3, 2), kernel_power(build_field(3, 2, G9), 3, 1)),
+        DimensionMismatchError),
+    "degree_echelon G_9 kernel": (
+        lambda F: degree_echelon(F(3, 2), kernel_power(build_field(3, 2, G9), 3, 1)),
+        DimensionMismatchError),
+    "hermite over the cap": (lambda F: hermite_test(F(3, 4), [0, 1]), CapExceededError),
+    "negative budget": (lambda F: degree_distribution(F(5), budget=-1), BudgetExceededError),
+    # boundary values that stay admitted
+    "kernel_power k = p": (lambda F: kernel_power(F(3, 2), 1, 3), None),
+    "intersection k = p": (lambda F: intersection_space(F(3, 2), 3), None),
+    "theorem7 m = p": (lambda F: predicted_basis(F(3, 2), "theorem7", m=3), None),
+    "census m = p - 1": (lambda F: fp2.census(F(5, 2), 4, 1), None),
+    "poly_pow e = 0": (lambda F: poly_pow(F(5), [0, 1], 0), None),
+    "monomial e = 0": (lambda F: monomial(0), None),
+    "roots_of_unity d = q - 1": (lambda F: roots_of_unity(F(3, 2), 8), None),
+    "shift_operator r = q - 1": (lambda F: shift_operator(F(3, 2), 8), None),
+    "is_permutation element q - 1": (lambda F: is_permutation(F(3, 2), [0, 8]), None),
+    "override coefficient p - 1": (lambda F: build_field(3, 2, modulus_override=G9), None),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINT_INPUTS)
+def test_table_and_coefficient_entry_points_refuse_malformed_input(field, name):
+    call, error = ENTRY_POINT_INPUTS[name]
+    if error is None:
+        assert call(field) is not None
+        return
+    with pytest.raises((PreconditionError, BudgetExceededError)) as refused:
+        call(field)
+    assert isinstance(refused.value, error)
 
 
 def test_degree_distribution_preconditions(field):
