@@ -620,12 +620,9 @@ def _alt_generators(run: _FieldRun):
 def _independent_set(ctx: FieldContext) -> list[int]:
     """A deterministic F_p-independent set different from the default."""
     chosen: list[int] = []
-    fp = eigen.Subspace.from_vectors(ctx, [], ctx.n)
     for x in range(2, ctx.q):
-        vec = list(ctx.digits(x))
-        if not fp.contains_vector(vec):
+        if eigen.mat_rank(ctx, [ctx.digits(y) for y in (*chosen, x)]) > len(chosen):
             chosen.append(x)
-            fp = eigen.Subspace.from_vectors(ctx, list(fp.basis) + [vec], ctx.n)
             if len(chosen) == ctx.n:
                 break
     return chosen

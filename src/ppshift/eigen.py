@@ -1,30 +1,27 @@
 """Shift operators on V[x] and their generalized eigenspaces.
 
 The operator for shift r sends f(x) to f(x+r) - f(r); it is linear on
-V[x], preserves degree, and its matrix over the monomial coordinates
-is upper triangular with unit diagonal (column e-1 holds the
-coordinates of (x+r)^e - r^e). All linear algebra here is exact over
-F_q or its prime field: Gaussian elimination with the first-nonzero
-pivot rule, a forward pass that clears the rows below each pivot and
-then a separate back-substitution pass that clears the rows above each
-pivot, from the last one up. So every basis is in canonical reduced
-row-echelon form and subspace equality is plain row comparison.
+V[x], preserves degree, and its matrix A_r over the monomial
+coordinates is upper triangular with unit diagonal: entry (i, e) is
+C(e, i) r^(e-i), the coefficient of x^i in (x+r)^e. All linear algebra
+here is exact over F_q or its prime field, and _eliminate is its one
+reduction: the first-nonzero pivot rule, a forward pass that clears the
+rows below each pivot and, for RREF, a back-substitution pass from the
+last pivot up. So every basis is canonical, subspace equality is plain
+row comparison and membership is a rank test (mat_rank).
 
-The kernel chain is eliminated once per k, over F_p, for every shift.
-The coefficient of x^i in (x+r)^e is C(e, i) r^(e-i), so A_r =
-D_r^-1 A_1 D_r with D_r = diag(r^e), e = 1..q-2, and then
-(A_r - I)^k = D_r^-1 (A_1 - I)^k D_r and ker((A_r - I)^k) =
-D_r^-1 ker((A_1 - I)^k). The entries of (A_1 - I)^k lie in F_p and
-have a closed form (see _difference_power), written only where C(e, i)
-is nonzero mod p, which Lucas's theorem reads off the base-p digits of
-e and i (_lucas_columns). So no operator is built:
-K_k = ker((A_1 - I)^k) is one elimination over the prime field, and
-each shift's kernel is K_k with its coordinates rescaled. V_k takes one
-K_k and n rescalings. mat_mul, the product over the sparse rows of its
-right factor, serves the claims that check Lemma 1 (one product chain
-A_1, A_1^2, ..., A_1^p, carried to every A_r that passes an entrywise
-check against D_r^-1 A_1 D_r) and Lemma 9 itself, so that they do not
-lean on this route.
+One builder, _lucas_matrix, writes both binomial matrices, entry (i, e)
+= C(e, i) w[e - i] only where Lucas's theorem leaves C(e, i) nonzero
+mod p (_lucas_columns): A_r with w[s] = r^s, and (A_1 - I)^k over F_p
+with w = Delta_k (see _difference_power). As A_r = D_r^-1 A_1 D_r with
+D_r = diag(r^e), ker((A_r - I)^k) = D_r^-1 ker((A_1 - I)^k), so the
+kernel chain builds no operator: K_k = ker((A_1 - I)^k) is one
+elimination over the prime field per k, each shift's kernel is K_k with
+its coordinates rescaled, and V_k takes one K_k and n rescalings.
+mat_mul, the product over the sparse rows of its right factor, serves
+the claims that check Lemma 1 (one product chain A_1, ..., A_1^p,
+carried to every A_r that passes an entrywise check against D_r^-1 A_1
+D_r) and Lemma 9 itself, so that they do not lean on this route.
 
 The dense routes (shift_operator, kernel_power, kernel_dim,
 intersection_space) refuse q > OPERATOR_MAX_Q with CapExceededError
@@ -210,21 +207,14 @@ class Subspace:
         return hash((self.ctx.p, self.ctx.n, self.ambient, self.basis))
 
     def contains_vector(self, vec) -> bool:
-        """Membership by reduction against the RREF basis."""
+        """Membership by rank: vec adds no rank to the basis."""
         if len(vec) != self.ambient:
             raise DimensionMismatchError(f"vector length {len(vec)} != ambient {self.ambient}")
-        ctx = self.ctx
-        work = list(vec)
-        for row in self.basis:
-            pc = next(i for i, v in enumerate(row) if v)
-            c = work[pc]
-            if c:
-                work = ctx.axpy(work, ctx.neg(c), row)
-        return not any(work)
+        return mat_rank(self.ctx, [*self.basis, vec]) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains_vector(row) for row in other.basis)
+        return mat_rank(self.ctx, self.basis + other.basis) == self.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Solve the stacked homogeneous system relating coordinates in
@@ -262,14 +252,6 @@ class Subspace:
 # -- the shift operators --
 
 
-def _pascal_rows(p: int, d: int):
-    """Rows e = 1..d of Pascal's triangle mod p: C(e, 0..e)."""
-    row = [1]
-    for _ in range(d):
-        row = [1] + [(a + b) % p for a, b in zip(row, row[1:])] + [1]
-        yield row
-
-
 def _require_dense_size(ctx: FieldContext) -> None:
     """Refuse q > OPERATOR_MAX_Q before a dense (q-2)^2 matrix is made."""
     if ctx.q > OPERATOR_MAX_Q:
@@ -277,26 +259,50 @@ def _require_dense_size(ctx: FieldContext) -> None:
             f"q = {ctx.q} exceeds the dense operator cap {OPERATOR_MAX_Q}")
 
 
+def _lucas_columns(p: int, d: int):
+    """For e = 1..d, the pairs (i, C(e, i) mod p) with C(e, i) nonzero
+    mod p, i ascending from (0, 1). By Lucas's theorem C(e, i) is the
+    product of the binomials of the base-p digits of e and i, so it is
+    nonzero exactly where every digit of i is at most that of e."""
+    digit_binoms = [[math.comb(a, b) % p for b in range(a + 1)] for a in range(p)]
+    for e in range(1, d + 1):
+        col = [(0, 1)]
+        place, rest = 1, e
+        while rest:
+            rest, digit = divmod(rest, p)
+            col = [(i + b * place, c * cb % p)
+                   for b, cb in enumerate(digit_binoms[digit]) for i, c in col]
+            place *= p
+        yield col
+
+
+def _lucas_matrix(p: int, w, mul) -> list[list[int]]:
+    """The d x d rows, d = len(w), with rows[i - 1][e - 1] = C(e, i) w[e - i]
+    for 1 <= i <= e <= d and 0 below the diagonal, products by mul. The
+    products c * w[s], c < p, are tabulated once, and only the entries
+    where C(e, i) is nonzero mod p are written, read from _lucas_columns."""
+    d = len(w)
+    times = [[mul(c, v) for v in w] for c in range(p)]
+    rows = [[0] * d for _ in range(d)]
+    for e, col in enumerate(_lucas_columns(p, d), start=1):
+        for i, c in col[1:]:
+            rows[i - 1][e - 1] = times[c][e - i]
+    return rows
+
+
 def shift_operator(ctx: FieldContext, r: int) -> Matrix:
     """Matrix of f(x) -> f(x+r) - f(r) over the monomial coordinates.
 
-    Column e-1 is built from the binomial expansion of (x+r)^e, so this
-    route is independent of apply_shift's Horner substitution.
+    Column e-1 holds the binomial expansion of (x+r)^e: entry (i, e) is
+    C(e, i) r^(e-i), with r^0 = 1 on the diagonal. So this route is
+    independent of apply_shift's Horner substitution.
     """
     require_element(ctx, r)
     _require_dense_size(ctx)
-    d = ctx.q - 2
-    cols = []
-    mul = ctx.mul
-    rpow = [ctx.pow(r, e) for e in range(d + 1)]
-    for e, binom in enumerate(_pascal_rows(ctx.p, d), start=1):
-        col = [0] * d
-        for k in range(1, e + 1):
-            c = binom[k]
-            if c:
-                col[k - 1] = mul(c, rpow[e - k])
-        cols.append(col)
-    return tuple(zip(*cols))  # transpose: cols[j][i] becomes row i
+    rows = _lucas_matrix(ctx.p, [ctx.pow(r, s) for s in range(ctx.q - 2)], ctx.mul)
+    for i, row in enumerate(rows):  # each list is freed as its tuple is made
+        rows[i] = tuple(row)
+    return tuple(rows)
 
 
 def apply_shift(ctx: FieldContext, r: int, f) -> list[int]:
@@ -316,46 +322,21 @@ def _require_shift(ctx: FieldContext, r: int) -> None:
         raise OutOfRangeError("kernel chain needs a nonzero shift")
 
 
-def _lucas_columns(p: int, d: int):
-    """For e = 1..d, the pairs (i, C(e, i) mod p) with C(e, i) nonzero
-    mod p, i ascending. By Lucas's theorem C(e, i) is the product of the
-    binomials of the base-p digits of e and i, so it is nonzero exactly
-    where every digit of i is at most that of e."""
-    digit_binoms = [[math.comb(a, b) % p for b in range(a + 1)] for a in range(p)]
-    for e in range(1, d + 1):
-        col = [(0, 1)]
-        place, rest = 1, e
-        while rest:
-            rest, digit = divmod(rest, p)
-            col = [(i + b * place, c * cb % p)
-                   for b, cb in enumerate(digit_binoms[digit]) for i, c in col]
-            place *= p
-        yield col
-
-
 def _difference_power(ctx: FieldContext, k: int) -> list[list[int]]:
     """(A_1 - I)^k as rows over F_p (entries 0..p-1).
 
     Lemma 9 gives A_1^t = A_t, whose entry (i, e) is C(e, i) t^(e-i), so
     by the binomial theorem entry (i, e) of (A_1 - I)^k is
-    C(e, i) * Delta_k(e - i) for i < e and 0 otherwise, where
-    Delta_k(s) = sum_{t=0..k} (-1)^(k-t) C(k, t) t^s mod p. For s >= 1,
-    t^s has period p - 1 in s, so Delta_k is tabulated on s = 1..p-1.
-    Only the entries with C(e, i) nonzero mod p are written, read from
-    _lucas_columns.
+    C(e, i) * Delta_k(e - i), where Delta_k(s) = sum_{t=0..k} (-1)^(k-t)
+    C(k, t) t^s mod p and Delta_k(0) = 0. For s >= 1, t^s has period
+    p - 1 in s, so Delta_k is tabulated on s = 1..p-1.
     """
     require_int(k, 1, ctx.p, message="k = {x!r} outside [1, {hi}]")
     p = ctx.p
-    d = ctx.q - 2
     signed = [(-1) ** (k - t) * math.comb(k, t) for t in range(k + 1)]
     period = [sum(c * pow(t, s, p) for t, c in enumerate(signed)) % p for s in range(1, p)]
-    delta = [0] + [period[(s - 1) % (p - 1)] for s in range(1, d)]
-    rows = [[0] * d for _ in range(d)]
-    for e, col in enumerate(_lucas_columns(p, d), start=1):
-        for i, c in col:
-            if 0 < i < e:
-                rows[i - 1][e - 1] = c * delta[e - i] % p
-    return rows
+    delta = [0] + [period[(s - 1) % (p - 1)] for s in range(1, ctx.q - 2)]
+    return _lucas_matrix(p, delta, lambda c, v: c * v % p)
 
 
 def _prime_field(ctx: FieldContext) -> FieldContext:
@@ -451,8 +432,17 @@ def predicted_basis(ctx: FieldContext, variant: str, m: int | None = None, r: in
     theorem11   eigenspace of the shift by r: monomials plus
                 (x^p - bx)^i with b = r^(p-1).
     corollary3  prime fields: x, x^2, ..., x^m.
+
+    lemma6 reads neither m nor r, theorem11 only r, the others only m;
+    an argument the variant does not read is refused.
     """
     p, n, q = ctx.p, ctx.n, ctx.q
+    reads = {"lemma6": "", "theorem11": "r", "theorem7": "m", "corollary3": "m"}
+    if variant not in reads:
+        raise OutOfRangeError(f"unknown basis variant {variant!r}")
+    for name, value in (("m", m), ("r", r)):
+        if value is not None and name not in reads[variant]:
+            raise OutOfRangeError(f"{variant} does not read {name} = {value!r}")
     pn1 = p ** (n - 1)
     if variant == "lemma6":
         return predicted_basis(ctx, "theorem11", r=1)
@@ -463,8 +453,6 @@ def predicted_basis(ctx: FieldContext, variant: str, m: int | None = None, r: in
         return basis + [_binomial_power(ctx, b, i) for i in range(2, pn1) if _not_p_power(ctx, i)]
     if variant == "corollary3" and n != 1:
         raise OutOfRangeError("corollary3 applies to prime fields only")
-    if variant not in ("theorem7", "corollary3"):
-        raise OutOfRangeError(f"unknown basis variant {variant!r}")
     require_int(m, 1, p, message=variant + " needs m in [1, {hi}], not {x!r}")
     if variant == "corollary3":
         return [monomial(k) for k in range(1, min(m, q - 2) + 1)]

@@ -397,8 +397,9 @@ def shape_closure(ctx: FieldContext, shapes) -> list[tuple]:
     bad = []
     for (m, b), codes in shapes.items():
         require_mb(ctx, m, b)
-        if math.gcd(m, p - 1) != 1 or not all(0 <= code < q * q for code in codes):
-            raise OutOfRangeError(f"m = {m} not coprime to {p - 1}, or a code not below {q * q}")
+        if math.gcd(m, p - 1) != 1 or not all(
+                code.__class__ is int and 0 <= code < q * q for code in codes):
+            raise OutOfRangeError(f"m = {m} not coprime to {p - 1}, or a code not an int < {q * q}")
         if m not in keeps:
             keeps[m] = {kappa: _is_binomial(p, pow(m, -1, p - 1), inverse)
                         for kappa, inverse in _binomial_inverses(p, m).items()}

@@ -246,6 +246,7 @@ def linearized_poly(ctx: FieldContext, d) -> list[int]:
     """Coefficient list of sum_j d_j x^(p^j) from the length-n vector d."""
     if len(d) != ctx.n:
         raise DimensionMismatchError(f"expected {ctx.n} coefficients, got {len(d)}")
+    require_poly(ctx, d)
     out = [0] * (ctx.p ** (ctx.n - 1) + 1)
     for j, c in enumerate(d):
         out[ctx.p**j] = c
@@ -254,6 +255,7 @@ def linearized_poly(ctx: FieldContext, d) -> list[int]:
 
 def linearized_coeffs(ctx: FieldContext, f) -> list[int] | None:
     """Inverse of linearized_poly, or None if f has other monomials."""
+    require_poly(ctx, f)
     powers = {ctx.p**j: j for j in range(ctx.n)}
     d = [0] * ctx.n
     for e, c in enumerate(f):

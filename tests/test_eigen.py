@@ -9,7 +9,6 @@ from ppshift.eigen import (
     Subspace,
     _difference_power,
     _lucas_columns,
-    _pascal_rows,
     apply_shift,
     default_generators,
     intersection_space,
@@ -194,6 +193,30 @@ def test_difference_power_matches_product_chain(request, p, n, make):
                 for i, row in enumerate(m)
             ]
             assert conj == list(chain), (r, k)
+
+
+def _pascal_rows(p: int, d: int):
+    """Rows e = 1..d of Pascal's triangle mod p: C(e, 0..e)."""
+    row = [1]
+    for _ in range(d):
+        row = [1] + [(a + b) % p for a, b in zip(row, row[1:])] + [1]
+        yield row
+
+
+def dense_shift_operator(ctx, r):
+    """A_r from dense Pascal columns: column e - 1 holds C(e, i) r^(e-i)
+    for i = 1..e, every binomial computed, then transposed."""
+    d = ctx.q - 2
+    cols = [[ctx.mul(binom[i], ctx.pow(r, e - i)) for i in range(1, e + 1)] + [0] * (d - e)
+            for e, binom in enumerate(_pascal_rows(ctx.p, d), start=1)]
+    return tuple(zip(*cols))
+
+
+@pytest.mark.parametrize("p,n,make", with_zech([(5, 2), (3, 3)], [(5, 2)]))
+def test_shift_operator_matches_dense_pascal_columns(request, p, n, make):
+    ctx = request.getfixturevalue(make)(p, n)
+    for r in range(ctx.q):
+        assert shift_operator(ctx, r) == dense_shift_operator(ctx, r), r
 
 
 def dense_difference_power(ctx, k):
@@ -433,6 +456,32 @@ def test_subspace_algebra(field):
         v1.intersect(other)
     with pytest.raises(DimensionMismatchError):
         v1.contains_vector([1, 0])
+
+
+@pytest.mark.parametrize("make", ["field", "zech_field"])
+def test_membership_agrees_with_the_span_dimension(request, make):
+    ctx = request.getfixturevalue(make)(3, 2)
+    d = ctx.q - 2
+    empty = Subspace.from_vectors(ctx, [], d)
+    spaces = [empty, kernel_power(ctx, 1, 1), kernel_power(ctx, 4, 2),
+              intersection_space(ctx, 1), Subspace.from_vectors(ctx, [[1] * d], d)]
+    rng = random.Random(5)
+    vectors = [[0] * d] + [[rng.randrange(ctx.q) for _ in range(d)] for _ in range(20)]
+    for space in spaces:
+        for row in space.basis:
+            vectors.append(list(row))
+            for j in range(d):  # one entry off a basis row
+                vectors.append([ctx.add(v, 1) if i == j else v for i, v in enumerate(row)])
+    for space in spaces:
+        for vec in vectors:
+            spanned = Subspace.from_vectors(ctx, [*space.basis, vec], d).dim == space.dim
+            assert space.contains_vector(vec) == spanned, (space.basis, vec)
+        for other in spaces:
+            spanned = Subspace.from_vectors(ctx, [*space.basis, *other.basis], d).dim == space.dim
+            assert space.contains(other) == spanned
+    assert empty.contains_vector([0] * d) and not empty.contains_vector([1] + [0] * (d - 1))
+    assert empty.contains(empty) and all(s.contains(empty) for s in spaces)
+    assert not empty.contains(spaces[1])
 
 
 def test_subspace_from_vectors_canonical(field):

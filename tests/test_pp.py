@@ -679,6 +679,11 @@ ENTRY_POINT_INPUTS = {
                                         OutOfRangeError),
     "interpolate entry True": (lambda F: interpolate_table(F(3), [True, 0, 2]), OutOfRangeError),
     "RunConfig seed True": (lambda F: RunConfig(seed=True), OutOfRangeError),
+    "shape_closure code True": (lambda F: fp2.shape_closure(F(5, 2), {(3, 1): [True]}),
+                                OutOfRangeError),
+    "linearized_poly d True": (lambda F: linearized_poly(F(3, 2), [True, 0]), OutOfRangeError),
+    "linearized_coeffs f True": (lambda F: linearized_coeffs(F(3, 2), [0, True]),
+                                 OutOfRangeError),
     # a float once ended in a TypeError, or was read silently
     "kernel_power k 1.5": (lambda F: kernel_power(F(3, 2), 1, 1.5), OutOfRangeError),
     "intersection k 2.0": (lambda F: intersection_space(F(3, 2), 2.0), OutOfRangeError),
@@ -695,6 +700,14 @@ ENTRY_POINT_INPUTS = {
     "RunConfig budget 1.5": (lambda F: RunConfig(budget=1.5), OutOfRangeError),
     "override coefficient 1.5": (lambda F: build_field(3, 2, modulus_override=(1.5, 0, 1)),
                                  NotIrreducibleError),
+    # an element index out of range once answered
+    "linearized_poly d 9": (lambda F: linearized_poly(F(3, 2), [9, 0]), OutOfRangeError),
+    # an argument the basis variant does not read once answered another question
+    "lemma6 r 4": (lambda F: predicted_basis(F(3, 2), "lemma6", r=4), OutOfRangeError),
+    "theorem11 m 1": (lambda F: predicted_basis(F(3, 2), "theorem11", m=1, r=4),
+                      OutOfRangeError),
+    "theorem7 r 1": (lambda F: predicted_basis(F(3, 2), "theorem7", m=1, r=1), OutOfRangeError),
+    "corollary3 r 1": (lambda F: predicted_basis(F(5), "corollary3", m=1, r=1), OutOfRangeError),
     # an operand from another field once answered
     "rescale_kernel F_25 unit": (lambda F: rescale_kernel(F(3, 2), unit_kernel(F(5, 2), 1), 1),
                                  DimensionMismatchError),
