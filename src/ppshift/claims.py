@@ -69,10 +69,11 @@ SECTION_ORDER = ("preliminaries", "shift-map", "shift-family", "fp2", "appendix"
 
 class _FieldRun:
     """Shared per-field state: context, claim list and one memo that
-    keeps what several claims read (the Lemma 1 power flags, the kernels
-    K_k of the unit shift, V_k, enumerations, the family shapes' PPRs,
-    the degree census, the Theorem 15 sweep of each (m, b), the lemma
-    suite) from the first claim that builds it to the end of the run.
+    keeps what several claims read (the Lemma 1 power flags of A_1,
+    which every nonzero shift shares, the kernels K_k of the unit shift,
+    V_k, enumerations, the family shapes' PPRs, the degree census, the
+    Theorem 15 sweep of each (m, b), the lemma suite) from the first
+    claim that builds it to the end of the run.
     Each claim builds the operators A_r it reads and drops them; a
     kernel of A_r is rescaled from K_k on each read and not held."""
 
@@ -265,67 +266,43 @@ def _orbit_identity(run: _FieldRun):
 # -- the shift map --
 
 
-def _identity_powers(run: _FieldRun) -> dict[int, tuple[bool, ...]]:
-    """{r: whether A_r^j = I for j = 1..p} from mat_mul product chains,
-    so that Lemma 1 does not lean on Lemma 9's A_r^j = A_(jr).
-
-    The chain runs for A_1. Each other A_r is built in turn and dropped:
-    one that equals D_r^-1 A_1 D_r entry for entry, D_r = diag(r^e), has
-    A_r^j = D_r^-1 A_1^j D_r, which is I exactly when A_1^j is, so it
-    takes A_1's flags; one that fails that check runs its own chain.
-    """
+def _unit_powers(run: _FieldRun) -> tuple[bool, ...]:
+    """Whether A_1^j = I for j = 1..p, from the one mat_mul product
+    chain A_1, A_1^2, ..., A_1^p, so that Lemma 1 does not lean on
+    Lemma 9's A_r^j = A_(jr). These are the flags of every nonzero
+    shift: A_r = D_r^-1 A_1 D_r with D_r = diag(r^e), so A_r^j =
+    D_r^-1 A_1^j D_r is I exactly when A_1^j is, and a fault in A_1 is
+    listed at every shift."""
 
     def build():
         ctx = run.ctx
         ident = eigen.mat_identity(ctx.q - 2)
-
-        def chain(a):
-            acc, flags = a, [a == ident]
-            for _ in range(ctx.p - 1):
-                acc = eigen.mat_mul(ctx, acc, a)
-                flags.append(acc == ident)
-            return tuple(flags)
-
         unit = eigen.shift_operator(ctx, 1)
-        flags = {1: chain(unit)}
-        for r in range(2, ctx.q):
-            a = eigen.shift_operator(ctx, r)
-            flags[r] = flags[1] if _conjugates_unit(ctx, r, a, unit) else chain(a)
-        return flags
+        acc, flags = unit, [unit == ident]
+        for _ in range(ctx.p - 1):
+            acc = eigen.mat_mul(ctx, acc, unit)
+            flags.append(acc == ident)
+        return tuple(flags)
 
     return run.memo("powers", build)
 
 
-def _conjugates_unit(ctx: FieldContext, r: int, a, unit) -> bool:
-    """Whether a = D_r^-1 unit D_r: entry (i, j) is r^(j-i) unit[i][j],
-    so a is zero wherever unit is, below the diagonal too."""
-    d = len(unit)
-    scale = [ctx.pow(r, s) for s in range(1 - d, d)]  # r^s at index s + d - 1
-    return len(a) == d and all(
-        row == tuple(map(ctx.mul, scale[d - 1 - i:2 * d - 1 - i], unit_row))
-        for i, (row, unit_row) in enumerate(zip(a, unit)))
-
-
-def _shift_order(run: _FieldRun, r: int) -> int | None:
-    """The least j <= p with A_r^j = I, or None when there is none."""
-    flags = _identity_powers(run)[r]
-    return flags.index(True) + 1 if True in flags else None
-
-
 def _operator_power(run: _FieldRun):
     ctx = run.ctx
-    bad = [r for r, flags in _identity_powers(run).items() if not flags[-1]]
+    bad = [] if _unit_powers(run)[-1] else list(range(1, ctx.q))
     return _verdict(bad, "identity at power p", f"all {ctx.q - 1} nonzero shifts", shown=None)
 
 
 def _operator_order(run: _FieldRun):
+    """The least j <= p with A_1^j = I (None when there is none) is the
+    order of every nonzero shift (_unit_powers), so r = 1 is the
+    counterexample of a wrong order."""
     ctx = run.ctx
-    orders = {r: _shift_order(run, r) for r in range(1, ctx.q)}
-    distinct = sorted(set(orders.values()), key=lambda o: o or 0)  # None first
-    if distinct == [ctx.p]:
-        return "verified", ctx.p, distinct, "all nonzero shifts"
-    witness = next(r for r, o in orders.items() if o != ctx.p)
-    return "refuted", ctx.p, {"orders": distinct, "counterexample": {"r": witness, "order": orders[witness]}}, (
+    flags = _unit_powers(run)
+    order = flags.index(True) + 1 if True in flags else None
+    if order == ctx.p:
+        return "verified", ctx.p, [order], "all nonzero shifts"
+    return "refuted", ctx.p, {"orders": [order], "counterexample": {"r": 1, "order": order}}, (
         "every shift acts as the identity on V[x] over F_4, so the order is 1"
         if ctx.q == 4
         else "unexpected orders"
@@ -390,9 +367,11 @@ def _kernel_dims(run: _FieldRun):
 def _kernel_chain(run: _FieldRun):
     ctx = run.ctx
     bad = []
+    dims = []
     prev = None
     for k in range(1, ctx.p + 1):
         cur = run.kernel(1, k)
+        dims.append(cur.dim)
         if prev is not None:
             if not cur.contains(prev):
                 bad.append(("containment", k))
@@ -400,7 +379,6 @@ def _kernel_chain(run: _FieldRun):
                 bad.append(("growth", k))
         prev = cur
     status = "verified" if not bad else "refuted"
-    dims = [run.kernel(1, k).dim for k in range(1, ctx.p + 1)]
     return status, "strictly growing chain", dims, "unit shift, full chain"
 
 
@@ -942,7 +920,7 @@ def reproduce_field(ctx: FieldContext, cfg: RunConfig) -> list[ClaimReport]:
 def reproduce(cfg: RunConfig) -> list[ClaimReport]:
     """Claims for the requested field, or the default desk-scale roster."""
     if cfg.p is not None:
-        roster = [(cfg.p, cfg.n or 1)]
+        roster = [(cfg.p, 1 if cfg.n is None else cfg.n)]
     else:
         roster = list(DEFAULT_ROSTER)
     reports = []

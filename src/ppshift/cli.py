@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -287,29 +288,12 @@ def emit_report(reports: list[ClaimReport], fmt: str) -> str:
     """Render claim reports: json, csv (one row per claim) or markdown
     (one table per section)."""
     if fmt == "json":
-        return json.dumps(
-            {
-                "schema": 1,
-                "claims": [
-                    {
-                        "claim_id": r.claim_id,
-                        "field": r.field,
-                        "status": r.status,
-                        "expected": r.expected,
-                        "observed": r.observed,
-                        "runtime": r.runtime,
-                        "note": r.note,
-                    }
-                    for r in reports
-                ],
-            },
-            indent=2,
-        )
+        return json.dumps({"schema": 1, "claims": [vars(r) for r in reports]}, indent=2)
     if fmt == "csv":
         return _csv(
-            ["claim_id", "field", "status", "expected", "observed", "runtime", "note"],
-            ([r.claim_id, r.field, r.status, json.dumps(r.expected),
-              json.dumps(r.observed), r.runtime, r.note] for r in reports),
+            [f.name for f in dataclasses.fields(ClaimReport)],
+            ([json.dumps(v) if k in ("expected", "observed") else v for k, v in vars(r).items()]
+             for r in reports),
         )
     if fmt == "markdown":
         lines = ["# Claim report", ""]

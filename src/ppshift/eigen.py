@@ -19,9 +19,9 @@ kernel chain builds no operator: K_k = ker((A_1 - I)^k) is one
 elimination over the prime field per k, each shift's kernel is K_k with
 its coordinates rescaled, and V_k takes one K_k and n rescalings.
 mat_mul, the product over the sparse rows of its right factor, serves
-the claims that check Lemma 1 (one product chain A_1, ..., A_1^p,
-carried to every A_r that passes an entrywise check against D_r^-1 A_1
-D_r) and Lemma 9 itself, so that they do not lean on this route.
+the claims that check Lemma 1 (one product chain A_1, ..., A_1^p, whose
+flags every A_r shares by the same conjugation) and Lemma 9 (A_r A_s =
+A_(r+s), on the operators as built).
 
 The dense routes (shift_operator, kernel_power, kernel_dim,
 intersection_space) refuse q > OPERATOR_MAX_Q with CapExceededError

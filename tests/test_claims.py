@@ -18,15 +18,15 @@ from ppshift.claims import (
     _extra_closure,
     _first_appearance,
     _hermite_agreement,
-    _identity_powers,
     _operator_order,
     _operator_power,
+    _unit_powers,
     _v1_shapes,
     reproduce,
     reproduce_field,
 )
 from ppshift.cli import emit_report
-from ppshift.errors import BudgetExceededError, NotAPermutationError
+from ppshift.errors import BudgetExceededError, NotAPermutationError, NotIrreducibleError
 from ppshift.fp2 import check_conditions, family_poly
 from ppshift.poly import eval_table, gmb_poly, hmd_d, monomial, normalize, poly_scale
 from ppshift.pp import HERMITE_MAX_Q, is_permutation
@@ -119,6 +119,12 @@ def test_reproduce_roster_default():
     cfg = RunConfig(p=3, n=2)
     reports = reproduce(cfg)
     assert {r.field for r in reports} == {"F_9"}
+
+
+def test_reproduce_refuses_extension_degree_zero():
+    # n = 0 is refused by build_field, not read as the default n = 1
+    with pytest.raises(NotIrreducibleError, match="extension degree 0"):
+        reproduce(RunConfig(p=3, n=0))
 
 
 def test_refuted_claims_carry_counterexample():
@@ -300,6 +306,7 @@ def test_each_claim_builds_a_shift_once_and_frees_it(monkeypatch, p, n):
     assert claimed == {
         "lemma1.operator_power", "lemma2.eigenvalue", "eq1.matrix_action", "lemma9.additivity"}
     assert max(builds.values()) == 1
+    assert {r for c, r in builds if c == "lemma1.operator_power"} == {1}
     assert not leaked
     assert all(r.status == "verified" for r in reports if r.claim_id in claimed)
 
@@ -575,10 +582,9 @@ def test_coprime_count_leaves_out_the_half_exponent_past_p5():
     assert _coprime_count_exponents(3) == []
 
 
-def _chain_identity_powers(run):
+def _chain_identity_powers(ctx):
     """{r: whether A_r^j = I for j = 1..p} from each A_r's own mat_mul
     chain: the per-shift route, with no appeal to D_r conjugation."""
-    ctx = run.ctx
     ident = eigen.mat_identity(ctx.q - 2)
     got = {}
     for r in range(1, ctx.q):
@@ -593,21 +599,12 @@ def _chain_identity_powers(run):
 
 @pytest.mark.parametrize("p,n", DEFAULT_ROSTER)
 def test_identity_powers_match_each_shifts_own_chain(field, monkeypatch, p, n):
-    run = _FieldRun(field(p, n), RunConfig())
+    # A_r = D_r^-1 A_1 D_r: every shift's own chain has the A_1 flags
+    ctx = field(p, n)
     products = _count_calls(monkeypatch, eigen, "mat_mul")
-    got = _identity_powers(run)
+    got = _unit_powers(_FieldRun(ctx, RunConfig()))
     assert sum(products.values()) == p - 1  # the one A_1 chain
-    assert got == _chain_identity_powers(run)
-
-
-def _lemma1_claims(ctx, per_shift):
-    """Both Lemma 1 claims on a fresh run, with every flag from the
-    shift's own chain when per_shift is set."""
-    with pytest.MonkeyPatch.context() as mp:
-        if per_shift:
-            mp.setattr(claims, "_identity_powers", _chain_identity_powers)
-        run = _FieldRun(ctx, RunConfig())
-        return _operator_power(run), _operator_order(run)
+    assert _chain_identity_powers(ctx) == dict.fromkeys(range(1, ctx.q), got)
 
 
 def _plant(monkeypatch, r, change):
@@ -630,24 +627,27 @@ def _set_entry(i, j, value):
     return change
 
 
-@pytest.mark.parametrize("r,change,power_status,power_observed", [
-    pytest.param(7, _set_entry(3, 3, 2), "refuted", [7], id="diagonal"),
-    pytest.param(7, _set_entry(20, 2, 1), "refuted", [7], id="below-diagonal"),
-    # A_1 itself: every other r then fails the check and runs its own chain
-    pytest.param(1, _set_entry(0, 1, 3), "refuted", [1], id="unit-shift"),
-    pytest.param(7, lambda ctx, m: eigen.shift_operator(ctx, 11),
-                 "verified", "identity at power p", id="swapped"),
+@pytest.mark.parametrize("r,change", [
+    pytest.param(7, _set_entry(3, 3, 2), id="diagonal"),
+    pytest.param(7, _set_entry(20, 2, 1), id="below-diagonal"),
+    pytest.param(7, lambda ctx, m: eigen.shift_operator(ctx, 11), id="swapped"),
+    pytest.param(1, _set_entry(0, 1, 3), id="unit-shift"),
 ])
-def test_planted_operator_faults_give_the_per_shift_statuses(
-        monkeypatch, r, change, power_status, power_observed):
+def test_planted_operator_faults_give_the_per_shift_statuses(monkeypatch, r, change):
+    # a fault in A_r is named at r by the claims that read A_r as built;
+    # Lemma 1 reads A_1 alone, so a fault there is listed at every shift
     ctx = build_field(5, 2)
     _plant(monkeypatch, r, change)
-    got = _lemma1_claims(ctx, per_shift=False)
-    assert got == _lemma1_claims(ctx, per_shift=True)
-    power, order = got
-    assert (power[0], power[2]) == (power_status, power_observed)
-    if power_status == "refuted":
-        assert order[0] == "refuted" and order[2]["counterexample"]["r"] == r
+    run = _FieldRun(ctx, RunConfig())
+    action, additivity = claims._matrix_action(run), claims._additivity(run)
+    assert action[0] == additivity[0] == "refuted"
+    assert {shift for shift, _ in action[2]} == {r}
+    power, order = _operator_power(run), _operator_order(run)
+    if r == 1:
+        assert (power[0], power[2]) == ("refuted", list(range(1, ctx.q)))
+        assert order[0] == "refuted" and order[2]["counterexample"]["r"] == 1
+    else:
+        assert power[0] == order[0] == "verified"
 
 
 def _pairwise_thm15_sweep(ctx):

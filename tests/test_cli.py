@@ -463,6 +463,13 @@ def test_reproduce_refuses_f2_with_one_message(capsys):
     assert err == "precondition violation: V[x] is empty over F_2; reproduce needs q > 2\n"
 
 
+@pytest.mark.parametrize("command", ["field-info", "reproduce"])
+def test_extension_degree_zero_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "--p", "3", "--n", "0")
+    assert (code, out) == (2, "")
+    assert err == "precondition violation: extension degree 0 is not an int >= 1\n"
+
+
 def test_reproduce_timings_flag(capsys):
     code, out, _ = run(capsys, "reproduce", "--p", "2", "--n", "2", "--timings")
     assert code == 0

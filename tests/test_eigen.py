@@ -4,7 +4,6 @@ import random
 import pytest
 
 from ppshift import eigen
-from ppshift.claims import RunConfig, _FieldRun, _shift_order
 from ppshift.eigen import (
     Subspace,
     _difference_power,
@@ -26,6 +25,7 @@ from ppshift.eigen import (
 from ppshift.errors import CapExceededError, DimensionMismatchError, OutOfRangeError
 from ppshift.gf import line_decomposition
 from ppshift.poly import coords, degree, gmb_poly, monomial, reduce_poly
+from test_claims import _chain_identity_powers
 
 FIELDS = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)]
 
@@ -123,9 +123,10 @@ def test_apply_shift_agrees_with_matrix(field, p, n):
 
 
 def test_operator_orders(field):
-    # read from the claims' product chain A_r, A_r^2, ..., A_r^p
+    # the least j with A_r^j = I, read from the shift's own product chain
     def order(p, n, r):
-        return _shift_order(_FieldRun(field(p, n), RunConfig()), r)
+        flags = _chain_identity_powers(field(p, n))[r]
+        return flags.index(True) + 1
 
     assert order(5, 1, 1) == 5
     assert order(3, 2, 3) == 3
